@@ -1,11 +1,10 @@
 // Microbenchmark for the sketch evaluators and the GridFinder version-space
 // engine on the SWAN Table-1 workload (Fig. 2a sketch, Fig. 2b target).
 //
-// Configurations are compared at identical results (the survivor sets must
-// match exactly or the bench fails):
-//   tree            — recursive AST interpreter, single-threaded (seed code)
-//   compiled        — flat-tape stack machine (sketch/compile.h), 1 thread
-//   parallel        — compiled evaluator + thread-pool sharding
+// Sync configurations are compared at identical results (the survivor sets
+// must match the seed-tree reference exactly or the bench fails):
+//   seed tree       — the seed's sync loop over the recursive AST
+//                     interpreter, reproduced here as baseline and reference
 //   batched_scalar  — lane tape (sketch::BatchTape), scalar kernel, 1 thread
 //   batched         — lane tape, dispatcher-selected kernel (SIMD where the
 //                     host supports it), 1 thread — the production default
@@ -14,9 +13,10 @@
 //                     in-process compsynth workers over loopback TCP via
 //                     dist::ShardCoordinator (docs/DISTRIBUTED.md); fails
 //                     if the coordinator fell back to the local scan
-// measuring raw evaluation throughput, a full version-space rebuild
-// (GridFinder::sync from scratch over the 54,571-candidate SWAN grid) and an
-// incremental filter after new answers arrive. The JSON records which lane
+// measuring a full version-space rebuild (GridFinder::sync from scratch over
+// the 54,571-candidate SWAN grid) and an incremental filter after new answers
+// arrive, plus raw evaluation throughput of each evaluator (tree, scalar
+// tape, lane tape) on its own. The JSON records which lane
 // ISA the dispatcher picked (lane_isa / lane_width) so numbers from
 // different hosts are comparable; docs/EVALUATOR.md explains the engine.
 //
@@ -56,7 +56,6 @@
 namespace compsynth::bench {
 namespace {
 
-using solver::EvalBackend;
 using solver::GridFinder;
 using solver::GridFinderConfig;
 
@@ -89,10 +88,10 @@ void grow_graph(pref::PreferenceGraph& graph,
   }
 }
 
-// The seed's sync loop, reproduced verbatim as the baseline: recursive tree
-// interpreter, both endpoint objectives recomputed for every edge and tie,
-// no memoization across constraints. The new engine (GridFinder::sync) is
-// measured against this, which is what the code did before compilation,
+// The seed's sync loop, reproduced verbatim as the baseline and the survivor
+// reference: recursive tree interpreter, both endpoint objectives recomputed
+// for every edge and tie, no memoization across constraints. GridFinder::sync
+// is measured against this, which is what the code did before compilation,
 // memoization and sharding were introduced.
 std::vector<sketch::HoleAssignment> legacy_tree_sync(
     const pref::PreferenceGraph& graph) {
@@ -132,9 +131,8 @@ std::vector<sketch::HoleAssignment> legacy_tree_sync(
   return survivors;
 }
 
-GridFinder make_finder(EvalBackend backend, int threads) {
+GridFinder make_finder(int threads) {
   GridFinderConfig config;
-  config.eval_backend = backend;
   config.threads = threads;
   return GridFinder(sketch::swan_sketch(), config);
 }
@@ -152,13 +150,13 @@ std::vector<sketch::HoleAssignment> assignments_of(const GridFinder& finder) {
 // reports the executor count the sync actually engaged (the finder falls
 // back to a serial pass when the work is too small to shard profitably, so
 // this can be 1 even for the "parallel" configuration).
-double time_full_sync(EvalBackend backend, int threads,
+double time_full_sync(int threads,
                       const pref::PreferenceGraph& graph, int reps,
                       std::vector<sketch::HoleAssignment>* survivors_out,
                       std::size_t* threads_used_out = nullptr) {
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
-    GridFinder finder = make_finder(backend, threads);
+    GridFinder finder = make_finder(threads);
     util::Stopwatch watch;
     finder.sync(graph);
     best = std::min(best, watch.elapsed_seconds());
@@ -172,14 +170,14 @@ double time_full_sync(EvalBackend backend, int threads,
 
 // Best-of-reps wall time of the incremental filter from `before` to `after`
 // (`after` must extend `before` append-only).
-double time_incremental_sync(EvalBackend backend, int threads,
+double time_incremental_sync(int threads,
                              const pref::PreferenceGraph& before,
                              const pref::PreferenceGraph& after, int reps,
                              std::vector<sketch::HoleAssignment>* survivors_out,
                              std::size_t* threads_used_out = nullptr) {
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
-    GridFinder finder = make_finder(backend, threads);
+    GridFinder finder = make_finder(threads);
     finder.sync(before);
     util::Stopwatch watch;
     finder.sync(after);
@@ -392,15 +390,6 @@ int run(bool smoke, const std::string& out_path) {
     if (r == 0) ref = std::move(got);
   }
 
-  std::vector<sketch::HoleAssignment> got_tree, got_seq, got_par;
-  std::size_t full_parallel_threads = 1;
-  const double full_tree =
-      time_full_sync(EvalBackend::kTree, 1, before, reps, &got_tree);
-  const double full_compiled =
-      time_full_sync(EvalBackend::kCompiled, 1, before, reps, &got_seq);
-  const double full_parallel = time_full_sync(
-      EvalBackend::kCompiled, 0, before, reps, &got_par, &full_parallel_threads);
-
   // The lane-dispatch assertion: the scalar and SIMD kernels must produce
   // the identical survivor set (they are bit-for-bit the same arithmetic),
   // checked in every mode including --smoke so CTest guards the dispatch.
@@ -408,13 +397,11 @@ int run(bool smoke, const std::string& out_path) {
   std::size_t batch_parallel_threads = 1;
   sketch::set_active_lane_isa(sketch::LaneIsa::kScalar);
   const double full_batch_scalar =
-      time_full_sync(EvalBackend::kBatch, 1, before, reps, &got_batch_scalar);
+      time_full_sync(1, before, reps, &got_batch_scalar);
   sketch::set_active_lane_isa(detected);
-  const double full_batch =
-      time_full_sync(EvalBackend::kBatch, 1, before, reps, &got_batch);
-  const double full_batch_par =
-      time_full_sync(EvalBackend::kBatch, 0, before, reps, &got_batch_par,
-                     &batch_parallel_threads);
+  const double full_batch = time_full_sync(1, before, reps, &got_batch);
+  const double full_batch_par = time_full_sync(0, before, reps, &got_batch_par,
+                                               &batch_parallel_threads);
 
   // The distributed row: the same full sync through a ShardCoordinator and
   // two in-process workers over loopback TCP. Included in --smoke so CTest
@@ -428,63 +415,46 @@ int run(bool smoke, const std::string& out_path) {
     return 1;
   }
 
-  if (got_tree != ref || got_seq != ref || got_par != ref) {
-    std::cerr << "FAIL: survivor sets differ across configurations\n";
-    return 1;
-  }
   if (got_batch_scalar != ref || got_batch != ref || got_batch_par != ref) {
-    std::cerr << "FAIL: batched survivor sets differ (lane ISA " << lane_isa
-              << ")\n";
+    std::cerr << "FAIL: batched survivor sets differ from the seed tree "
+                 "(lane ISA "
+              << lane_isa << ")\n";
     return 1;
   }
   if (got_dist != ref) {
     std::cerr << "FAIL: distributed survivor set differs from local\n";
     return 1;
   }
-  std::cout << "full sync       seed-tree " << baseline << " s, tree(memo) "
-            << full_tree << " s, compiled " << full_compiled
-            << " s, parallel " << full_parallel << " s, batched(scalar) "
-            << full_batch_scalar << " s, batched(" << lane_isa << ") "
-            << full_batch << " s, batched+shards " << full_batch_par
-            << " s, distributed(" << kDistWorkers << "w) " << full_dist
-            << " s  (" << ref.size() << " survivors; speedup "
-            << baseline / full_batch << "x vs seed, "
-            << full_compiled / full_batch << "x vs compiled)\n";
+  std::cout << "full sync       seed-tree " << baseline
+            << " s, batched(scalar) " << full_batch_scalar << " s, batched("
+            << lane_isa << ") " << full_batch << " s, batched+shards "
+            << full_batch_par << " s, distributed(" << kDistWorkers << "w) "
+            << full_dist << " s  (" << ref.size() << " survivors; speedup "
+            << baseline / full_batch << "x vs seed)\n";
 
   // --- Incremental filter ---------------------------------------------------
-  std::vector<sketch::HoleAssignment> inc_ref, inc_seq, inc_par;
-  std::size_t inc_parallel_threads = 1;
-  const double inc_tree = time_incremental_sync(EvalBackend::kTree, 1, before,
-                                                graph, reps, &inc_ref);
-  const double inc_compiled = time_incremental_sync(
-      EvalBackend::kCompiled, 1, before, graph, reps, &inc_seq);
-  const double inc_parallel =
-      time_incremental_sync(EvalBackend::kCompiled, 0, before, graph, reps,
-                            &inc_par, &inc_parallel_threads);
+  const std::vector<sketch::HoleAssignment> inc_ref = legacy_tree_sync(graph);
   std::vector<sketch::HoleAssignment> inc_batch_scalar, inc_batch, inc_batch_par;
+  std::size_t inc_parallel_threads = 1;
   sketch::set_active_lane_isa(sketch::LaneIsa::kScalar);
-  const double inc_batch_scalar_s = time_incremental_sync(
-      EvalBackend::kBatch, 1, before, graph, reps, &inc_batch_scalar);
+  const double inc_batch_scalar_s =
+      time_incremental_sync(1, before, graph, reps, &inc_batch_scalar);
   sketch::set_active_lane_isa(detected);
-  const double inc_batch_s = time_incremental_sync(
-      EvalBackend::kBatch, 1, before, graph, reps, &inc_batch);
+  const double inc_batch_s =
+      time_incremental_sync(1, before, graph, reps, &inc_batch);
   const double inc_batch_par_s = time_incremental_sync(
-      EvalBackend::kBatch, 0, before, graph, reps, &inc_batch_par);
-  if (inc_seq != inc_ref || inc_par != inc_ref) {
-    std::cerr << "FAIL: incremental survivor sets differ across configurations\n";
-    return 1;
-  }
+      0, before, graph, reps, &inc_batch_par, &inc_parallel_threads);
   if (inc_batch_scalar != inc_ref || inc_batch != inc_ref ||
       inc_batch_par != inc_ref) {
-    std::cerr << "FAIL: incremental batched survivor sets differ (lane ISA "
+    std::cerr << "FAIL: incremental survivor sets differ from the seed tree "
+                 "(lane ISA "
               << lane_isa << ")\n";
     return 1;
   }
-  std::cout << "incremental     tree " << inc_tree << " s, compiled "
-            << inc_compiled << " s, parallel " << inc_parallel
-            << " s, batched(scalar) " << inc_batch_scalar_s << " s, batched("
-            << lane_isa << ") " << inc_batch_s << " s, batched+shards "
-            << inc_batch_par_s << " s  (" << inc_ref.size() << " survivors)\n";
+  std::cout << "incremental     batched(scalar) " << inc_batch_scalar_s
+            << " s, batched(" << lane_isa << ") " << inc_batch_s
+            << " s, batched+shards " << inc_batch_par_s << " s  ("
+            << inc_ref.size() << " survivors)\n";
 
   if (smoke) {
     std::cout << "smoke: all configurations agree (lane ISA " << lane_isa
@@ -503,7 +473,6 @@ int run(bool smoke, const std::string& out_path) {
             << throughput.lanes_dispatch / 1e6 << " Me/s\n";
 
   const double sync_speedup = baseline / full_batch;
-  const double speedup_vs_compiled = full_compiled / full_batch;
   std::ofstream json(out_path);
   if (!json) {
     std::cerr << "FAIL: cannot write " << out_path << "\n";
@@ -520,7 +489,6 @@ int run(bool smoke, const std::string& out_path) {
        << "  \"threads_available\": " << util::ThreadPool::shared().size()
        << ",\n"
        << "  \"threads_used\": {\n"
-       << "    \"full_parallel\": " << full_parallel_threads << ",\n"
        << "    \"batched_parallel\": " << batch_parallel_threads << ",\n"
        << "    \"incremental_parallel\": " << inc_parallel_threads << "\n"
        << "  },\n"
@@ -534,30 +502,20 @@ int run(bool smoke, const std::string& out_path) {
        << "  },\n"
        << "  \"sync_full_seconds\": {\n"
        << "    \"tree_seed_baseline\": " << baseline << ",\n"
-       << "    \"tree_memoized\": " << full_tree << ",\n"
-       << "    \"compiled\": " << full_compiled << ",\n"
-       << "    \"parallel\": " << full_parallel << ",\n"
        << "    \"batched_scalar\": " << full_batch_scalar << ",\n"
        << "    \"batched\": " << full_batch << ",\n"
        << "    \"batched_parallel\": " << full_batch_par << ",\n"
        << "    \"distributed_2_workers\": " << full_dist << "\n"
        << "  },\n"
        << "  \"sync_incremental_seconds\": {\n"
-       << "    \"tree\": " << inc_tree << ",\n"
-       << "    \"compiled\": " << inc_compiled << ",\n"
-       << "    \"parallel\": " << inc_parallel << ",\n"
        << "    \"batched_scalar\": " << inc_batch_scalar_s << ",\n"
        << "    \"batched\": " << inc_batch_s << ",\n"
        << "    \"batched_parallel\": " << inc_batch_par_s << "\n"
        << "  },\n"
        << "  \"sync_full_speedup_vs_seed_tree\": " << sync_speedup << ",\n"
-       << "  \"sync_full_speedup_vs_compiled\": " << speedup_vs_compiled
-       << ",\n"
-       << "  \"survivor_sets_identical\": true,\n"
-       << "  \"meets_5x_target\": "
-       << (speedup_vs_compiled >= 5.0 ? "true" : "false") << "\n}\n";
+       << "  \"survivor_sets_identical\": true\n}\n";
   std::cout << "wrote " << out_path << " (sync speedup " << sync_speedup
-            << "x vs tree, " << speedup_vs_compiled << "x vs compiled)\n";
+            << "x vs seed tree)\n";
   return 0;
 }
 

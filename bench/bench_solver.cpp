@@ -3,10 +3,9 @@
 // run (Fig. 2a sketch, Fig. 2b target, ground-truth oracle) with one
 // combination of accelerations enabled.
 //
-//   z3_baseline     fresh Z3 context per query, no pre-checks, no cache
+//   z3_baseline     fresh Z3 context per query, no pre-checks
 //   z3_incremental  push/pop encoding reuse only
-//   z3_accelerated  incremental + interval pre-checks + cold result cache
-//   z3_cache_warm   accelerated re-run sharing the previous run's cache
+//   z3_accelerated  incremental + interval pre-checks
 //   portfolio_race  GridFinder vs Z3Finder racing every query
 //   grid            version-space back-end, as a reference point
 //
@@ -26,7 +25,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -37,7 +35,6 @@
 #include "pref/scenario.h"
 #include "sketch/library.h"
 #include "solver/equivalence.h"
-#include "solver/solver_cache.h"
 #include "synth/synthesizer.h"
 #include "util/thread_pool.h"
 
@@ -106,9 +103,7 @@ struct VariantRun {
 };
 
 VariantRun run_variant(const std::string& name, Backend backend,
-                       bool incremental, bool precheck,
-                       std::shared_ptr<solver::SolverCache> cache,
-                       int max_iterations) {
+                       bool incremental, bool precheck, int max_iterations) {
   const sketch::Sketch& sk = sketch::swan_sketch();
   RecordingOracle user;
   synth::SynthesisConfig config;
@@ -116,7 +111,6 @@ VariantRun run_variant(const std::string& name, Backend backend,
   config.max_iterations = max_iterations;
   config.finder.incremental = incremental;
   config.finder.interval_precheck = precheck;
-  config.solver_cache = std::move(cache);
 
   synth::Synthesizer synthesizer =
       backend == Backend::kZ3 ? synth::make_z3_synthesizer(sk, config)
@@ -153,24 +147,16 @@ int run(bool smoke, const std::string& out_path) {
             << " candidates), seed 7, max " << max_iterations
             << " iterations\n";
 
-  // One cache shared by z3_accelerated (which fills it cold) and
-  // z3_cache_warm (which replays it); the portfolio gets its own.
-  auto z3_cache = std::make_shared<solver::SolverCache>(4096);
-  auto portfolio_cache = std::make_shared<solver::SolverCache>(4096);
-
-  const VariantRun baseline = run_variant(
-      "z3_baseline", Backend::kZ3, false, false, nullptr, max_iterations);
+  const VariantRun baseline = run_variant("z3_baseline", Backend::kZ3, false,
+                                          false, max_iterations);
   const VariantRun incremental = run_variant(
-      "z3_incremental", Backend::kZ3, true, false, nullptr, max_iterations);
+      "z3_incremental", Backend::kZ3, true, false, max_iterations);
   const VariantRun accelerated = run_variant(
-      "z3_accelerated", Backend::kZ3, true, true, z3_cache, max_iterations);
-  const VariantRun warm = run_variant(
-      "z3_cache_warm", Backend::kZ3, true, true, z3_cache, max_iterations);
-  const VariantRun portfolio =
-      run_variant("portfolio_race", Backend::kPortfolio, true, true,
-                  portfolio_cache, max_iterations);
-  const VariantRun grid = run_variant("grid", Backend::kGrid, true, true,
-                                      nullptr, max_iterations);
+      "z3_accelerated", Backend::kZ3, true, true, max_iterations);
+  const VariantRun portfolio = run_variant(
+      "portfolio_race", Backend::kPortfolio, true, true, max_iterations);
+  const VariantRun grid =
+      run_variant("grid", Backend::kGrid, true, true, max_iterations);
 
   // --- Validity: accelerations must not change what the user experiences. --
   bool ok = true;
@@ -186,23 +172,20 @@ int run(bool smoke, const std::string& out_path) {
            {"z3_baseline", &baseline},
            {"z3_incremental", &incremental},
            {"z3_accelerated", &accelerated},
-           {"z3_cache_warm", &warm},
            {"portfolio_race", &portfolio},
            {"grid", &grid}}) {
     check(finished(*v, smoke), std::string(name) + " did not finish");
   }
 
   const bool sequences_identical = incremental.queries == baseline.queries &&
-                                   accelerated.queries == baseline.queries &&
-                                   warm.queries == baseline.queries;
+                                   accelerated.queries == baseline.queries;
   check(sequences_identical,
         "z3 variants asked a different oracle query sequence than baseline");
 
   const bool objectives_identical =
       baseline.result.objective.has_value() &&
       incremental.result.objective == baseline.result.objective &&
-      accelerated.result.objective == baseline.result.objective &&
-      warm.result.objective == baseline.result.objective;
+      accelerated.result.objective == baseline.result.objective;
   check(objectives_identical,
         "z3 variants learned a different objective than baseline");
 
@@ -258,7 +241,6 @@ int run(bool smoke, const std::string& out_path) {
   row("z3_baseline", baseline);
   row("z3_incremental", incremental);
   row("z3_accelerated", accelerated);
-  row("z3_cache_warm", warm);
   row("portfolio_race", portfolio);
   row("grid", grid, /*last=*/true);
   json << "  },\n"

@@ -8,7 +8,7 @@
 #
 # With no argument the full suite runs; pass a regex (as for `ctest -R`) to
 # restrict to a subset, e.g.:
-#   scripts/check_asan_ubsan.sh 'analyze|prune_differential'
+#   scripts/check_asan_ubsan.sh 'Interval|Soundness|GridFinderReference'
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"

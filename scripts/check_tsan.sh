@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Builds the tree with ThreadSanitizer (-DCOMPSYNTH_SANITIZE=thread) in a
 # dedicated build directory and runs every concurrency-exercising test: the
-# thread pool, the parallel GridFinder sync (including the analysis-pruned
-# rebuild), the portfolio/acceleration layer and solver cache, the
-# synthesis service (host + protocol), the seeded concurrency stress suite
+# thread pool, the sharded GridFinder sync (checked against the brute-force
+# reference at 4 threads), the portfolio/acceleration layer, the synthesis
+# service (host + protocol), the seeded concurrency stress suite
 # (tests/concurrency_stress_test.cpp) and the bench smokes.
 #
 # First-party code is expected TSan-clean with no suppressions. The only
@@ -21,7 +21,7 @@ set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="$repo/build-tsan"
-regex="${1:-ThreadPool|GridFinder|PruneDifferential|AccelDifferential|SolverCache|ServeProtocol|ServeHost|ConcurrencyStress|bench_eval_smoke|bench_solver_smoke}"
+regex="${1:-ThreadPool|GridFinder|GridFinderReference|AccelDifferential|ServeProtocol|ServeHost|ConcurrencyStress|bench_eval_smoke|bench_solver_smoke}"
 
 cmake -B "$build" -S "$repo" \
   -DCOMPSYNTH_SANITIZE=thread \

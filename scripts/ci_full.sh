@@ -10,14 +10,18 @@
 #      the daemon mid-run and diffs against an uninterrupted reference)
 #   4. the distributed-sync end-to-end stage (test_dist differential +
 #      fault-injection suite; dist_kill_worker kill -9s a worker mid-sync)
-#   5. the standalone docs checkers (links + code blocks + README index
+#   5. the end-to-end benchmark's smoke test (perfbench/smoke_test.py):
+#      builds the benchmark from ../src in its own tree and runs every
+#      workload at smoke size, so a change that breaks the benchmark's
+#      build or its correctness gates fails here
+#   6. the standalone docs checkers (links + code blocks + README index
 #      completeness, which gates docs/SERVICE.md and friends)
-#   6. the concurrency-convention static pass (scripts/check_static.sh)
-#   7. the thread-safety analysis build: with clang++ on PATH, a full
+#   7. the concurrency-convention static pass (scripts/check_static.sh)
+#   8. the thread-safety analysis build: with clang++ on PATH, a full
 #      -Wthread-safety -Werror=thread-safety configure+build in its own
 #      build dir (plus the negative-control ctest); otherwise a named skip
-#   8. the address+undefined sanitizer build/test sweep
-#   9. the ThreadSanitizer build/test sweep (scripts/check_tsan.sh) over
+#   9. the address+undefined sanitizer build/test sweep
+#  10. the ThreadSanitizer build/test sweep (scripts/check_tsan.sh) over
 #      the concurrent paths, including the seeded stress suite
 #
 # Usage:
@@ -44,6 +48,9 @@ echo "== distributed sync end to end =="
 # is the differential + fault-injection suite, dist_kill_worker kill -9s a
 # live worker mid-sync and diffs against a pure local run.
 ctest --test-dir "$build" -R '^(test_dist|dist_kill_worker)$' --output-on-failure
+
+echo "== end-to-end benchmark smoke =="
+python3 "$repo/perfbench/smoke_test.py"
 
 echo "== docs: links =="
 "$repo/scripts/check_docs_links.sh" "$repo"

@@ -2,7 +2,7 @@
 // (docs/DISTRIBUTED.md).
 //
 // ShardCoordinator implements solver::ShardSyncBackend: when a GridFinder
-// performs a full kBatch rebuild, sync_shards() receives the machine-
+// performs a full rebuild, sync_shards() receives the machine-
 // independent fixed-range shard list and farms it out to the configured
 // compsynth_worker endpoints over the dist wire protocol (dist/wire.h),
 // then returns the per-shard records in shard order — a sequence the

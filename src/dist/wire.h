@@ -7,7 +7,7 @@
 //
 //   hello     capability probe: protocol version + schema handshake
 //   ping      liveness heartbeat (the coordinator's idle-time health check)
-//   shard     compute one fixed-range shard of a full kBatch sync
+//   shard     compute one fixed-range shard of a full sync
 //   shutdown  drain and stop the worker
 //
 // A shard request carries everything the computation depends on — sketch DSL

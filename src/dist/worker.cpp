@@ -44,7 +44,6 @@ std::shared_ptr<const solver::GridFinder> Worker::finder_for(
   sketch::Sketch sk = sketch::parse_sketch(sketch_text);
   solver::GridFinderConfig fc;
   fc.base.tie_tolerance = tie;
-  fc.eval_backend = solver::EvalBackend::kBatch;
   fc.threads = 1;  // one shard request = one range; parallelism is the
                    // coordinator's job (many shards across many workers)
   auto finder = std::make_shared<const solver::GridFinder>(std::move(sk), fc);

@@ -1,5 +1,5 @@
 // The worker side of distributed version-space sync: a line-protocol server
-// (serve/line_server.h) that computes fixed-range shards of a full kBatch
+// (serve/line_server.h) that computes fixed-range shards of a full
 // grid sync on request (docs/DISTRIBUTED.md).
 //
 // A worker is stateless between requests in the sense that matters for

@@ -64,7 +64,12 @@ inline constexpr int kTraceSchemaVersion = 1;
 ///      "distributed" key; counters dist.{shards_dispatched,
 ///      shards_completed,reissues,worker_failures,fallbacks},
 ///      dist.worker.{requests,faults}, histogram dist.shard.seconds.
-inline constexpr int kTraceSchemaMinorVersion = 6;
+/// 1.7: one grid sync engine, no solver cache — removes "analysis"
+///      kind=prune events, grid_sync's "pruned" key, "solver_cache" events
+///      and the counters analysis.pruned_{regions,candidates} and
+///      solver.cache_{hits,misses,stores}; grid_sync's "lane_isa",
+///      "lane_width" and "distributed" keys are now always present.
+inline constexpr int kTraceSchemaMinorVersion = 7;
 
 /// One field value: integer, double, string or bool.
 struct FieldValue {

@@ -144,7 +144,9 @@ std::string encode(const Snapshot& snap) {
   append_section(payload, "graph", pref::serialize(snap.state.graph));
   append_section(payload, "finder", snap.state.finder_state);
   append_section(payload, "oracle", snap.state.oracle_state);
-  append_section(payload, "cache", snap.state.cache_state);
+  // Kept for format v2 compatibility: no solver cache exists any more, so
+  // the section is always empty.
+  append_section(payload, "cache", "");
 
   std::ostringstream os;
   os << kSnapshotMagic << ' ' << kSnapshotFormatVersion << '\n'
@@ -214,11 +216,10 @@ Snapshot decode(const std::string& bytes) {
   const std::string graph_body = take_section(payload, pos, "graph");
   snap.state.finder_state = take_section(payload, pos, "finder");
   snap.state.oracle_state = take_section(payload, pos, "oracle");
-  // v1 snapshots predate the solver cache and simply lack the section;
-  // resuming with an empty (cold) cache is correctness-neutral.
-  if (snap.meta.version >= 2) {
-    snap.state.cache_state = take_section(payload, pos, "cache");
-  }
+  // v1 snapshots lack the @cache section. A v2 one is read and its
+  // contents discarded: snapshots written while a solver cache existed carry
+  // cache entries, which were only ever a pure accelerator.
+  if (snap.meta.version >= 2) take_section(payload, pos, "cache");
   if (pos != payload.size()) bad("trailing bytes after the last section");
 
   const bool tolerant = decode_synth_section(synth_body, snap.state);

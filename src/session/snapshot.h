@@ -20,15 +20,16 @@
 //   ...
 //   @oracle <bytes>
 //   ...
-//   @cache <bytes>
-//   ...
+//   @cache 0
 //
 // Line 1 is the magic + format version. Line 2 is a flat JSON manifest
 // (parseable with obs::parse_flat_json) whose payload_bytes/payload_crc32
 // cover everything after the manifest's newline — a torn write is detected
 // by either a short payload or a CRC mismatch, and recovery falls back to
 // the previous snapshot. Sections are length-prefixed byte ranges, so blobs
-// may contain anything except nothing at all.
+// may contain anything except nothing at all. @cache is always written
+// empty; readers discard its contents (older writers stored solver-cache
+// entries there).
 #pragma once
 
 #include <cstdint>
@@ -48,9 +49,7 @@ class SnapshotError : public std::runtime_error {
 /// Format version written to line 1. Readers accept exactly the versions
 /// they know; a higher version fails with a "newer writer" SnapshotError
 /// rather than guessing (docs/PERSISTENCE.md §Versioning).
-/// v2 appended the @cache section (solver-cache contents); v1 files — no
-/// @cache — are still decoded, yielding an empty cache_state (the cache is
-/// a pure accelerator, so resuming cold is safe).
+/// v2 appended the @cache section; v1 files, which lack it, still decode.
 inline constexpr int kSnapshotFormatVersion = 2;
 
 inline constexpr char kSnapshotMagic[] = "COMPSYNTH-SNAPSHOT";

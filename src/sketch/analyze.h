@@ -12,8 +12,8 @@
 // outward ulp padding. The
 // soundness contract — every concrete evaluation at a point inside the box
 // lands in the returned interval (or is flagged) — is property-tested in
-// tests/analyze_test.cpp and is what makes the GridFinder pruning and the
-// Z3 bound precheck safe (docs/ANALYSIS.md has the full argument).
+// tests/analyze_test.cpp and is what makes the Z3 bounds and interval
+// pre-checks safe (docs/ANALYSIS.md has the full argument).
 //
 // On top of the interpreter, analyze() runs a lint pass producing the
 // structured diagnostics of sketch/diagnostics.h: division hazards, NaN /
@@ -108,8 +108,7 @@ AnalysisResult analyze_expr(const Expr& body,
                             std::span<const HoleSpec> holes);
 
 /// Which metrics / holes the expression reads (kChoice counts as reading
-/// its selector hole). Shared by the lint pass and GridFinder's
-/// degenerate-dimension pruning.
+/// its selector hole). Used by the lint pass.
 std::vector<bool> used_metrics(const Expr& e, std::size_t metric_count);
 std::vector<bool> used_holes(const Expr& e, std::size_t hole_count);
 

@@ -57,7 +57,7 @@ struct FinderConfig {
   /// Discharge provably-UNSAT queries with the static analyzer's interval
   /// bounds before invoking the solver (docs/SOLVER.md §Pre-checks).
   /// Automatically inert when the sketch's analysis cannot certify clean
-  /// finite bounds. GridFinder ignores this (it has analysis_pruning).
+  /// finite bounds. GridFinder ignores this (it scans every candidate).
   bool interval_precheck = true;
 
   /// Retry policy for transient back-end failures (an injected or real

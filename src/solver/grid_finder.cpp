@@ -12,8 +12,6 @@
 #include <utility>
 
 #include "obs/run_context.h"
-#include "sketch/analyze.h"
-#include "sketch/eval.h"
 #include "util/log.h"
 #include "util/timer.h"
 
@@ -36,7 +34,6 @@ GridFinder::GridFinder(sketch::Sketch sketch, GridFinderConfig config,
     : sketch_(std::move(sketch)),
       compiled_(sketch_),
       batch_(sketch_),
-      hole_used_(sketch::used_holes(*sketch_.body(), sketch_.holes().size())),
       config_(config),
       viability_(std::move(viability)),
       domain_(std::move(domain)),
@@ -67,66 +64,25 @@ util::ThreadPool* GridFinder::pool() const {
 
 double GridFinder::objective(std::span<const double> hole_values,
                              std::span<const double> metrics) const {
-  // kBatch shares the scalar tape here: distinguishing-pair search and
-  // bisection scoring evaluate ONE candidate against many scenarios — the
-  // transpose of the lane tape's 8-candidates-1-scenario shape — and the
-  // two tapes are bit-identical anyway (tests/compile_test.cpp).
-  if (config_.eval_backend != EvalBackend::kTree) {
-    return compiled_.eval(metrics, hole_values);
-  }
-  return sketch::eval_with_values(sketch_, hole_values, metrics);
+  // Distinguishing-pair search and bisection scoring evaluate ONE candidate
+  // against many scenarios — the transpose of the lane tape's
+  // 8-candidates-1-scenario shape — so they run the scalar tape; the two
+  // tapes are bit-identical (tests/compile_test.cpp).
+  return compiled_.eval(metrics, hole_values);
 }
 
 std::vector<double> GridFinder::objective_batch(
     std::span<const double> hole_values,
     const std::vector<pref::Scenario>& scenarios) const {
   std::vector<double> out(scenarios.size());
-  if (config_.eval_backend != EvalBackend::kTree) {
-    const std::size_t width = sketch_.metrics().size();
-    std::vector<double> flat(scenarios.size() * width);
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      std::copy(scenarios[i].metrics.begin(), scenarios[i].metrics.end(),
-                flat.begin() + static_cast<std::ptrdiff_t>(i * width));
-    }
-    compiled_.eval_many(flat, hole_values, out);
-  } else {
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      out[i] = sketch::eval_with_values(sketch_, hole_values,
-                                        scenarios[i].metrics);
-    }
+  const std::size_t width = sketch_.metrics().size();
+  std::vector<double> flat(scenarios.size() * width);
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    std::copy(scenarios[i].metrics.begin(), scenarios[i].metrics.end(),
+              flat.begin() + static_cast<std::ptrdiff_t>(i * width));
   }
+  compiled_.eval_many(flat, hole_values, out);
   return out;
-}
-
-double GridFinder::value_at(Survivor& s, const pref::PreferenceGraph& graph,
-                            pref::VertexId v) const {
-  if (v >= s.vertex_values.size()) {
-    s.vertex_values.resize(graph.vertex_count(), kNotComputed);
-  }
-  double& slot = s.vertex_values[v];
-  if (std::isnan(slot)) {
-    slot = objective(s.hole_values, graph.scenario(v).metrics);
-  }
-  return slot;
-}
-
-bool GridFinder::consistent(Survivor& s, const pref::PreferenceGraph& graph,
-                            std::size_t first_edge,
-                            std::size_t first_tie) const {
-  const double tie_bound = config_.base.tie_tolerance + 1e-9;
-  const auto& edges = graph.edges();
-  for (std::size_t i = first_edge; i < edges.size(); ++i) {
-    const double better = value_at(s, graph, edges[i].better);
-    const double worse = value_at(s, graph, edges[i].worse);
-    if (!(better > worse)) return false;
-  }
-  const auto& ties = graph.ties();
-  for (std::size_t i = first_tie; i < ties.size(); ++i) {
-    const double fu = value_at(s, graph, ties[i].first);
-    const double fv = value_at(s, graph, ties[i].second);
-    if (std::abs(fu - fv) > tie_bound) return false;
-  }
-  return true;
 }
 
 sketch::HoleAssignment GridFinder::assignment_at(std::int64_t linear) const {
@@ -138,36 +94,6 @@ sketch::HoleAssignment GridFinder::assignment_at(std::int64_t linear) const {
     linear /= count;
   }
   return a;
-}
-
-void GridFinder::enumerate_range(std::int64_t lo, std::int64_t hi,
-                                 const pref::PreferenceGraph& graph,
-                                 std::vector<Survivor>& out) const {
-  const std::size_t n_vertices = graph.vertex_count();
-  const auto& holes = sketch_.holes();
-  Survivor scratch;
-  scratch.assignment = assignment_at(lo);
-  scratch.hole_values.resize(holes.size());
-  for (std::int64_t i = lo; i < hi; ++i) {
-    scratch.linear = i;
-    for (std::size_t h = 0; h < holes.size(); ++h) {
-      scratch.hole_values[h] = holes[h].value_at(scratch.assignment.index[h]);
-    }
-    const bool viable =
-        !viability_.concrete || viability_.concrete(scratch.hole_values);
-    if (viable) {
-      scratch.vertex_values.assign(n_vertices, kNotComputed);
-      if (consistent(scratch, graph, 0, 0)) out.push_back(scratch);
-    }
-    // Odometer increment over the grid (index 0 varies fastest, matching
-    // assignment_at's linear decoding).
-    std::size_t pos = 0;
-    while (pos < scratch.assignment.index.size()) {
-      if (++scratch.assignment.index[pos] < holes[pos].count) break;
-      scratch.assignment.index[pos] = 0;
-      ++pos;
-    }
-  }
 }
 
 std::int64_t GridFinder::shard_span(std::int64_t total) {
@@ -191,7 +117,7 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
   const auto& ties = graph.ties();
 
   // Odometer cursor shared across groups (index 0 varies fastest, matching
-  // assignment_at / enumerate_range).
+  // assignment_at).
   sketch::HoleAssignment cursor = assignment_at(lo);
 
   std::vector<std::int64_t> idx(W * n_holes);    // lane-major hole indices
@@ -253,13 +179,13 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
       counters.lane_evals += static_cast<long long>(W);
     };
 
-    // Constraint checks mirror consistent() per lane: the better vertex's
-    // error is observed first (value_at order), then the worse one's, then
-    // the comparison — so each lane's first recorded error is exactly the
-    // EvalError the scalar scan would have thrown for that candidate. Error
-    // lanes take the scalar slow path (rare); the comparison itself is one
-    // vectorized mask per edge. lane_gt_bits is false on NaN, matching
-    // `!(fb > fw)` killing the lane.
+    // Constraint checks per lane, in graph order: the better vertex's error
+    // is observed first, then the worse one's, then the comparison — so each
+    // lane's first recorded error is exactly the EvalError a one-candidate
+    // scan would have thrown for that candidate. Error lanes take the scalar
+    // slow path (rare); the comparison itself is one vectorized mask per
+    // edge. lane_gt_bits is false on NaN, so a NaN kills the lane, as
+    // `!(fb > fw)` would.
     for (const auto& e : edges) {
       if (alive_bits == 0) break;
       ensure(e.better);
@@ -280,7 +206,7 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
           sketch::lane_gt_bits(&vvals[e.better * W], &vvals[e.worse * W]);
     }
     // lane_abs_diff_gt_bits is false on NaN, so a NaN difference never
-    // exceeds the bound and the lane survives, matching consistent().
+    // exceeds the bound and the lane survives.
     for (const auto& t : ties) {
       if (alive_bits == 0) break;
       ensure(t.first);
@@ -302,8 +228,8 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
     }
 
     // Drain the group in candidate order: survivors below an erroring lane
-    // are appended before its EvalError is re-thrown, exactly as the scalar
-    // scan would have produced them before throwing.
+    // are appended before its EvalError is re-thrown, exactly as a
+    // one-candidate scan would have produced them before throwing.
     for (std::size_t l = 0; l < n; ++l) {
       if (lane_err[l] != sketch::LaneError::kNone) {
         sketch::throw_lane_error(lane_err[l]);
@@ -371,9 +297,9 @@ void GridFinder::filter_range_batch(std::size_t lo, std::size_t hi,
     }
     std::fill(vdone.begin(), vdone.end(), char{0});
 
-    // Memo-aware vertex evaluation, the same contract as value_at: a lane
-    // with a cached (non-NaN) value for `v` reuses it and cannot error; the
-    // tape runs only when at least one lane lacks the memo. Evaluation is
+    // Memo-aware vertex evaluation: a lane with a cached (non-NaN) value for
+    // `v` reuses it and cannot error; the tape runs only when at least one
+    // lane lacks the memo. Evaluation is
     // deterministic, so a memoized lane's recomputed value would be
     // bit-identical anyway — using the memo just skips the work.
     const auto ensure = [&](pref::VertexId v) {
@@ -474,244 +400,6 @@ void GridFinder::filter_range_batch(std::size_t lo, std::size_t hi,
   }
 }
 
-bool GridFinder::rebuild_pruned(const pref::PreferenceGraph& graph) {
-  const auto& holes = sketch_.holes();
-  const std::size_t n_holes = holes.size();
-
-  // Degenerate dimensions: holes the body never reads cannot influence any
-  // objective value, so consistency is decided by the used dimensions alone.
-  // Enumerate index 0 of each unread dimension and replicate the survivors
-  // across its full grid afterwards. A concrete viability callback may
-  // inspect unread hole values, so pinning is disabled in that case.
-  std::vector<std::size_t> pinned;
-  if (!viability_.concrete) {
-    for (std::size_t h = 0; h < n_holes; ++h) {
-      if (!hole_used_[h] && holes[h].count > 1) pinned.push_back(h);
-    }
-  }
-  const bool have_constraints =
-      !graph.edges().empty() || !graph.ties().empty();
-  if (pinned.empty() && !have_constraints) return false;  // nothing to gain
-
-  obs::Span span(obs_, "analysis");
-
-  const sketch::Expr& body = *sketch_.body();
-  const double tie_bound = config_.base.tie_tolerance + 1e-9;
-
-  // Every graph vertex as a point metric box, built once.
-  std::vector<std::vector<sketch::Interval>> vertex_metrics(
-      graph.vertex_count());
-  for (pref::VertexId v = 0; v < graph.vertex_count(); ++v) {
-    auto& mv = vertex_metrics[v];
-    const auto& metrics = graph.scenario(v).metrics;
-    mv.reserve(metrics.size());
-    for (const double x : metrics) mv.push_back(sketch::Interval::point(x));
-  }
-
-  // An inclusive index sub-box of the hole grid.
-  struct Node {
-    std::vector<std::int64_t> lo, hi;
-  };
-  const auto volume_of = [&](const Node& nd) {
-    std::int64_t vol = 1;
-    for (std::size_t h = 0; h < nd.lo.size(); ++h) {
-      vol *= nd.hi[h] - nd.lo[h] + 1;
-    }
-    return vol;
-  };
-
-  // A box is refuted when the interval evaluation proves every candidate in
-  // it violates some edge or tie of the graph. Edge {better, worse} fails
-  // for a candidate unless f(better) > f(worse); if the better-vertex
-  // enclosure lies entirely at or below the worse-vertex enclosure, no
-  // candidate can pass (NaN outcomes fail `better > worse` anyway), provided
-  // neither side can throw (a throwing candidate must be reached so the
-  // exhaustive scan's behaviour is preserved). A tie fails only when
-  // |f(u) - f(v)| > tie_bound, which a NaN never satisfies — so tie
-  // refutation additionally requires NaN-freedom.
-  const auto refuted = [&](const Node& nd) {
-    std::vector<sketch::Interval> hole_iv(n_holes);
-    for (std::size_t h = 0; h < n_holes; ++h) {
-      hole_iv[h] = sketch::grid_interval(holes[h], nd.lo[h], nd.hi[h]);
-    }
-    sketch::Box box;
-    box.holes = std::move(hole_iv);
-    const auto eval_vertex = [&](pref::VertexId v) {
-      box.metrics = vertex_metrics[v];
-      return sketch::eval_interval(body, box);
-    };
-    for (const auto& e : graph.edges()) {
-      const sketch::Interval ib = eval_vertex(e.better);
-      const sketch::Interval iw = eval_vertex(e.worse);
-      if (!ib.maybe_error && !iw.maybe_error && ib.hi <= iw.lo) return true;
-    }
-    for (const auto& t : graph.ties()) {
-      const sketch::Interval iu = eval_vertex(t.first);
-      const sketch::Interval iv = eval_vertex(t.second);
-      const sketch::Interval d = sketch::interval_sub(iu, iv);
-      if (!d.maybe_nan && !d.maybe_error &&
-          (d.lo > tie_bound || d.hi < -tie_bound)) {
-        return true;
-      }
-    }
-    return false;
-  };
-
-  // Branch and prune: subdivide until a box is refuted or small enough to
-  // enumerate. Below the leaf volume the per-candidate scan is cheaper than
-  // further interval evaluations.
-  constexpr std::int64_t kLeafVolume = 512;
-  Node root;
-  root.lo.assign(n_holes, 0);
-  root.hi.resize(n_holes);
-  for (std::size_t h = 0; h < n_holes; ++h) root.hi[h] = holes[h].count - 1;
-  for (const std::size_t p : pinned) root.hi[p] = 0;
-
-  std::vector<Node> leaves;
-  long long pruned_regions = 0;
-  long long pruned_candidates = 0;
-  if (!have_constraints) {
-    leaves.push_back(std::move(root));  // pinning alone does the work
-  } else {
-    std::vector<Node> work;
-    work.push_back(std::move(root));
-    while (!work.empty()) {
-      Node nd = std::move(work.back());
-      work.pop_back();
-      if (refuted(nd)) {
-        ++pruned_regions;
-        pruned_candidates += volume_of(nd);
-        continue;
-      }
-      std::size_t widest = 0;
-      std::int64_t width = 0;
-      for (std::size_t h = 0; h < n_holes; ++h) {
-        if (nd.hi[h] - nd.lo[h] > width) {
-          width = nd.hi[h] - nd.lo[h];
-          widest = h;
-        }
-      }
-      if (width == 0 || volume_of(nd) <= kLeafVolume) {
-        leaves.push_back(std::move(nd));
-        continue;
-      }
-      const std::int64_t mid = nd.lo[widest] + (nd.hi[widest] - nd.lo[widest]) / 2;
-      Node right = nd;
-      nd.hi[widest] = mid;
-      right.lo[widest] = mid + 1;
-      // Push the upper half first so the lower half is processed first,
-      // keeping leaf discovery roughly in ascending index order.
-      work.push_back(std::move(right));
-      work.push_back(std::move(nd));
-    }
-  }
-
-  // Linear index strides (index 0 fastest, matching assignment_at).
-  std::vector<std::int64_t> stride(n_holes, 1);
-  for (std::size_t h = 1; h < n_holes; ++h) {
-    stride[h] = stride[h - 1] * holes[h - 1].count;
-  }
-
-  // Enumerate the surviving leaves; each survivor carries its linear
-  // candidate index so the final sort reproduces the exhaustive scan order.
-  const auto enumerate_leaf = [&](const Node& nd, std::vector<Survivor>& out) {
-    const std::size_t n_vertices = graph.vertex_count();
-    Survivor scratch;
-    scratch.assignment.index = nd.lo;
-    scratch.hole_values.resize(n_holes);
-    for (;;) {
-      scratch.linear = 0;
-      for (std::size_t h = 0; h < n_holes; ++h) {
-        scratch.hole_values[h] =
-            holes[h].value_at(scratch.assignment.index[h]);
-        scratch.linear += scratch.assignment.index[h] * stride[h];
-      }
-      const bool viable =
-          !viability_.concrete || viability_.concrete(scratch.hole_values);
-      if (viable) {
-        scratch.vertex_values.assign(n_vertices, kNotComputed);
-        if (consistent(scratch, graph, 0, 0)) out.push_back(scratch);
-      }
-      std::size_t pos = 0;
-      while (pos < n_holes) {
-        if (++scratch.assignment.index[pos] <= nd.hi[pos]) break;
-        scratch.assignment.index[pos] = nd.lo[pos];
-        ++pos;
-      }
-      if (pos == n_holes) break;
-    }
-  };
-
-  // The parallel path pays per-leaf scheduling and a result merge; with few
-  // surviving candidates that overhead exceeds the scan itself (the
-  // BENCH_eval "parallel vs compiled" regression), so small totals stay
-  // serial just like the exhaustive rebuild below.
-  std::int64_t leaf_volume = 0;
-  for (const Node& nd : leaves) leaf_volume += volume_of(nd);
-
-  std::vector<Survivor> found;
-  util::ThreadPool* pool = this->pool();
-  if (pool == nullptr || leaves.size() <= 1 ||
-      leaf_volume < kMinParallelCandidates) {
-    last_sync_threads_ = 1;
-    last_sync_shards_ = 1;
-    for (const Node& nd : leaves) enumerate_leaf(nd, found);
-  } else {
-    last_sync_threads_ = pool->size();
-    last_sync_shards_ = leaves.size();
-    std::vector<std::vector<Survivor>> parts(leaves.size());
-    pool->parallel_for(0, leaves.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t k = lo; k < hi; ++k) enumerate_leaf(leaves[k], parts[k]);
-    });
-    std::size_t total = 0;
-    for (const auto& p : parts) total += p.size();
-    found.reserve(total);
-    for (auto& p : parts) {
-      for (Survivor& s : p) found.push_back(std::move(s));
-    }
-  }
-
-  // Replicate across pinned dimensions: the objective never reads them, so
-  // each replica shares the base survivor's memoized vertex values and its
-  // consistency verdict.
-  for (const std::size_t p : pinned) {
-    const sketch::HoleSpec& spec = holes[p];
-    const std::size_t base_n = found.size();
-    for (std::int64_t idx = 1; idx < spec.count; ++idx) {
-      const double val = spec.value_at(idx);
-      for (std::size_t i = 0; i < base_n; ++i) {
-        Survivor copy = found[i];
-        copy.linear += idx * stride[p];
-        copy.assignment.index[p] = idx;
-        copy.hole_values[p] = val;
-        found.push_back(std::move(copy));
-      }
-    }
-  }
-
-  std::sort(found.begin(), found.end(), [](const Survivor& a,
-                                           const Survivor& b) {
-    return a.linear < b.linear;
-  });
-  survivors_ = std::move(found);
-
-  if (obs::active(obs_)) {
-    obs_->count("analysis.pruned_regions", pruned_regions);
-    obs_->count("analysis.pruned_candidates", pruned_candidates);
-    if (obs::TraceEvent* e = span.event()) {
-      e->str("kind", "prune")
-          .integer("edges", static_cast<long long>(graph.edges().size()))
-          .integer("ties", static_cast<long long>(graph.ties().size()))
-          .integer("pruned_regions", pruned_regions)
-          .integer("pruned_candidates", pruned_candidates)
-          .integer("degenerate_dims", static_cast<long long>(pinned.size()))
-          .integer("leaves", static_cast<long long>(leaves.size()))
-          .integer("survivors", static_cast<long long>(survivors_.size()));
-    }
-  }
-  return true;
-}
-
 void GridFinder::sync(const pref::PreferenceGraph& graph) {
   const bool shrunk =
       graph.edges().size() < edges_seen_ || graph.ties().size() < ties_seen_;
@@ -727,127 +415,69 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
       static_cast<long long>(edges_seen_);
   const long long new_ties = static_cast<long long>(graph.ties().size()) -
                              static_cast<long long>(ties_seen_);
-  std::size_t shards = 1;
   std::vector<double> shard_secs;
-  const bool batch_backend = config_.eval_backend == EvalBackend::kBatch;
   BatchCounters batch_tally;
 
   util::ThreadPool* pool = this->pool();
-  bool pruned = false;
   bool distributed = false;
   if (rebuild) {
     survivors_.clear();
-    // kBatch always runs the sharded exhaustive scan: interval refutation
-    // costs more than it saves at lane-tape speeds (measured in
-    // docs/EVALUATOR.md §Why kBatch skips analysis pruning), and the
-    // differential suite proves pruning never changes the sequence anyway.
-    if (!batch_backend && config_.analysis_pruning) {
-      pruned = rebuild_pruned(graph);
-    }
+    // Fixed-range shards: geometry is a pure function of the candidate
+    // space (shard_span), never of the thread count, so the shard list —
+    // and the per-shard snapshot state derived from it — is identical
+    // whether the scan runs serially or across a pool. Shards share no
+    // mutable state: each appends to its own part vector, merged here in
+    // shard order, which reproduces the sequential survivor order.
     const std::int64_t total = sketch_.candidate_space_size();
-    if (batch_backend) {
-      // Fixed-range shards: geometry is a pure function of the candidate
-      // space (shard_span), never of the thread count, so the shard list —
-      // and the per-shard snapshot state derived from it — is identical
-      // whether the scan runs serially or across a pool. Shards share no
-      // mutable state: each appends to its own part vector, merged here in
-      // shard order, which reproduces the sequential survivor order.
-      const std::int64_t span_len = shard_span(total);
-      const auto n_shards =
-          static_cast<std::size_t>((total + span_len - 1) / span_len);
-      // Distribution seam: a configured backend gets first crack at the
-      // fixed-range shards (full rebuilds only — they are pure functions of
-      // sketch + graph + range). Viability callbacks cannot cross the wire,
-      // so their presence pins the scan local. Any backend failure falls
-      // through to the local scan below; a remote sync can change where the
-      // work runs but never whether it completes.
-      if (config_.shard_backend != nullptr && !viability_.concrete) {
-        distributed = rebuild_remote(graph, n_shards, span_len, total);
-      }
-      if (distributed) {
-        shards = n_shards;
-        last_sync_shards_ = n_shards;
-        last_sync_threads_ = 1;
-      } else {
-        std::vector<std::vector<Survivor>> parts(n_shards);
-        std::vector<BatchCounters> tallies(n_shards);
-        if (obs::active(obs_)) shard_secs.assign(n_shards, 0);
-        const auto run_shard = [&](std::size_t k) {
-          const std::int64_t a = static_cast<std::int64_t>(k) * span_len;
-          const std::int64_t b = std::min<std::int64_t>(total, a + span_len);
-          if (shard_secs.empty()) {
-            enumerate_range_batch(a, b, graph, parts[k], tallies[k]);
-          } else {
-            util::Stopwatch shard_watch;
-            enumerate_range_batch(a, b, graph, parts[k], tallies[k]);
-            shard_secs[k] = shard_watch.elapsed_seconds();
-          }
-        };
-        if (pool == nullptr || n_shards <= 1 ||
-            total < kMinParallelCandidates) {
-          last_sync_threads_ = 1;
-          for (std::size_t k = 0; k < n_shards; ++k) run_shard(k);
-        } else {
-          last_sync_threads_ = pool->size();
-          pool->parallel_for(0, n_shards, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t k = lo; k < hi; ++k) run_shard(k);
-          });
-        }
-        shards = n_shards;
-        last_sync_shards_ = n_shards;
-        std::size_t found = 0;
-        for (const auto& p : parts) found += p.size();
-        survivors_.reserve(found);
-        for (auto& p : parts) {
-          for (Survivor& s : p) survivors_.push_back(std::move(s));
-        }
-        for (const BatchCounters& t : tallies) {
-          batch_tally.lane_evals += t.lane_evals;
-          batch_tally.groups += t.groups;
-        }
-      }
-    } else if (pruned) {
-      // rebuild_pruned already produced the full survivor sequence (and
-      // recorded the threads/shards it used).
-    } else if (pool == nullptr || total < kMinParallelCandidates) {
+    const std::int64_t span_len = shard_span(total);
+    const auto n_shards =
+        static_cast<std::size_t>((total + span_len - 1) / span_len);
+    last_sync_shards_ = n_shards;
+    // Distribution seam: a configured backend gets first crack at the
+    // fixed-range shards (full rebuilds only — they are pure functions of
+    // sketch + graph + range). Viability callbacks cannot cross the wire,
+    // so their presence pins the scan local. Any backend failure falls
+    // through to the local scan below; a remote sync can change where the
+    // work runs but never whether it completes.
+    if (config_.shard_backend != nullptr && !viability_.concrete) {
+      distributed = rebuild_remote(graph, n_shards, span_len, total);
+    }
+    if (distributed) {
       last_sync_threads_ = 1;
-      last_sync_shards_ = 1;
-      enumerate_range(0, total, graph, survivors_);
     } else {
-      // Shard the linear candidate range; concatenating the per-chunk
-      // results in chunk order reproduces the sequential survivor order
-      // exactly, so parallelism never changes the version space.
-      const auto n_chunks = static_cast<std::size_t>(std::min<std::int64_t>(
-          total, static_cast<std::int64_t>(pool->size() * 8)));
-      const std::int64_t chunk =
-          (total + static_cast<std::int64_t>(n_chunks) - 1) /
-          static_cast<std::int64_t>(n_chunks);
-      std::vector<std::vector<Survivor>> parts(n_chunks);
-      shards = n_chunks;
-      last_sync_threads_ = pool->size();
-      last_sync_shards_ = n_chunks;
-      // Per-shard wall times, written into disjoint slots by the workers;
-      // only measured when someone is listening.
-      if (obs::active(obs_)) shard_secs.assign(n_chunks, 0);
-      pool->parallel_for(0, n_chunks, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          const std::int64_t a = static_cast<std::int64_t>(k) * chunk;
-          const std::int64_t b = std::min<std::int64_t>(total, a + chunk);
-          if (a >= b) continue;
-          if (shard_secs.empty()) {
-            enumerate_range(a, b, graph, parts[k]);
-          } else {
-            util::Stopwatch shard_watch;
-            enumerate_range(a, b, graph, parts[k]);
-            shard_secs[k] = shard_watch.elapsed_seconds();
-          }
+      std::vector<std::vector<Survivor>> parts(n_shards);
+      std::vector<BatchCounters> tallies(n_shards);
+      if (obs::active(obs_)) shard_secs.assign(n_shards, 0);
+      const auto run_shard = [&](std::size_t k) {
+        const std::int64_t a = static_cast<std::int64_t>(k) * span_len;
+        const std::int64_t b = std::min<std::int64_t>(total, a + span_len);
+        if (shard_secs.empty()) {
+          enumerate_range_batch(a, b, graph, parts[k], tallies[k]);
+        } else {
+          util::Stopwatch shard_watch;
+          enumerate_range_batch(a, b, graph, parts[k], tallies[k]);
+          shard_secs[k] = shard_watch.elapsed_seconds();
         }
-      });
+      };
+      if (pool == nullptr || n_shards <= 1 ||
+          total < kMinParallelCandidates) {
+        last_sync_threads_ = 1;
+        for (std::size_t k = 0; k < n_shards; ++k) run_shard(k);
+      } else {
+        last_sync_threads_ = pool->size();
+        pool->parallel_for(0, n_shards, [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t k = lo; k < hi; ++k) run_shard(k);
+        });
+      }
       std::size_t found = 0;
       for (const auto& p : parts) found += p.size();
       survivors_.reserve(found);
       for (auto& p : parts) {
         for (Survivor& s : p) survivors_.push_back(std::move(s));
+      }
+      for (const BatchCounters& t : tallies) {
+        batch_tally.lane_evals += t.lane_evals;
+        batch_tally.groups += t.groups;
       }
     }
     initialized_ = true;
@@ -859,74 +489,52 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
     // Work estimate: each survivor re-checks only the new edges/ties (plus
     // one freshly interned vertex evaluation at most). Late-loop syncs see a
     // handful of survivors x one new edge — dispatching pool chunks for that
-    // costs more than the filter itself (the BENCH_eval "parallel" full-sync
-    // regression), so small workloads run on the caller.
+    // costs more than the filter itself, so small workloads run on the
+    // caller.
     const std::size_t filter_work =
         survivors_.size() *
         (graph.edges().size() - edges_seen_ + graph.ties().size() -
          ties_seen_ + 1);
     constexpr std::size_t kMinParallelFilterWork = 8192;
-    if (batch_backend) {
-      // survivors_ stays sorted by linear index, so each fixed-range shard
-      // owns a contiguous position range: find the boundaries by shard id
-      // (linear / span). Shards mutate only their own survivors' memos and
-      // keep slots — no shared mutable state until the compaction below.
-      const std::int64_t span_len = shard_span(sketch_.candidate_space_size());
-      std::vector<std::size_t> bounds{0};
-      for (std::size_t i = 1; i < survivors_.size(); ++i) {
-        if (survivors_[i].linear / span_len !=
-            survivors_[i - 1].linear / span_len) {
-          bounds.push_back(i);
-        }
+    // survivors_ stays sorted by linear index, so each fixed-range shard
+    // owns a contiguous position range: find the boundaries by shard id
+    // (linear / span). Shards mutate only their own survivors' memos and
+    // keep slots — no shared mutable state until the compaction below.
+    const std::int64_t span_len = shard_span(sketch_.candidate_space_size());
+    std::vector<std::size_t> bounds{0};
+    for (std::size_t i = 1; i < survivors_.size(); ++i) {
+      if (survivors_[i].linear / span_len !=
+          survivors_[i - 1].linear / span_len) {
+        bounds.push_back(i);
       }
-      bounds.push_back(survivors_.size());
-      const std::size_t n_ranges = bounds.size() - 1;
-      std::vector<BatchCounters> tallies(n_ranges);
-      if (obs::active(obs_)) shard_secs.assign(n_ranges, 0);
-      const auto run_range = [&](std::size_t k) {
-        if (shard_secs.empty()) {
-          filter_range_batch(bounds[k], bounds[k + 1], graph, keep,
-                             tallies[k]);
-        } else {
-          util::Stopwatch shard_watch;
-          filter_range_batch(bounds[k], bounds[k + 1], graph, keep,
-                             tallies[k]);
-          shard_secs[k] = shard_watch.elapsed_seconds();
-        }
-      };
-      if (pool == nullptr || n_ranges <= 1 ||
-          filter_work < kMinParallelFilterWork) {
-        last_sync_threads_ = 1;
-        for (std::size_t k = 0; k < n_ranges; ++k) run_range(k);
+    }
+    bounds.push_back(survivors_.size());
+    const std::size_t n_ranges = bounds.size() - 1;
+    std::vector<BatchCounters> tallies(n_ranges);
+    if (obs::active(obs_)) shard_secs.assign(n_ranges, 0);
+    const auto run_range = [&](std::size_t k) {
+      if (shard_secs.empty()) {
+        filter_range_batch(bounds[k], bounds[k + 1], graph, keep, tallies[k]);
       } else {
-        last_sync_threads_ = pool->size();
-        pool->parallel_for(0, n_ranges, [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t k = lo; k < hi; ++k) run_range(k);
-        });
+        util::Stopwatch shard_watch;
+        filter_range_batch(bounds[k], bounds[k + 1], graph, keep, tallies[k]);
+        shard_secs[k] = shard_watch.elapsed_seconds();
       }
-      shards = n_ranges;
-      last_sync_shards_ = n_ranges;
-      for (const BatchCounters& t : tallies) {
-        batch_tally.lane_evals += t.lane_evals;
-        batch_tally.groups += t.groups;
-      }
+    };
+    if (pool == nullptr || n_ranges <= 1 ||
+        filter_work < kMinParallelFilterWork) {
+      last_sync_threads_ = 1;
+      for (std::size_t k = 0; k < n_ranges; ++k) run_range(k);
     } else {
-      auto filter = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          keep[i] =
-              consistent(survivors_[i], graph, edges_seen_, ties_seen_) ? 1
-                                                                        : 0;
-        }
-      };
-      if (pool == nullptr || filter_work < kMinParallelFilterWork) {
-        last_sync_threads_ = 1;
-        last_sync_shards_ = 1;
-        filter(0, survivors_.size());
-      } else {
-        last_sync_threads_ = pool->size();
-        last_sync_shards_ = (survivors_.size() + 15) / 16;
-        pool->parallel_for(0, survivors_.size(), filter, /*min_chunk=*/16);
-      }
+      last_sync_threads_ = pool->size();
+      pool->parallel_for(0, n_ranges, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t k = lo; k < hi; ++k) run_range(k);
+      });
+    }
+    last_sync_shards_ = n_ranges;
+    for (const BatchCounters& t : tallies) {
+      batch_tally.lane_evals += t.lane_evals;
+      batch_tally.groups += t.groups;
     }
     std::size_t out = 0;
     for (std::size_t i = 0; i < survivors_.size(); ++i) {
@@ -944,10 +552,8 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
   if (obs::active(obs_)) {
     obs_->count("grid.syncs");
     obs_->gauge("grid.survivors", static_cast<double>(survivors_.size()));
-    if (batch_backend) {
-      obs_->count("grid.lane_evals", batch_tally.lane_evals);
-      obs_->count("grid.batch_groups", batch_tally.groups);
-    }
+    obs_->count("grid.lane_evals", batch_tally.lane_evals);
+    obs_->count("grid.batch_groups", batch_tally.groups);
     double shard_min = 0, shard_max = 0;
     for (std::size_t k = 0; k < shard_secs.size(); ++k) {
       obs_->observe("grid.shard.seconds", shard_secs[k]);
@@ -955,26 +561,23 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
       shard_max = std::max(shard_max, shard_secs[k]);
     }
     if (obs::TraceEvent* e = span.event()) {
+      // "lane_isa" (schema rev 1.5) names the lane kernel the dispatcher
+      // selected at startup, so benches and bug reports can tell the SIMD
+      // and scalar paths apart from the trace alone. "distributed" (schema
+      // rev 1.6) marks a full rebuild satisfied by the configured
+      // ShardSyncBackend instead of the local scan.
       e->str("mode", rebuild ? "full" : "incremental")
-          .integer("pruned", pruned ? 1 : 0)
           .integer("survivors", static_cast<long long>(survivors_.size()))
           .integer("survivors_before",
                    static_cast<long long>(survivors_before))
           .integer("new_edges", new_edges)
           .integer("new_ties", new_ties)
-          .integer("shards", static_cast<long long>(shards))
-          .integer("threads", static_cast<long long>(last_sync_threads_));
-      if (batch_backend) {
-        // Which lane kernel the dispatcher ran (schema rev 1.5): the ISA is
-        // selected once at startup, so benches and bug reports can tell the
-        // SIMD and scalar paths apart from the trace alone. "distributed"
-        // (schema rev 1.6) marks a full rebuild satisfied by the configured
-        // ShardSyncBackend instead of the local scan.
-        e->str("lane_isa", sketch::lane_isa_name(sketch::active_lane_isa()))
-            .integer("lane_width",
-                     static_cast<long long>(sketch::kBatchLaneWidth))
-            .integer("distributed", distributed ? 1 : 0);
-      }
+          .integer("shards", static_cast<long long>(last_sync_shards_))
+          .integer("threads", static_cast<long long>(last_sync_threads_))
+          .str("lane_isa", sketch::lane_isa_name(sketch::active_lane_isa()))
+          .integer("lane_width",
+                   static_cast<long long>(sketch::kBatchLaneWidth))
+          .integer("distributed", distributed ? 1 : 0);
       if (!shard_secs.empty()) {
         e->num("shard_min_s", shard_min).num("shard_max_s", shard_max);
       }
@@ -1371,6 +974,11 @@ GridFinder::ParsedShardBlob GridFinder::parse_shard_blob(
     bad("truncated header fields");
   }
   if (blob.lo < 0 || blob.hi <= blob.lo) bad("empty or inverted range");
+  // Checked before the count sizes anything: an absurd count must be a
+  // typed error, not an allocation failure.
+  if (count > static_cast<std::uint64_t>(blob.hi - blob.lo)) {
+    bad("survivor count exceeds the shard range");
+  }
   if (!(in >> hex)) bad("truncated before bitmap");
   std::string trailing;
   if (in >> trailing) bad("trailing garbage after bitmap");
@@ -1512,7 +1120,7 @@ void GridFinder::restore_state(const std::string& state) {
   };
   // Decode into a fresh survivor vector first so a throw leaves `this`
   // untouched; hole values are re-materialized from the grid and the vertex
-  // memoization restarts empty (value_at fills it deterministically).
+  // memoization restarts empty (the next incremental filter fills it).
   std::vector<Survivor> restored;
   const auto materialize = [&](std::int64_t linear) {
     restored.push_back(materialize_survivor(linear));
@@ -1533,6 +1141,9 @@ void GridFinder::restore_state(const std::string& state) {
     if (!(in >> hex)) bad_grid_state("truncated bitmap");
     const std::size_t bytes = static_cast<std::size_t>((total + 7) / 8);
     if (hex.size() != 2 * bytes) bad_grid_state("bitmap length mismatch");
+    if (survivor_count > static_cast<std::uint64_t>(total)) {
+      bad_grid_state("survivor count exceeds the candidate space");
+    }
     restored.reserve(survivor_count);
     for (std::int64_t i = 0; i < total; ++i) {
       const char c =
@@ -1555,6 +1166,9 @@ void GridFinder::restore_state(const std::string& state) {
     if (total != sketch_.candidate_space_size()) {
       bad_grid_state(
           "candidate space size mismatch (different sketch/config?)");
+    }
+    if (survivor_count > static_cast<std::uint64_t>(total)) {
+      bad_grid_state("survivor count exceeds the candidate space");
     }
     restored.reserve(survivor_count);
     std::int64_t next_lo = 0;

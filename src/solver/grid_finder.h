@@ -6,14 +6,16 @@
 // (continuous) metric box plus a structured sweep near the candidates'
 // decision boundaries.
 //
-// The engine is built for bulk scoring: sketches are lowered once to a flat
-// instruction tape (sketch/compile.h) instead of re-walking the AST per
-// evaluation, the initial grid enumeration and the incremental filter are
-// sharded across a thread pool (util/thread_pool.h), each survivor's hole
-// values are materialized once, and survivors memoize their objective value
-// at every interned graph vertex so re-filtering after new answers touches
-// only the new edges. bench/bench_eval.cpp tracks the speedup over the tree
-// interpreter; tests/compile_test.cpp proves backend equivalence.
+// The engine is built for bulk scoring: sync evaluates kBatchLaneWidth
+// candidates per pass of the lane tape (sketch::BatchTape, SIMD where the
+// host supports it — docs/EVALUATOR.md), the initial grid enumeration and
+// the incremental filter run in fixed-range shards across a thread pool
+// (util/thread_pool.h), each survivor's hole values are materialized once,
+// and survivors memoize their objective value at every interned graph vertex
+// so re-filtering after new answers touches only the new edges. Pair search
+// evaluates one candidate against many scenarios through the scalar tape
+// (sketch::CompiledSketch). tests/grid_reference_test.cpp checks every sync
+// against a brute-force sketch::eval reference.
 //
 // Compared to Z3Finder:
 //   + no SMT dependency, trivially debuggable, very fast per query;
@@ -50,18 +52,6 @@ enum class QueryStrategy {
   kBisection,
 };
 
-/// Which evaluator scores candidates during sync. All three are semantically
-/// identical bit-for-bit (differentially tested); kTree exists as the
-/// reference baseline and kCompiled as the scalar perf comparison in
-/// bench_eval. kBatch — the default — evaluates kBatchLaneWidth candidates
-/// per tape pass (SIMD where the host supports it, see docs/EVALUATOR.md)
-/// and syncs the version space in fixed-range shards.
-enum class EvalBackend {
-  kTree,      // recursive AST interpreter (sketch/eval.h)
-  kCompiled,  // flat-tape stack machine, one candidate at a time
-  kBatch,     // structure-of-arrays lane tape (sketch::BatchTape)
-};
-
 struct GridFinderConfig {
   FinderConfig base;
   /// Random scenario pairs examined per candidate pair when hunting for a
@@ -74,25 +64,13 @@ struct GridFinderConfig {
   /// Disagreement witnesses scored per iteration under kBisection.
   int bisection_samples = 12;
   std::uint64_t seed = 0x5eed;
-  EvalBackend eval_backend = EvalBackend::kBatch;
   /// Worker threads for sync / filtering / bisection scoring: 0 = the
   /// process-wide shared pool, 1 = fully sequential, N > 1 = a dedicated
   /// pool of N. Any Viability::concrete callback must be thread-safe when
   /// this is not 1 (it is invoked concurrently from the pool).
   int threads = 0;
-  /// Use the sketch static analyzer (sketch/analyze.h) to cut work out of
-  /// full version-space rebuilds: hole dimensions the body never reads are
-  /// enumerated once and replicated, and index sub-boxes whose interval
-  /// evaluation refutes some edge/tie are discarded without enumerating
-  /// them. Guaranteed to produce the identical survivor sequence as the
-  /// plain enumeration (tests/prune_differential_test.cpp); off switches
-  /// back to the exhaustive scan. Applies to kTree/kCompiled only: the
-  /// kBatch engine always runs the sharded exhaustive scan, because
-  /// interval refutation costs more than it saves at lane-tape speeds
-  /// (measured — docs/EVALUATOR.md §Why kBatch skips analysis pruning).
-  bool analysis_pruning = true;
   /// Distribution seam (non-owning; must outlive the finder): when set and
-  /// the kBatch backend performs a *full* rebuild with no Viability callback
+  /// sync() performs a *full* rebuild with no Viability callback
   /// (callbacks cannot cross the wire), sync() asks the backend to compute
   /// the fixed-range shards remotely and merges the returned records. Any
   /// backend failure — nullopt, a torn/malformed record, a range mismatch —
@@ -143,9 +121,9 @@ class GridFinder final : public CandidateFinder {
 
   /// Executor threads / shards the most recent sync() actually used (1 when
   /// the work was too small to shard and ran serially — see the work-size
-  /// thresholds in grid_finder.cpp). Under kBatch the shard count is the
-  /// fixed-range geometry (shard_span), which holds even when the scan runs
-  /// serially; only the thread count drops to 1 then. Reported by
+  /// thresholds in grid_finder.cpp). The shard count is the fixed-range
+  /// geometry (shard_span), which holds even when the scan runs serially;
+  /// only the thread count drops to 1 then. Reported by
   /// bench_eval so regressions from parallel overhead on small workloads
   /// are visible in the JSON.
   std::size_t last_sync_threads() const { return last_sync_threads_; }
@@ -198,10 +176,10 @@ class GridFinder final : public CandidateFinder {
                                        const std::vector<std::int64_t>& linears);
 
   /// The machine-independent fixed-range shard list for this sketch's
-  /// candidate space — exactly the geometry a full kBatch sync uses.
+  /// candidate space — exactly the geometry a full sync uses.
   std::vector<ShardRange> shard_ranges() const;
 
-  /// Computes one shard of a full kBatch sync against `graph` and returns
+  /// Computes one shard of a full sync against `graph` and returns
   /// its serialized record. Pure: reads only immutable members (the sketch,
   /// tapes and config), so concurrent calls — the worker side of a
   /// distributed sync — are safe. Lane evaluation errors propagate as the
@@ -211,12 +189,8 @@ class GridFinder final : public CandidateFinder {
                               std::int64_t hi) const;
 
  private:
-  bool consistent(Survivor& s, const pref::PreferenceGraph& graph,
-                  std::size_t first_edge, std::size_t first_tie) const;
-  /// The survivor's objective at vertex `v`, memoized in vertex_values.
-  double value_at(Survivor& s, const pref::PreferenceGraph& graph,
-                  pref::VertexId v) const;
-  /// One evaluation through the configured backend.
+  /// One evaluation through the scalar tape (pair search and bisection
+  /// scoring: one candidate, many scenarios).
   double objective(std::span<const double> hole_values,
                    std::span<const double> metrics) const;
   /// Batched evaluation of many scenarios under one candidate.
@@ -226,11 +200,6 @@ class GridFinder final : public CandidateFinder {
   /// Decodes a linear candidate index into a hole assignment (index 0 is
   /// the fastest-varying digit, matching odometer order).
   sketch::HoleAssignment assignment_at(std::int64_t linear) const;
-  /// Full enumeration of grid candidates [lo, hi) (linear indices),
-  /// appending survivors in order.
-  void enumerate_range(std::int64_t lo, std::int64_t hi,
-                       const pref::PreferenceGraph& graph,
-                       std::vector<Survivor>& out) const;
   /// Per-shard evaluation tallies, summed into the grid_sync trace event.
   struct BatchCounters {
     long long lane_evals = 0;  // lanes pushed through BatchTape::eval_lanes
@@ -240,15 +209,19 @@ class GridFinder final : public CandidateFinder {
   /// candidate-space size — never of thread count — so shard geometry (and
   /// therefore the serialized per-shard state) is machine-independent.
   static std::int64_t shard_span(std::int64_t total);
-  /// kBatch full rebuild of one shard: enumerates [lo, hi) in
-  /// kBatchLaneWidth groups through the lane tape, appending survivors in
-  /// order. Sequence and error behaviour are bit-for-bit those of
-  /// enumerate_range (lane errors re-thrown in candidate order).
+  /// Full rebuild of one shard: enumerates [lo, hi) in kBatchLaneWidth
+  /// groups through the lane tape, appending survivors in order. A
+  /// candidate survives when it is viable, every edge's better vertex
+  /// scores strictly above its worse vertex, and every tie's two vertices
+  /// lie within tie_tolerance + 1e-9 — the constraints checked in graph
+  /// order, each candidate stopping at its first failure. The first
+  /// evaluation error in candidate order is re-thrown as the scalar
+  /// interpreter's EvalError.
   void enumerate_range_batch(std::int64_t lo, std::int64_t hi,
                              const pref::PreferenceGraph& graph,
                              std::vector<Survivor>& out,
                              BatchCounters& counters) const;
-  /// kBatch incremental filter of survivors_[lo, hi) (one shard's
+  /// Incremental filter of survivors_[lo, hi) (one shard's
   /// contiguous position range) against the new edges/ties: writes keep
   /// flags and refreshes kept survivors' vertex memos. Mutates only this
   /// range's survivors and keep slots, so shards run in parallel without
@@ -256,12 +229,6 @@ class GridFinder final : public CandidateFinder {
   void filter_range_batch(std::size_t lo, std::size_t hi,
                           const pref::PreferenceGraph& graph,
                           std::vector<char>& keep, BatchCounters& counters);
-  /// Analysis-driven full rebuild (see GridFinderConfig::analysis_pruning):
-  /// branch-and-prune over index sub-boxes plus degenerate-dimension
-  /// replication. Returns false when there is nothing to exploit (caller
-  /// falls back to the exhaustive scan); on true, survivors_ holds exactly
-  /// the sequence the exhaustive scan would have produced.
-  bool rebuild_pruned(const pref::PreferenceGraph& graph);
   /// Remote full rebuild through config_.shard_backend: dispatches the
   /// fixed-range shards, decodes + merges the returned records into
   /// survivors_ in shard order. Returns false (leaving survivors_ empty,
@@ -271,7 +238,8 @@ class GridFinder final : public CandidateFinder {
                       std::size_t n_shards, std::int64_t span_len,
                       std::int64_t total);
   /// Rebuilds a Survivor (assignment + hole values, empty vertex memos —
-  /// value_at refills them deterministically) from its linear index.
+  /// the next incremental filter refills the ones it needs) from its linear
+  /// index.
   Survivor materialize_survivor(std::int64_t linear) const;
   std::vector<double> boundary_values(std::span<const double> hole_values,
                                       std::size_t metric) const;
@@ -283,9 +251,6 @@ class GridFinder final : public CandidateFinder {
   sketch::Sketch sketch_;
   sketch::CompiledSketch compiled_;  // must follow sketch_ (init order)
   sketch::BatchTape batch_;          // must follow sketch_ (init order)
-  /// Which holes the body actually reads (sketch::used_holes), computed
-  /// once; unread dimensions are candidates for pinning + replication.
-  std::vector<bool> hole_used_;
   GridFinderConfig config_;
   Viability viability_;
   ScenarioDomain domain_;

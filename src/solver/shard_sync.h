@@ -1,6 +1,6 @@
 // The distribution seam for GridFinder's sharded version-space sync.
 //
-// A full kBatch rebuild partitions the linear candidate space into
+// A full rebuild partitions the linear candidate space into
 // machine-independent fixed ranges (GridFinder's shard_span geometry). Each
 // shard is a pure function of (sketch, preference graph, [lo, hi)): the
 // survivors it yields do not depend on which thread — or which *machine* —

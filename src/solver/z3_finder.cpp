@@ -11,9 +11,6 @@
 #include <utility>
 
 #include "obs/run_context.h"
-#include "pref/serialize.h"
-#include "sketch/printer.h"
-#include "solver/solver_cache.h"
 #include "solver/z3_encoder.h"
 #include "util/log.h"
 
@@ -54,103 +51,6 @@ z3::solver make_solver(z3::context& ctx, unsigned timeout_ms) {
 bool same_constraint(const pref::Edge& a, const pref::Edge& b) {
   // Weight is repair metadata; only the endpoints are asserted.
   return a.better == b.better && a.worse == b.worse;
-}
-
-// --- Cache value blobs ----------------------------------------------------
-//
-// Versioned plain-text encodings of the two query results. Corrupt blobs
-// throw std::invalid_argument (a restored @cache section is external input).
-
-[[noreturn]] void bad_blob(const char* why) {
-  throw std::invalid_argument(std::string("Z3Finder: corrupt cache blob: ") +
-                              why);
-}
-
-void encode_assignment(std::ostream& os, const char* tag,
-                       const sketch::HoleAssignment& a) {
-  os << tag << ' ' << a.index.size();
-  for (const std::int64_t i : a.index) os << ' ' << i;
-  os << '\n';
-}
-
-sketch::HoleAssignment decode_assignment(std::istream& in, const char* tag) {
-  std::string seen;
-  std::size_t n = 0;
-  if (!(in >> seen >> n) || seen != tag) bad_blob("assignment header");
-  sketch::HoleAssignment a;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::int64_t v = 0;
-    if (!(in >> v)) bad_blob("assignment index");
-    a.index.push_back(v);
-  }
-  return a;
-}
-
-std::string encode_dist_result(const FinderResult& res) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "distresult 1\nstatus " << static_cast<int>(res.status) << '\n';
-  encode_assignment(os, "a", res.candidate_a);
-  encode_assignment(os, "b", res.candidate_b);
-  os << "pairs " << res.pairs.size() << '\n';
-  for (const DistinguishingPair& p : res.pairs) {
-    os << "pair " << p.preferred_by_a.metrics.size();
-    for (const double v : p.preferred_by_a.metrics) os << ' ' << v;
-    for (const double v : p.preferred_by_b.metrics) os << ' ' << v;
-    os << '\n';
-  }
-  return os.str();
-}
-
-FinderResult decode_dist_result(const std::string& blob) {
-  std::istringstream in(blob);
-  std::string tag;
-  int version = 0;
-  if (!(in >> tag >> version) || tag != "distresult") bad_blob("header");
-  if (version != 1) bad_blob("unsupported version");
-  int status = 0;
-  if (!(in >> tag >> status) || tag != "status" || status < 0 || status > 3) {
-    bad_blob("status");
-  }
-  FinderResult res;
-  res.status = static_cast<FinderStatus>(status);
-  res.candidate_a = decode_assignment(in, "a");
-  res.candidate_b = decode_assignment(in, "b");
-  std::size_t pairs = 0;
-  if (!(in >> tag >> pairs) || tag != "pairs") bad_blob("pair count");
-  for (std::size_t p = 0; p < pairs; ++p) {
-    std::size_t metrics = 0;
-    if (!(in >> tag >> metrics) || tag != "pair") bad_blob("pair header");
-    DistinguishingPair pair;
-    for (std::size_t m = 0; m < 2 * metrics; ++m) {
-      double v = 0;
-      if (!(in >> v)) bad_blob("pair metric");
-      (m < metrics ? pair.preferred_by_a : pair.preferred_by_b)
-          .metrics.push_back(v);
-    }
-    res.pairs.push_back(std::move(pair));
-  }
-  return res;
-}
-
-std::string encode_consistent(const std::optional<sketch::HoleAssignment>& a) {
-  std::ostringstream os;
-  os << "consresult 1\nsome " << (a.has_value() ? 1 : 0) << '\n';
-  if (a.has_value()) encode_assignment(os, "a", *a);
-  return os.str();
-}
-
-std::optional<sketch::HoleAssignment> decode_consistent(
-    const std::string& blob) {
-  std::istringstream in(blob);
-  std::string tag;
-  int version = 0;
-  if (!(in >> tag >> version) || tag != "consresult") bad_blob("header");
-  if (version != 1) bad_blob("unsupported version");
-  int some = 0;
-  if (!(in >> tag >> some) || tag != "some") bad_blob("some flag");
-  if (some == 0) return std::nullopt;
-  return decode_assignment(in, "a");
 }
 
 // Interval pre-check guard band: interval corners are computed in double
@@ -442,19 +342,6 @@ Z3Finder::Z3Finder(sketch::Sketch sketch, FinderConfig config, Viability viabili
       !analysis.output.maybe_error && analysis.output.finite()) {
     objective_bounds_ = analysis.output;
   }
-  // Everything constructor-fixed that a query's outcome depends on goes into
-  // the cache-key prefix; the per-query part (kind, num_pairs, graph) is
-  // appended in cache_key(). Timeouts are excluded: they only influence
-  // kUnknown results, which are never cached.
-  std::ostringstream key;
-  key.precision(17);
-  key << "sketch\n" << sketch::print_sketch(sketch_) << "\ndomain\n";
-  if (domain_.constraint != nullptr) {
-    key << sketch::print_expr(*domain_.constraint, sketch_);
-  }
-  key << "\nmargins " << config_.tie_tolerance << ' '
-      << config_.distinguish_margin << '\n';
-  cache_key_prefix_ = key.str();
 }
 
 Z3Finder::~Z3Finder() = default;
@@ -579,39 +466,6 @@ Z3Finder::CheckOutcome Z3Finder::timed_check(z3::context& ctx, z3::solver& s,
   }
 }
 
-// --- SolverCache integration ---------------------------------------------
-
-bool Z3Finder::cache_usable() const {
-  // A viability callback and a fault injector both make a query's outcome
-  // depend on state outside the (sketch, G, domain) key — blocked models
-  // and injected-fault decision streams respectively — so the cache stands
-  // down rather than replay a result the live solver might not reproduce.
-  return cache_ != nullptr && !viability_.concrete && injector_ == nullptr;
-}
-
-std::string Z3Finder::cache_key(const char* kind, int num_pairs,
-                                const pref::PreferenceGraph& graph) const {
-  std::ostringstream key;
-  key << cache_key_prefix_ << kind << ' ' << num_pairs << "\ngraph\n";
-  pref::serialize(graph, key);
-  return key.str();
-}
-
-void Z3Finder::note_cache(const char* op, const char* kind,
-                          const std::string& key) const {
-  if (!obs::active(obs_)) return;
-  obs_->count(op[0] == 'h'   ? "solver.cache_hits"
-              : op[0] == 'm' ? "solver.cache_misses"
-                             : "solver.cache_stores");
-  if (obs_->tracing()) {
-    std::ostringstream hash;
-    hash << std::hex << SolverCache::key_hash(key);
-    obs::TraceEvent e("solver_cache");
-    e.str("op", op).str("kind", kind).str("key", hash.str());
-    obs_->emit(e);
-  }
-}
-
 // --- Interval pre-checks --------------------------------------------------
 
 bool Z3Finder::precheck_enabled() const {
@@ -673,30 +527,6 @@ void Z3Finder::note_precheck(const char* kind, const char* verdict) const {
 
 // --- Queries --------------------------------------------------------------
 
-FinderResult Z3Finder::find_distinguishing(const pref::PreferenceGraph& graph,
-                                           int num_pairs) {
-  if (num_pairs < 1) throw std::invalid_argument("find_distinguishing: num_pairs < 1");
-  reset_after_interrupt();
-
-  const bool use_cache = cache_usable();
-  std::string key;
-  if (use_cache) {
-    key = cache_key("distinguishing", num_pairs, graph);
-    if (const std::optional<std::string> hit = cache_->lookup(key)) {
-      note_cache("hit", "distinguishing", key);
-      return decode_dist_result(*hit);
-    }
-    note_cache("miss", "distinguishing", key);
-  }
-
-  FinderResult res = find_distinguishing_uncached(graph, num_pairs);
-  if (use_cache && res.status != FinderStatus::kUnknown) {
-    cache_->store(key, encode_dist_result(res));
-    note_cache("store", "distinguishing", key);
-  }
-  return res;
-}
-
 FinderResult Z3Finder::resolve_unsat(const pref::PreferenceGraph& graph,
                                      int num_pairs) {
   if (num_pairs > 1) return find_distinguishing(graph, 1);
@@ -712,8 +542,10 @@ FinderResult Z3Finder::resolve_unsat(const pref::PreferenceGraph& graph,
   return res;
 }
 
-FinderResult Z3Finder::find_distinguishing_uncached(
-    const pref::PreferenceGraph& graph, int num_pairs) {
+FinderResult Z3Finder::find_distinguishing(const pref::PreferenceGraph& graph,
+                                           int num_pairs) {
+  if (num_pairs < 1) throw std::invalid_argument("find_distinguishing: num_pairs < 1");
+  reset_after_interrupt();
   observe_graph(graph);
 
   if (precheck_enabled()) {
@@ -845,30 +677,6 @@ FinderResult Z3Finder::find_distinguishing_uncached(
 std::optional<sketch::HoleAssignment> Z3Finder::find_consistent(
     const pref::PreferenceGraph& graph) {
   reset_after_interrupt();
-
-  const bool use_cache = cache_usable();
-  std::string key;
-  if (use_cache) {
-    key = cache_key("consistent", 0, graph);
-    if (const std::optional<std::string> hit = cache_->lookup(key)) {
-      note_cache("hit", "consistent", key);
-      return decode_consistent(*hit);
-    }
-    note_cache("miss", "consistent", key);
-  }
-
-  bool decisive = true;
-  std::optional<sketch::HoleAssignment> res =
-      find_consistent_uncached(graph, &decisive);
-  if (use_cache && decisive) {
-    cache_->store(key, encode_consistent(res));
-    note_cache("store", "consistent", key);
-  }
-  return res;
-}
-
-std::optional<sketch::HoleAssignment> Z3Finder::find_consistent_uncached(
-    const pref::PreferenceGraph& graph, bool* decisive) {
   observe_graph(graph);
 
   if (precheck_enabled() && precheck_refutes_graph(graph, "consistent")) {
@@ -917,10 +725,7 @@ std::optional<sketch::HoleAssignment> Z3Finder::find_consistent_uncached(
     ++query_count_;
     log_query(solver, "consistent");
     const CheckOutcome out = timed_check(ctx, solver, "consistent", query_count_);
-    if (out.result != z3::sat) {
-      if (out.result == z3::unknown && decisive != nullptr) *decisive = false;
-      return std::nullopt;
-    }
+    if (out.result != z3::sat) return std::nullopt;
     const z3::model& model = *out.model;
     sketch::HoleAssignment a;
     for (std::size_t i = 0; i < enc->holes.size(); ++i) {
@@ -938,7 +743,6 @@ std::optional<sketch::HoleAssignment> Z3Finder::find_consistent_uncached(
     solver.add(!same);
   }
   util::log(util::LogLevel::kWarn, "Z3Finder: viability blocking budget exhausted");
-  if (decisive != nullptr) *decisive = false;
   return std::nullopt;
 }
 

@@ -12,13 +12,12 @@
 // so UNSAT exactly means "all viable G-consistent candidates induce the same
 // margin-separated ranking" and synthesis can stop.
 //
-// Acceleration layer (docs/SOLVER.md): queries go through four filters, each
-// transparent to the verdict/model sequence —
-//   1. SolverCache replay of previously solved (sketch, G, domain) queries;
-//   2. interval pre-checks that discharge provably-UNSAT queries without Z3;
-//   3. incremental encodings kept alive across iterations via push/pop,
+// Acceleration layer (docs/SOLVER.md): three mechanisms, each transparent to
+// the verdict/model sequence —
+//   1. interval pre-checks that discharge provably-UNSAT queries without Z3;
+//   2. incremental encodings kept alive across iterations via push/pop,
 //      asserting only the preference graph's new constraints each round;
-//   4. (one level up) solver/portfolio_finder.h races this finder against
+//   3. (one level up) solver/portfolio_finder.h races this finder against
 //      GridFinder and cancels the loser through interrupt().
 #pragma once
 
@@ -42,8 +41,6 @@ class solver;
 
 namespace compsynth::solver {
 
-class SolverCache;
-
 class Z3Finder final : public CandidateFinder {
  public:
   /// Binds the finder to a sketch (copied; sketches are cheap shared-body
@@ -60,8 +57,7 @@ class Z3Finder final : public CandidateFinder {
       const pref::PreferenceGraph& graph) override;
 
   /// Number of solver checks issued so far (for benchmarking/diagnostics).
-  /// Cache replays and interval pre-check discharges do not count — no
-  /// check was issued.
+  /// Interval pre-check discharges do not count — no check was issued.
   long query_count() const { return query_count_; }
 
   /// Streams every emitted query as SMT-LIB2 text to `log` (nullptr
@@ -76,18 +72,8 @@ class Z3Finder final : public CandidateFinder {
   /// failing after the attempt budget reports `unknown`, which the
   /// synthesizer surfaces as kSolverGaveUp rather than crashing the session.
   /// The injector's decision stream is part of save_state when attached.
-  /// An attached injector disables the solver cache (a replayed result
-  /// would skip the injected faults and desynchronize the decision stream).
   void set_fault_injector(std::shared_ptr<util::FaultInjector> injector) {
     injector_ = std::move(injector);
-  }
-
-  /// Query/counterexample cache (solver/solver_cache.h); null disables.
-  /// Shared so the synthesizer can persist it through the @cache snapshot
-  /// section. Ignored while a viability callback or fault injector is
-  /// attached (both make a query's outcome depend on more than the key).
-  void set_cache(std::shared_ptr<SolverCache> cache) {
-    cache_ = std::move(cache);
   }
 
   /// Cancels an in-flight check from another thread (portfolio racing): the
@@ -115,12 +101,6 @@ class Z3Finder final : public CandidateFinder {
  private:
   friend class ActiveCheckGuard;
 
-  FinderResult find_distinguishing_uncached(const pref::PreferenceGraph& graph,
-                                            int num_pairs);
-  /// `decisive` is cleared when the answer came from a timeout or an
-  /// exhausted blocking budget rather than a real verdict (not cacheable).
-  std::optional<sketch::HoleAssignment> find_consistent_uncached(
-      const pref::PreferenceGraph& graph, bool* decisive);
   /// The shared UNSAT epilogue of the distinguishing query: multi-pair
   /// queries retry with a single pair (fewer separated witnesses may remain
   /// even when k do not), then find_consistent splits "unique ranking" from
@@ -135,13 +115,6 @@ class Z3Finder final : public CandidateFinder {
   /// Drops poisoned incremental state after an interrupt; called on entry to
   /// every query.
   void reset_after_interrupt();
-
-  // --- SolverCache integration -------------------------------------------
-  bool cache_usable() const;
-  std::string cache_key(const char* kind, int num_pairs,
-                        const pref::PreferenceGraph& graph) const;
-  void note_cache(const char* op, const char* kind,
-                  const std::string& key) const;
 
   // --- Interval pre-checks (docs/SOLVER.md §Pre-checks) ------------------
   bool precheck_enabled() const;
@@ -174,10 +147,6 @@ class Z3Finder final : public CandidateFinder {
   long query_count_ = 0;
   std::ostream* query_log_ = nullptr;
   std::shared_ptr<util::FaultInjector> injector_;
-  std::shared_ptr<SolverCache> cache_;
-  /// Constructor-fixed prefix of every cache key: canonical sketch print,
-  /// domain constraint print and margins (docs/SOLVER.md §Cache keys).
-  std::string cache_key_prefix_;
   /// Objective enclosure per interned graph vertex (point metric box x full
   /// hole grid), memoized — vertices are immutable once interned.
   std::vector<sketch::Interval> vertex_intervals_;

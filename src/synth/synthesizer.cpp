@@ -138,11 +138,6 @@ SynthesisResult Synthesizer::resume(oracle::Oracle& user, SessionState state) {
   // mismatched blobs, and a failed resume must not start a half-restored run.
   finder_->restore_state(state.finder_state);
   user.restore_state(state.oracle_state);
-  // The cache is a pure accelerator, so a missing blob (e.g. a snapshot
-  // taken by a run without one) is fine — we just start cold.
-  if (config_.solver_cache != nullptr && !state.cache_state.empty()) {
-    config_.solver_cache->restore_state(state.cache_state);
-  }
   return run_impl(user, std::move(state), /*resumed=*/true);
 }
 
@@ -208,9 +203,6 @@ SynthesisResult Synthesizer::run_impl(oracle::Oracle& user, SessionState st,
     if (!final_state && st.iterations % every != 0) return;
     st.finder_state = finder_->save_state();
     st.oracle_state = user.save_state();
-    if (config_.solver_cache != nullptr) {
-      st.cache_state = config_.solver_cache->save_state();
-    }
     st.oracle_comparisons = user.comparisons() - comparisons_before;
     config_.checkpoint(st);
     if (obs::active(obs)) {
@@ -346,7 +338,6 @@ Synthesizer make_z3_synthesizer(const sketch::Sketch& sketch,
                                 solver::Viability viability) {
   auto finder = std::make_unique<solver::Z3Finder>(
       sketch, config.finder, std::move(viability), config.scenario_domain);
-  if (config.solver_cache != nullptr) finder->set_cache(config.solver_cache);
   return Synthesizer(sketch, std::move(finder), config);
 }
 
@@ -359,9 +350,7 @@ Synthesizer make_grid_based(const sketch::Sketch& sketch, SynthesisConfig config
   grid_config.base = config.finder;
   grid_config.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
   grid_config.strategy = strategy;
-  grid_config.eval_backend = config.grid_eval_backend;
   grid_config.threads = config.grid_threads;
-  grid_config.analysis_pruning = config.grid_analysis_pruning;
   grid_config.shard_backend = config.grid_shard_backend;
   return Synthesizer(sketch,
                      std::make_unique<solver::GridFinder>(
@@ -396,14 +385,9 @@ Synthesizer make_portfolio_synthesizer(const sketch::Sketch& sketch,
   // portfolio run asks the identical query sequence as the plain grid
   // back-end (the differential tests rely on this).
   pc.grid.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
-  pc.grid.eval_backend = config.grid_eval_backend;
   pc.grid.threads = config.grid_threads;
-  pc.grid.analysis_pruning = config.grid_analysis_pruning;
   auto finder = std::make_unique<solver::PortfolioFinder>(
       sketch, pc, std::move(viability), config.scenario_domain);
-  if (config.solver_cache != nullptr) {
-    finder->z3().set_cache(config.solver_cache);
-  }
   return Synthesizer(sketch, std::move(finder), config);
 }
 

@@ -26,7 +26,6 @@
 #include "solver/finder.h"
 #include "solver/grid_finder.h"
 #include "solver/portfolio_finder.h"
-#include "solver/solver_cache.h"
 #include "util/rng.h"
 
 namespace compsynth::synth {
@@ -57,37 +56,18 @@ struct SynthesisConfig {
   /// initial random scenarios and the solver-proposed distinguishing ones.
   solver::ScenarioDomain scenario_domain;
 
-  /// Evaluator and parallelism for the grid back-end factories (ignored by
-  /// the Z3 back-end): the batched lane evaluator is the default; kCompiled
-  /// selects the scalar tape, kTree the reference AST interpreter, and
-  /// grid_threads follows GridFinderConfig::threads (0 = shared pool,
-  /// 1 = sequential). All three produce identical survivor sequences
+  /// Parallelism for the grid back-end factories (ignored by the Z3
+  /// back-end): follows GridFinderConfig::threads (0 = shared pool,
+  /// 1 = sequential). The survivor sequence is identical at every setting
   /// (docs/EVALUATOR.md).
-  solver::EvalBackend grid_eval_backend = solver::EvalBackend::kBatch;
   int grid_threads = 0;
-
-  /// Analysis-driven version-space pruning for the grid back-end
-  /// (GridFinderConfig::analysis_pruning): interval-refuted grid regions are
-  /// skipped and degenerate (unread) hole dimensions replicated instead of
-  /// enumerated. Survivor sets are provably identical either way
-  /// (tests/prune_differential_test.cpp); this is purely a speed knob.
-  bool grid_analysis_pruning = true;
 
   /// Distribution seam for the grid back-end (non-owning; must outlive the
   /// synthesizer): forwarded to GridFinderConfig::shard_backend so full
-  /// kBatch rebuilds can be farmed out to compsynth_worker processes via a
+  /// rebuilds can be farmed out to compsynth_worker processes via a
   /// dist::ShardCoordinator. Backend failure falls back to the local scan —
   /// results are byte-identical either way (docs/DISTRIBUTED.md).
   solver::ShardSyncBackend* grid_shard_backend = nullptr;
-
-  /// Cross-query result cache for the Z3 back-end (docs/SOLVER.md §Cache).
-  /// When set, make_z3_synthesizer / make_portfolio_synthesizer wire it into
-  /// the Z3Finder, which then replays cached verdicts for repeated
-  /// (sketch, graph, domain) queries without touching the solver. Shared_ptr
-  /// so several synthesizers (e.g. bench variants, or a portfolio's Z3 leg
-  /// across restarts) can share one cache; its contents ride through
-  /// checkpoints via SessionState::cache_state. Null = no caching.
-  std::shared_ptr<solver::SolverCache> solver_cache;
 
   /// Leg selection for make_portfolio_synthesizer (ignored by the other
   /// factories): kRace races grid vs Z3 per query; kPinGrid / kPinZ3 pin
@@ -155,11 +135,6 @@ struct SessionState {
   pref::PreferenceGraph graph{true};
   std::string finder_state;  ///< CandidateFinder::save_state blob
   std::string oracle_state;  ///< oracle::Oracle::save_state blob
-  /// solver::SolverCache::save_state blob, filled only when the run has a
-  /// SynthesisConfig::solver_cache. Losing it is harmless for correctness
-  /// (the cache is a pure accelerator) but a resumed session would re-pay
-  /// every solver query the original had already answered.
-  std::string cache_state;
 };
 
 struct SynthesisResult {
@@ -244,7 +219,7 @@ Synthesizer make_bisection_synthesizer(const sketch::Sketch& sketch,
 /// Portfolio back-end (solver/portfolio_finder.h): a GridFinder and a
 /// Z3Finder answering every query per config.portfolio_mode — racing
 /// concurrently (kRace, the performance default) or pinned to one leg for
-/// deterministic runs. config.solver_cache, if set, accelerates the Z3 leg.
+/// deterministic runs.
 Synthesizer make_portfolio_synthesizer(const sketch::Sketch& sketch,
                                        SynthesisConfig config = {},
                                        solver::Viability viability = {});

@@ -1,106 +1,36 @@
 // Differential tests for the solver acceleration layer (docs/SOLVER.md).
 //
-// Every acceleration — incremental push/pop encodings, the solver result
-// cache (cold and warm), interval pre-checks, pinned portfolio legs — must
-// be *transparent*: the same seed produces the identical oracle query
-// sequence and the identical learned objective with the feature on or off,
-// across the SWAN, ABR-QoE and homenet sketches. The racing portfolio mode
-// is exempt from sequence identity by design (the winning leg varies with
-// load) and is instead held to ranking-equivalence against the target.
+// Every acceleration — incremental push/pop encodings, interval pre-checks,
+// pinned portfolio legs — must be *transparent*: the same seed produces the
+// identical oracle query sequence and the identical learned objective with
+// the feature on or off, across the SWAN, ABR-QoE and homenet sketches. The
+// racing portfolio mode is exempt from sequence identity by design (the
+// winning leg varies with load) and is instead held to ranking-equivalence
+// against the target.
 //
-// Also covers SolverCache in isolation (FIFO eviction, persistence) and the
-// kill/resume path through the snapshot @cache section.
+// Also covers resuming from a snapshot whose @cache section still holds the
+// entries of the solver cache that older versions kept.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <memory>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "oracle/ground_truth.h"
+#include "pref/serialize.h"
 #include "session/snapshot.h"
 #include "sketch/library.h"
 #include "solver/equivalence.h"
 #include "solver/portfolio_finder.h"
-#include "solver/solver_cache.h"
 #include "synth/synthesizer.h"
 
 namespace compsynth {
 namespace {
-
-// ---------------------------------------------------------------------------
-// SolverCache unit behavior.
-
-TEST(SolverCache, MissThenStoreThenHit) {
-  solver::SolverCache cache(8);
-  EXPECT_FALSE(cache.lookup("k").has_value());
-  cache.store("k", "value");
-  const auto hit = cache.lookup("k");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, "value");
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.stores, 1);
-  EXPECT_EQ(stats.evictions, 0);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(SolverCache, OverwriteReplacesValueWithoutGrowing) {
-  solver::SolverCache cache(8);
-  cache.store("k", "old");
-  cache.store("k", "new");
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.lookup("k"), "new");
-}
-
-TEST(SolverCache, EvictsOldestEntryFirst) {
-  solver::SolverCache cache(2);
-  cache.store("a", "1");
-  cache.store("b", "2");
-  cache.store("c", "3");  // evicts "a"
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.lookup("a").has_value());
-  EXPECT_EQ(cache.lookup("b"), "2");
-  EXPECT_EQ(cache.lookup("c"), "3");
-  EXPECT_EQ(cache.stats().evictions, 1);
-}
-
-TEST(SolverCache, KeyHashIsStableAndDiscriminates) {
-  const std::string key = "sketch swan | graph ... | domain none";
-  EXPECT_EQ(solver::SolverCache::key_hash(key),
-            solver::SolverCache::key_hash(key));
-  EXPECT_NE(solver::SolverCache::key_hash("a"),
-            solver::SolverCache::key_hash("b"));
-}
-
-TEST(SolverCache, SaveRestorePreservesEntriesAndEvictionOrder) {
-  solver::SolverCache cache(2);
-  cache.store("first", "1");
-  cache.store("second", std::string("blob with\nnewlines and \0bytes", 29));
-  const std::string blob = cache.save_state();
-
-  solver::SolverCache back(2);
-  back.restore_state(blob);
-  EXPECT_EQ(back.size(), 2u);
-  EXPECT_EQ(back.lookup("first"), cache.lookup("first"));
-  EXPECT_EQ(back.lookup("second"), cache.lookup("second"));
-  // Insertion order survived: the next store evicts "first", not "second".
-  back.store("third", "3");
-  EXPECT_FALSE(back.lookup("first").has_value());
-  EXPECT_TRUE(back.lookup("second").has_value());
-}
-
-TEST(SolverCache, RestoreRejectsMalformedState) {
-  solver::SolverCache cache(4);
-  cache.store("keep", "me");
-  EXPECT_THROW(cache.restore_state("not a cache blob"),
-               std::invalid_argument);
-  // A failed restore leaves the cache untouched.
-  EXPECT_EQ(cache.lookup("keep"), "me");
-}
 
 // ---------------------------------------------------------------------------
 // Query-sequence logging oracle (mirrors tests/session_test.cpp): one
@@ -243,17 +173,9 @@ void check_z3_accelerations(const Workload& w, int max_iterations) {
     expect_same_run(baseline, run_once(w, Backend::kZ3, config), "precheck");
   }
   {
-    auto cache = std::make_shared<solver::SolverCache>(4096);
     synth::SynthesisConfig config = base_config(w, max_iterations);
-    config.solver_cache = cache;
     expect_same_run(baseline, run_once(w, Backend::kZ3, config),
-                    "cold cache + incremental + precheck");
-    // Second run replays the warmed cache: still byte-identical, and served
-    // from memory rather than the solver.
-    const auto before = cache->stats();
-    expect_same_run(baseline, run_once(w, Backend::kZ3, config),
-                    "warm cache");
-    EXPECT_GT(cache->stats().hits, before.hits);
+                    "incremental + precheck");
   }
   {
     // A pinned-Z3 portfolio is pure delegation to its Z3 leg.
@@ -307,7 +229,6 @@ TEST(AccelDifferential, HomenetPinnedGridPortfolioMatchesGridBackend) {
 TEST(AccelDifferential, RacingPortfolioConvergesToEquivalentObjective) {
   const Workload w = swan_workload();
   synth::SynthesisConfig config = base_config(w, 300);
-  config.solver_cache = std::make_shared<solver::SolverCache>(4096);
   const RunOut race = run_once(w, Backend::kPortfolio, config);
   ASSERT_EQ(race.result.status, synth::SynthesisStatus::kConverged);
   ASSERT_TRUE(race.result.objective.has_value());
@@ -315,65 +236,59 @@ TEST(AccelDifferential, RacingPortfolioConvergesToEquivalentObjective) {
                                          w.target, config.finder));
 }
 
-// Kill/resume through the snapshot @cache section: a cached Z3 run is
-// checkpointed mid-flight, the state round-trips through the v2 snapshot
-// encoding (cache contents included), and a fresh synthesizer + fresh cache
-// resumes to the identical continuation.
-TEST(AccelDifferential, CacheSurvivesKillResumeThroughSnapshot) {
+// A v2 snapshot of a Z3 homenet run (seed 77, checkpointed at iteration 2),
+// written by a version that still kept a solver cache: its @cache section
+// holds real cache entries. The reader discards them, and resuming must
+// continue exactly as the uninterrupted run does — same objective, same
+// iteration count, same oracle query sequence.
+TEST(AccelDifferential, LegacyCacheSnapshotResumesIdentically) {
   const Workload w = homenet_workload();
   const int max_iterations = 5;
 
-  auto ref_cache = std::make_shared<solver::SolverCache>(4096);
-  synth::SynthesisConfig ref_config = base_config(w, max_iterations);
-  ref_config.solver_cache = ref_cache;
+  std::ifstream in(std::string(COMPSYNTH_TEST_DATA_DIR) +
+                       "/homenet_z3_cache_v2.csnap",
+                   std::ios::binary);
+  ASSERT_TRUE(in) << "missing fixture tests/data/homenet_z3_cache_v2.csnap";
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  ASSERT_NE(bytes.find("\n@cache "), std::string::npos);
+  ASSERT_EQ(bytes.find("\n@cache 0\n"), std::string::npos)
+      << "the fixture must carry a non-empty @cache section";
+  const session::Snapshot snap = session::decode(bytes);
+  ASSERT_EQ(snap.meta.seed, w.seed);
+  ASSERT_GT(snap.state.iterations, 0);
 
-  std::vector<std::pair<synth::SessionState, std::size_t>> checkpoints;
+  // The uninterrupted reference run, noting how many oracle queries it had
+  // asked when it passed the snapshot's iteration.
+  synth::SynthesisConfig ref_config = base_config(w, max_iterations);
   LoggingOracle ref_user(w.sketch, w.target, ref_config.finder.tie_tolerance);
-  synth::SynthesisConfig cap_config = ref_config;
-  cap_config.checkpoint = [&](const synth::SessionState& st) {
-    checkpoints.emplace_back(st, ref_user.log.size());
+  std::optional<std::size_t> log_len;
+  ref_config.checkpoint = [&](const synth::SessionState& st) {
+    if (st.iterations != snap.state.iterations) return;
+    log_len = ref_user.log.size();
+    EXPECT_EQ(pref::serialize(st.graph), pref::serialize(snap.state.graph))
+        << "the fixture is not a checkpoint of this run";
   };
-  synth::Synthesizer ref_synth = synth::make_z3_synthesizer(w.sketch, cap_config);
+  synth::Synthesizer ref_synth =
+      synth::make_z3_synthesizer(w.sketch, ref_config);
   const synth::SynthesisResult ref = ref_synth.run(ref_user);
   ASSERT_TRUE(ref.objective.has_value());
-  ASSERT_GE(checkpoints.size(), 2u);
+  ASSERT_TRUE(log_len.has_value());
 
-  for (const auto& [state, log_len] : checkpoints) {
-    if (state.iterations >= ref.iterations || state.iterations == 0) continue;
-    ASSERT_FALSE(state.cache_state.empty())
-        << "a cached run's checkpoint must carry the cache";
+  synth::SynthesisConfig config = base_config(w, max_iterations);
+  LoggingOracle user(w.sketch, w.target, config.finder.tie_tolerance);
+  synth::Synthesizer s = synth::make_z3_synthesizer(w.sketch, config);
+  const synth::SynthesisResult r = s.resume(user, snap.state);
+  ASSERT_TRUE(r.objective.has_value());
+  EXPECT_EQ(r.objective->index, ref.objective->index);
+  EXPECT_EQ(r.iterations, ref.iterations);
+  const std::vector<std::string> expected(
+      ref_user.log.begin() + static_cast<std::ptrdiff_t>(*log_len),
+      ref_user.log.end());
+  EXPECT_EQ(user.log, expected) << "resumed query sequence diverged";
 
-    // Round-trip through the on-disk form, @cache section included.
-    session::Snapshot snap;
-    snap.meta.sketch = "homenet";
-    snap.meta.backend = "z3";
-    snap.meta.seed = w.seed;
-    snap.meta.iteration = state.iterations;
-    snap.state = state;
-    const std::string bytes = session::encode(snap);
-    EXPECT_NE(bytes.find("@cache "), std::string::npos);
-    const session::Snapshot back = session::decode(bytes);
-    EXPECT_EQ(back.state.cache_state, state.cache_state);
-
-    // Resume with a fresh synthesizer and an EMPTY cache: restore must
-    // repopulate it from the snapshot.
-    auto cache = std::make_shared<solver::SolverCache>(4096);
-    synth::SynthesisConfig config = base_config(w, max_iterations);
-    config.solver_cache = cache;
-    LoggingOracle user(w.sketch, w.target, config.finder.tie_tolerance);
-    synth::Synthesizer s = synth::make_z3_synthesizer(w.sketch, config);
-    const synth::SynthesisResult r = s.resume(user, back.state);
-    EXPECT_GT(cache->size(), 0u) << "resume did not restore the cache";
-    ASSERT_TRUE(r.objective.has_value());
-    EXPECT_EQ(r.objective->index, ref.objective->index)
-        << "resume at iteration " << state.iterations;
-    EXPECT_EQ(r.iterations, ref.iterations);
-    const std::vector<std::string> expected(ref_user.log.begin() + log_len,
-                                            ref_user.log.end());
-    EXPECT_EQ(user.log, expected)
-        << "resumed query sequence diverged at iteration "
-        << state.iterations;
-  }
+  // Re-encoding writes the section back empty.
+  EXPECT_NE(session::encode(snap).find("\n@cache 0\n\n"), std::string::npos);
 }
 
 }  // namespace

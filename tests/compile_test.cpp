@@ -4,8 +4,8 @@
 // and ill-typed-node errors — on every library sketch and on fuzzer-generated
 // ASTs (in the spirit of the klee-mc ExprXChkBuilder oracle pattern, where a
 // fast builder is cross-checked against a reference builder on every query).
-// Also proves GridFinder's backends interchangeable: tree vs compiled,
-// sequential vs parallel, produce identical version spaces.
+// GridFinder's sync over these tapes is checked against a brute-force
+// reference in tests/grid_reference_test.cpp.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,14 +16,11 @@
 #include <string>
 #include <vector>
 
-#include "oracle/ground_truth.h"
-#include "pref/graph.h"
 #include "sketch/compile.h"
 #include "sketch/eval.h"
 #include "sketch/library.h"
 #include "sketch/parser.h"
 #include "sketch/printer.h"
-#include "solver/grid_finder.h"
 #include "util/rng.h"
 
 namespace compsynth::sketch {
@@ -614,190 +611,3 @@ INSTANTIATE_TEST_SUITE_P(Random, IllTypedBatchFuzz, ::testing::Range(0, 50));
 
 }  // namespace
 }  // namespace compsynth::sketch
-
-// --- GridFinder backend equivalence -----------------------------------------
-
-namespace compsynth::solver {
-namespace {
-
-// Interns `n_new` random scenarios into `graph` and records the oracle's
-// answer for every pair involving a new scenario — the way the real
-// interaction loop grows G (append-only: existing edges keep their indices).
-void grow_swan_graph(pref::PreferenceGraph& graph,
-                     std::vector<pref::VertexId>& vertices, int n_new,
-                     oracle::GroundTruthOracle& user, util::Rng& rng) {
-  const sketch::Sketch& sk = sketch::swan_sketch();
-  const std::size_t old_count = vertices.size();
-  for (int i = 0; i < n_new; ++i) {
-    pref::Scenario s;
-    for (const auto& m : sk.metrics()) {
-      s.metrics.push_back(rng.uniform_real(m.lo, m.hi));
-    }
-    vertices.push_back(graph.intern(s));
-  }
-  for (std::size_t j = old_count; j < vertices.size(); ++j) {
-    for (std::size_t i = 0; i < j; ++i) {
-      const auto pref = user.compare(graph.scenario(vertices[i]),
-                                     graph.scenario(vertices[j]));
-      if (pref == oracle::Preference::kFirst) {
-        graph.add_preference(vertices[i], vertices[j]);
-      } else if (pref == oracle::Preference::kSecond) {
-        graph.add_preference(vertices[j], vertices[i]);
-      } else {
-        graph.add_tie(vertices[i], vertices[j]);
-      }
-    }
-  }
-}
-
-// A small but non-trivial preference graph over the SWAN sketch, answered by
-// the Fig. 2b ground-truth target.
-pref::PreferenceGraph swan_workload_graph(int n_scenarios, std::uint64_t seed) {
-  oracle::GroundTruthOracle user(sketch::swan_sketch(), sketch::swan_target());
-  util::Rng rng(seed);
-  pref::PreferenceGraph graph;
-  std::vector<pref::VertexId> vertices;
-  grow_swan_graph(graph, vertices, n_scenarios, user, rng);
-  return graph;
-}
-
-std::vector<sketch::HoleAssignment> assignments_of(const GridFinder& finder) {
-  std::vector<sketch::HoleAssignment> out;
-  out.reserve(finder.survivors().size());
-  for (const Survivor& s : finder.survivors()) out.push_back(s.assignment);
-  return out;
-}
-
-GridFinder make_finder(EvalBackend backend, int threads) {
-  GridFinderConfig config;
-  config.eval_backend = backend;
-  config.threads = threads;
-  return GridFinder(sketch::swan_sketch(), config);
-}
-
-// Restores the dispatched lane kernel when a test that forces ISAs exits.
-struct IsaOverride {
-  sketch::LaneIsa saved = sketch::active_lane_isa();
-  explicit IsaOverride(sketch::LaneIsa isa) {
-    EXPECT_TRUE(sketch::set_active_lane_isa(isa));
-  }
-  ~IsaOverride() { sketch::set_active_lane_isa(saved); }
-};
-
-TEST(GridFinderBackends, IdenticalVersionSpacesAcrossBackendsAndThreads) {
-  const pref::PreferenceGraph graph = swan_workload_graph(10, 77);
-
-  GridFinder tree = make_finder(EvalBackend::kTree, 1);
-  GridFinder compiled_seq = make_finder(EvalBackend::kCompiled, 1);
-  GridFinder compiled_par = make_finder(EvalBackend::kCompiled, 4);
-  GridFinder batch_seq = make_finder(EvalBackend::kBatch, 1);
-  GridFinder batch_par = make_finder(EvalBackend::kBatch, 4);
-  tree.sync(graph);
-  compiled_seq.sync(graph);
-  compiled_par.sync(graph);
-  batch_seq.sync(graph);
-  batch_par.sync(graph);
-
-  const auto reference = assignments_of(tree);
-  ASSERT_FALSE(reference.empty());
-  EXPECT_EQ(assignments_of(compiled_seq), reference);
-  EXPECT_EQ(assignments_of(compiled_par), reference);
-  EXPECT_EQ(assignments_of(batch_seq), reference);
-  EXPECT_EQ(assignments_of(batch_par), reference);
-
-  // The batch backend must land on the same version space under every lane
-  // kernel the host supports — the survivors are the user-visible product of
-  // the SIMD path, so this is the dispatch-equivalence assertion.
-  for (const sketch::LaneIsa isa :
-       {sketch::LaneIsa::kScalar, sketch::LaneIsa::kAvx2}) {
-    if (!sketch::lane_isa_supported(isa)) continue;
-    IsaOverride force(isa);
-    GridFinder batch_isa = make_finder(EvalBackend::kBatch, 1);
-    batch_isa.sync(graph);
-    EXPECT_EQ(assignments_of(batch_isa), reference)
-        << sketch::lane_isa_name(isa);
-  }
-}
-
-TEST(GridFinderBackends, BatchHandlesGridNotDivisibleByLaneWidth) {
-  // 13 candidates: one full 8-wide lane group plus a 5-wide tail. The batch
-  // backend must produce exactly the tree backend's survivors.
-  const sketch::Sketch sk = sketch::parse_sketch(
-      "sketch tail(m in [0, 10]) {"
-      "  hole a in grid(0, 3, 13);"
-      "  if m > 5 then a * m else a + m"
-      "}");
-  ASSERT_NE(static_cast<std::size_t>(13) % sketch::kBatchLaneWidth, 0u);
-
-  sketch::HoleAssignment target;
-  target.index.push_back(7);
-  oracle::GroundTruthOracle user(sk, target);
-  util::Rng rng(5);
-  pref::PreferenceGraph graph;
-  std::vector<pref::VertexId> vertices;
-  for (int i = 0; i < 6; ++i) {
-    pref::Scenario s;
-    s.metrics.push_back(rng.uniform_real(0, 10));
-    vertices.push_back(graph.intern(s));
-  }
-  for (std::size_t j = 0; j < vertices.size(); ++j) {
-    for (std::size_t i = 0; i < j; ++i) {
-      const auto pref = user.compare(graph.scenario(vertices[i]),
-                                     graph.scenario(vertices[j]));
-      if (pref == oracle::Preference::kFirst) {
-        graph.add_preference(vertices[i], vertices[j]);
-      } else if (pref == oracle::Preference::kSecond) {
-        graph.add_preference(vertices[j], vertices[i]);
-      } else {
-        graph.add_tie(vertices[i], vertices[j]);
-      }
-    }
-  }
-
-  GridFinderConfig tree_config;
-  tree_config.eval_backend = EvalBackend::kTree;
-  tree_config.threads = 1;
-  GridFinder tree(sk, tree_config);
-  GridFinderConfig batch_config;
-  batch_config.eval_backend = EvalBackend::kBatch;
-  batch_config.threads = 1;
-  GridFinder batch(sk, batch_config);
-  tree.sync(graph);
-  batch.sync(graph);
-
-  ASSERT_FALSE(assignments_of(tree).empty());
-  EXPECT_EQ(assignments_of(batch), assignments_of(tree));
-}
-
-TEST(GridFinderBackends, IncrementalFilterMatchesFullRebuild) {
-  // Sync on a prefix of the answers, then extend the graph in place: the
-  // incremental filter path (memoized vertex values, new edges only) must
-  // land on exactly the version space a from-scratch rebuild computes.
-  oracle::GroundTruthOracle user(sketch::swan_sketch(), sketch::swan_target());
-  util::Rng rng(31);
-  pref::PreferenceGraph graph;
-  std::vector<pref::VertexId> vertices;
-  grow_swan_graph(graph, vertices, 6, user, rng);
-
-  GridFinder incremental = make_finder(EvalBackend::kCompiled, 4);
-  GridFinder batch_incremental = make_finder(EvalBackend::kBatch, 4);
-  incremental.sync(graph);
-  batch_incremental.sync(graph);
-  const std::size_t after_prefix = incremental.version_space_size();
-
-  grow_swan_graph(graph, vertices, 6, user, rng);
-  incremental.sync(graph);
-  batch_incremental.sync(graph);
-
-  GridFinder fresh = make_finder(EvalBackend::kCompiled, 1);
-  fresh.sync(graph);
-
-  EXPECT_LE(incremental.version_space_size(), after_prefix);
-  EXPECT_EQ(assignments_of(incremental), assignments_of(fresh));
-  // The sharded batch filter (memoized lanes, new constraints only) must land
-  // on the identical version space.
-  EXPECT_EQ(assignments_of(batch_incremental), assignments_of(fresh));
-}
-
-}  // namespace
-}  // namespace compsynth::solver

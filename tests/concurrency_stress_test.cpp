@@ -1,12 +1,12 @@
 // Seeded concurrency stress tests over the shared-state surfaces annotated
-// in this tree (docs/CONCURRENCY.md): metrics instruments, the solver
-// cache, the thread pool, the portfolio's cancel/interrupt paths and the
-// session host. Every test asserts an invariant that a lost update or a
-// torn read would break (histogram count == bin sum, LRU residency bound,
-// no lost answers), so the suite is meaningful both natively — where a race
-// shows up as a wrong count — and under TSan (scripts/check_tsan.sh runs
-// `ctest -R ConcurrencyStress` instrumented), where the same schedules
-// surface the underlying data race directly.
+// in this tree (docs/CONCURRENCY.md): metrics instruments, the thread
+// pool, the portfolio's cancel/interrupt paths and the session host. Every
+// test asserts an invariant that a lost update or a torn read would break
+// (histogram count == bin sum, LRU residency bound, no lost answers), so
+// the suite is meaningful both natively — where a race shows up as a wrong
+// count — and under TSan (scripts/check_tsan.sh runs `ctest -R
+// ConcurrencyStress` instrumented), where the same schedules surface the
+// underlying data race directly.
 //
 // All workloads are seeded and fixed-size: thread counts, iteration counts
 // and RNG streams are constants, so a failure reproduces.
@@ -30,7 +30,6 @@
 #include "sketch/library.h"
 #include "sketch/parser.h"
 #include "solver/grid_finder.h"
-#include "solver/solver_cache.h"
 #include "solver/z3_finder.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -151,62 +150,6 @@ TEST(ConcurrencyStressMetrics, RegistryResolutionIsStableUnderContention) {
   EXPECT_EQ(reg.counters().size(), 1u);
   EXPECT_EQ(reg.gauges().size(), 1u);
   EXPECT_EQ(reg.histograms().size(), 1u);
-}
-
-// --- SolverCache ------------------------------------------------------------
-
-TEST(ConcurrencyStressSolverCache, BoundedAndCoherentUnderChurn) {
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 4000;
-  constexpr std::size_t kCapacity = 32;
-  constexpr int kKeySpace = 100;  // > capacity, so eviction churns
-  solver::SolverCache cache(kCapacity);
-  SpinBarrier barrier(kThreads);
-  std::vector<long> lookups(kThreads), corrupt(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      util::Rng rng(3000u + static_cast<std::uint64_t>(t));
-      long my_lookups = 0, my_corrupt = 0;
-      barrier.arrive_and_wait();
-      for (int i = 0; i < kPerThread; ++i) {
-        const std::string key =
-            "k" + std::to_string(rng.uniform_int(0, kKeySpace - 1));
-        if (rng.bernoulli(0.5)) {
-          cache.store(key, key + ":value");
-        } else {
-          ++my_lookups;
-          // A hit must return the value stored under exactly this key;
-          // anything else means entries_/order_ tore under contention.
-          if (const auto v = cache.lookup(key)) {
-            if (*v != key + ":value") ++my_corrupt;
-          }
-        }
-      }
-      lookups[static_cast<std::size_t>(t)] = my_lookups;
-      corrupt[static_cast<std::size_t>(t)] = my_corrupt;
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  long total_lookups = 0, total_corrupt = 0;
-  for (int t = 0; t < kThreads; ++t) {
-    total_lookups += lookups[static_cast<std::size_t>(t)];
-    total_corrupt += corrupt[static_cast<std::size_t>(t)];
-  }
-  EXPECT_EQ(total_corrupt, 0);
-  EXPECT_LE(cache.size(), kCapacity);
-  const solver::SolverCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, total_lookups);
-  EXPECT_EQ(stats.stores,
-            static_cast<long long>(kThreads) * kPerThread - total_lookups);
-  // Eviction kept the map and the FIFO queue in lockstep: a desynced pair
-  // would leave size() above the bound or save_state inconsistent.
-  EXPECT_NO_THROW({
-    solver::SolverCache restored(kCapacity);
-    restored.restore_state(cache.save_state());
-    EXPECT_EQ(restored.size(), cache.size());
-  });
 }
 
 // --- ThreadPool -------------------------------------------------------------

@@ -41,8 +41,7 @@ namespace compsynth::dist {
 namespace {
 
 // A preference graph a ground-truth user would produce: random scenarios in
-// the sketch's metric box, pairwise-ranked by the target assignment (the
-// idiom of tests/prune_differential_test.cpp).
+// the sketch's metric box, pairwise-ranked by the target assignment.
 pref::PreferenceGraph ground_truth_graph(const sketch::Sketch& sk,
                                          const sketch::HoleAssignment& target,
                                          int scenarios, std::uint64_t seed,

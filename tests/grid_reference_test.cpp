@@ -1,0 +1,382 @@
+// Survivor-set reference for GridFinder::sync.
+//
+// GridFinder has one sync engine: the lane tape over fixed-range shards
+// (docs/EVALUATOR.md). These tests hold it to the plainest statement of the
+// version space, computed by brute force with the tree interpreter: walk
+// every linear candidate index in order (hole 0 fastest), skip candidates
+// the Viability callback rejects, and keep a candidate when every edge's
+// better vertex scores strictly above its worse vertex and every tie's two
+// vertices lie within tie_tolerance + 1e-9 — constraints checked in graph
+// order, better/first vertex before worse/second, stopping at the first
+// failure. The first sketch::EvalError met that way, in candidate order, is
+// the one sync must throw.
+//
+// The comparison covers SWAN, ABR-QoE, homenet and a 13-candidate sketch
+// (one full lane group plus a tail); every lane ISA the host supports; 1 and
+// 4 threads; full and incremental syncs; a concrete Viability callback; and
+// a sketch whose candidates raise (division by zero — the only evaluation
+// error a type-checked sketch can hit). It checks survivor assignments, hole
+// values, linear indices, and every memoized vertex value that is set.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "pref/graph.h"
+#include "sketch/compile.h"
+#include "sketch/eval.h"
+#include "sketch/library.h"
+#include "sketch/parser.h"
+#include "solver/grid_finder.h"
+#include "util/rng.h"
+
+namespace compsynth::solver {
+namespace {
+
+const double kTieTolerance = FinderConfig{}.tie_tolerance;
+
+struct ReferenceSurvivor {
+  std::int64_t linear = 0;
+  sketch::HoleAssignment assignment;
+  std::vector<double> hole_values;
+};
+
+struct Reference {
+  std::vector<ReferenceSurvivor> survivors;
+  /// what() of the first EvalError in candidate order, if any candidate
+  /// raised before being ruled out.
+  std::optional<std::string> error;
+};
+
+Reference reference_sync(const sketch::Sketch& sk,
+                         const pref::PreferenceGraph& graph,
+                         const Viability& viability = {}) {
+  const double tie_bound = kTieTolerance + 1e-9;
+  Reference ref;
+  for (std::int64_t linear = 0; linear < sk.candidate_space_size(); ++linear) {
+    ReferenceSurvivor c;
+    c.linear = linear;
+    std::int64_t rest = linear;
+    for (const sketch::HoleSpec& h : sk.holes()) {
+      c.assignment.index.push_back(rest % h.count);
+      rest /= h.count;
+    }
+    c.hole_values = sk.hole_values(c.assignment);
+    if (viability.concrete && !viability.concrete(c.hole_values)) continue;
+    const auto f = [&](pref::VertexId v) {
+      return sketch::eval_with_values(sk, c.hole_values,
+                                      graph.scenario(v).metrics);
+    };
+    bool keep = true;
+    try {
+      for (const pref::Edge& e : graph.edges()) {
+        const double better = f(e.better);
+        const double worse = f(e.worse);
+        if (!(better > worse)) {
+          keep = false;
+          break;
+        }
+      }
+      for (std::size_t t = 0; keep && t < graph.ties().size(); ++t) {
+        const double fu = f(graph.ties()[t].first);
+        const double fv = f(graph.ties()[t].second);
+        if (std::abs(fu - fv) > tie_bound) keep = false;
+      }
+    } catch (const sketch::EvalError& err) {
+      ref.error = err.what();
+      return ref;
+    }
+    if (keep) ref.survivors.push_back(std::move(c));
+  }
+  return ref;
+}
+
+void expect_matches(const GridFinder& finder, const Reference& ref,
+                    const sketch::Sketch& sk,
+                    const pref::PreferenceGraph& graph,
+                    const std::string& what) {
+  ASSERT_FALSE(ref.error.has_value()) << what << ": " << *ref.error;
+  const std::vector<Survivor>& got = finder.survivors();
+  ASSERT_EQ(got.size(), ref.survivors.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const ReferenceSurvivor& want = ref.survivors[i];
+    ASSERT_EQ(got[i].assignment, want.assignment) << what << ", survivor " << i;
+    ASSERT_EQ(got[i].hole_values, want.hole_values)
+        << what << ", survivor " << i;
+    ASSERT_EQ(got[i].linear, want.linear) << what << ", survivor " << i;
+    for (std::size_t v = 0; v < got[i].vertex_values.size(); ++v) {
+      const double memo = got[i].vertex_values[v];
+      if (std::isnan(memo)) continue;  // not computed
+      ASSERT_EQ(memo, sketch::eval_with_values(sk, want.hole_values,
+                                               graph.scenario(v).metrics))
+          << what << ", survivor " << i << ", vertex " << v;
+    }
+  }
+}
+
+/// Appends `n` random scenarios from the sketch's metric box and the
+/// answers a user with hole values `target` gives for every pair involving
+/// a new one — append-only, as the interaction loop grows the graph.
+void grow(pref::PreferenceGraph& graph, const sketch::Sketch& sk,
+          const std::vector<double>& target, int n, util::Rng& rng) {
+  const pref::VertexId first_new = graph.vertex_count();
+  for (int i = 0; i < n; ++i) {
+    pref::Scenario s;
+    for (const sketch::MetricSpec& m : sk.metrics()) {
+      s.metrics.push_back(rng.uniform_real(m.lo, m.hi));
+    }
+    graph.intern(s);
+  }
+  const auto score = [&](pref::VertexId v) {
+    return sketch::eval_with_values(sk, target, graph.scenario(v).metrics);
+  };
+  for (pref::VertexId j = first_new; j < graph.vertex_count(); ++j) {
+    for (pref::VertexId i = 0; i < j; ++i) {
+      const double fi = score(i);
+      const double fj = score(j);
+      if (std::abs(fi - fj) <= kTieTolerance) {
+        graph.add_tie(i, j);
+      } else if (fi > fj) {
+        graph.add_preference(i, j);
+      } else {
+        graph.add_preference(j, i);
+      }
+    }
+  }
+}
+
+std::vector<sketch::LaneIsa> supported_isas() {
+  std::vector<sketch::LaneIsa> out;
+  for (const sketch::LaneIsa isa :
+       {sketch::LaneIsa::kScalar, sketch::LaneIsa::kAvx2}) {
+    if (sketch::lane_isa_supported(isa)) out.push_back(isa);
+  }
+  return out;
+}
+
+// Restores the dispatched lane kernel when a test that forces ISAs exits.
+struct IsaOverride {
+  sketch::LaneIsa saved = sketch::active_lane_isa();
+  explicit IsaOverride(sketch::LaneIsa isa) {
+    EXPECT_TRUE(sketch::set_active_lane_isa(isa));
+  }
+  ~IsaOverride() { sketch::set_active_lane_isa(saved); }
+};
+
+GridFinder make_finder(const sketch::Sketch& sk, int threads,
+                       const Viability& viability = {}) {
+  GridFinderConfig config;
+  config.threads = threads;
+  return GridFinder(sk, config, viability);
+}
+
+/// Syncs a `first`-scenario graph (full rebuild), grows it by `more`
+/// scenarios and syncs again (incremental filter), then rebuilds from
+/// scratch on the grown graph — under every supported ISA at 1 and 4
+/// threads, each result against the reference.
+void check_against_reference(const sketch::Sketch& sk,
+                             const std::vector<double>& target, int first,
+                             int more, std::uint64_t seed,
+                             const Viability& viability = {}) {
+  util::Rng rng(seed);
+  pref::PreferenceGraph graph;
+  grow(graph, sk, target, first, rng);
+  pref::PreferenceGraph grown = graph;
+  grow(grown, sk, target, more, rng);
+  const Reference ref = reference_sync(sk, graph, viability);
+  const Reference grown_ref = reference_sync(sk, grown, viability);
+  ASSERT_FALSE(grown_ref.survivors.empty())
+      << "the target itself must survive";
+  ASSERT_LT(grown_ref.survivors.size(), ref.survivors.size())
+      << "the added answers must shrink the version space";
+
+  for (const sketch::LaneIsa isa : supported_isas()) {
+    IsaOverride force(isa);
+    for (const int threads : {1, 4}) {
+      const std::string what = sk.name() + " " + sketch::lane_isa_name(isa) +
+                               " x" + std::to_string(threads);
+      GridFinder finder = make_finder(sk, threads, viability);
+      finder.sync(graph);
+      expect_matches(finder, ref, sk, graph, what + " full");
+      finder.sync(grown);
+      expect_matches(finder, grown_ref, sk, grown, what + " incremental");
+      GridFinder fresh = make_finder(sk, threads, viability);
+      fresh.sync(grown);
+      expect_matches(fresh, grown_ref, sk, grown, what + " full, grown");
+    }
+  }
+}
+
+std::vector<double> middle_values(const sketch::Sketch& sk) {
+  sketch::HoleAssignment a;
+  for (const sketch::HoleSpec& h : sk.holes()) a.index.push_back(h.count / 2);
+  return sk.hole_values(a);
+}
+
+TEST(GridFinderReference, Swan) {
+  const sketch::Sketch& sk = sketch::swan_sketch();
+  check_against_reference(sk, sk.hole_values(sketch::swan_target()), 6, 4, 77);
+}
+
+TEST(GridFinderReference, AbrQoe) {
+  const sketch::Sketch& sk = sketch::abr_qoe_sketch();
+  check_against_reference(sk, middle_values(sk), 5, 3, 13);
+}
+
+TEST(GridFinderReference, Homenet) {
+  const sketch::Sketch& sk = sketch::homenet_sketch();
+  check_against_reference(sk, middle_values(sk), 2, 4, 14);
+}
+
+TEST(GridFinderReference, TailGroupNarrowerThanLaneWidth) {
+  // 13 candidates: one full lane group plus a 5-wide tail. The target
+  // (a = 0) scores every m > 5 scenario 0 and every other one 1, so the
+  // graph holds ties as well as edges, and only the ties among m > 5
+  // scenarios rule out the candidates with small a.
+  const sketch::Sketch sk = sketch::parse_sketch(
+      "sketch tail(m in [0, 10]) {"
+      "  hole a in grid(0, 0.25, 13);"
+      "  if m > 5 then a * (m - 5) else 1"
+      "}");
+  ASSERT_NE(static_cast<std::size_t>(sk.candidate_space_size()) %
+                sketch::kBatchLaneWidth,
+            0u);
+  check_against_reference(sk, {0.0}, 1, 3, 5);
+}
+
+TEST(GridFinderReference, ConcreteViabilityCallback) {
+  // Keeps only candidates whose first slope does not exceed the second
+  // (about half the SWAN grid, the Fig. 2b target included); the rejected
+  // ones must vanish from every sync.
+  const sketch::Sketch& sk = sketch::swan_sketch();
+  Viability viability;
+  viability.concrete = [](std::span<const double> holes) {
+    return holes[2] <= holes[3];
+  };
+  check_against_reference(sk, sk.hole_values(sketch::swan_target()), 6, 4, 78,
+                          viability);
+}
+
+// A sketch whose candidates (a, b) = (3, 10) and (12, 450) divide by zero
+// at m == 5 and only there. Candidate order is linear a + 13 b, so 133
+// comes before 5862, and 13 x 700 = 9100 candidates span three fixed-range
+// shards (the two raising candidates fall in the first and the second).
+// Every other candidate scores b - a * m, which prefers small m when a > 0.
+const sketch::Sketch& raising_sketch() {
+  static const sketch::Sketch sk = sketch::parse_sketch(
+      "sketch raising(m in [0, 10]) {"
+      "  hole a in grid(0, 1, 13);"
+      "  hole b in grid(0, 1, 700);"
+      "  if (a == 3 && b == 10) || (a == 12 && b == 450)"
+      "  then m / (m - 5) else b - a * m"
+      "}");
+  return sk;
+}
+
+// Both raising candidates are viable by default; `skip` names the ones the
+// callback rejects (by a value).
+Viability rejecting(std::vector<double> skip) {
+  Viability v;
+  v.concrete = [skip = std::move(skip)](std::span<const double> holes) {
+    for (const double a : skip) {
+      if (holes[0] == a) return false;
+    }
+    return true;
+  };
+  return v;
+}
+
+// Interns the scenarios m = 2, 5, 8, 9 and adds, in this order, `edges` of
+// (better m, worse m).
+pref::PreferenceGraph edge_graph(
+    const std::vector<std::pair<double, double>>& edges) {
+  pref::PreferenceGraph graph;
+  const auto at = [&](double m) {
+    pref::Scenario s;
+    s.metrics.push_back(m);
+    return graph.intern(s);
+  };
+  for (const double m : {2.0, 5.0, 8.0, 9.0}) at(m);
+  for (const auto& [better, worse] : edges) {
+    graph.add_preference(at(better), at(worse));
+  }
+  return graph;
+}
+
+/// Runs sync under every supported ISA at 1 and 4 threads and checks it
+/// against `ref`: the same EvalError message when the reference raises,
+/// the same survivors otherwise. `before`, when given, is synced first so
+/// that the checked sync is an incremental one.
+void check_raising(const pref::PreferenceGraph& graph,
+                   const Viability& viability, const std::string& what,
+                   const pref::PreferenceGraph* before = nullptr) {
+  const sketch::Sketch& sk = raising_sketch();
+  const Reference ref = reference_sync(sk, graph, viability);
+  for (const sketch::LaneIsa isa : supported_isas()) {
+    IsaOverride force(isa);
+    for (const int threads : {1, 4}) {
+      const std::string where = what + ", " + sketch::lane_isa_name(isa) +
+                                " x" + std::to_string(threads);
+      GridFinder finder = make_finder(sk, threads, viability);
+      if (before != nullptr) finder.sync(*before);
+      std::optional<std::string> error;
+      try {
+        finder.sync(graph);
+      } catch (const sketch::EvalError& err) {
+        error = err.what();
+      }
+      EXPECT_EQ(error, ref.error) << where;
+      if (!ref.error.has_value()) {
+        expect_matches(finder, ref, sk, graph, where);
+      }
+    }
+  }
+}
+
+TEST(GridFinderReference, RaisingCandidatesMatchReference) {
+  // m = 5 is the better end of the first edge, so each viable raising
+  // candidate raises on its first evaluation.
+  const pref::PreferenceGraph graph = edge_graph({{5, 9}, {2, 8}});
+  check_raising(graph, {}, "both raise");
+  check_raising(graph, rejecting({3}), "first not viable");
+  check_raising(graph, rejecting({12}), "second not viable");
+  check_raising(graph, rejecting({3, 12}), "neither viable");
+  EXPECT_TRUE(reference_sync(raising_sketch(), graph).error.has_value());
+  EXPECT_FALSE(
+      reference_sync(raising_sketch(), graph, rejecting({3, 12})).error);
+}
+
+TEST(GridFinderReference, ErrorBehindAFailedConstraintIsNotRaised) {
+  // Each raising candidate scores 2/(2-5) < 8/(8-5), so the (2, 8) edge
+  // rules it out; when that edge comes first, the m = 5 vertex is never
+  // evaluated for it, although the lane tape evaluates m = 5 for its
+  // whole lane group.
+  const pref::PreferenceGraph safe = edge_graph({{2, 8}, {5, 9}});
+  check_raising(safe, {}, "failed edge first");
+  ASSERT_FALSE(reference_sync(raising_sketch(), safe).error.has_value());
+
+  // Incremental: the first sync already ruled the raising candidates out,
+  // so the new edge through m = 5 never reaches them.
+  const pref::PreferenceGraph prefix = edge_graph({{2, 8}});
+  check_raising(safe, {}, "incremental, failed edge first", &prefix);
+}
+
+TEST(GridFinderReference, IncrementalSyncRaisesLikeTheReference) {
+  // Nothing is evaluated against a graph without constraints, so every
+  // candidate survives the first sync; the incremental filter then reaches
+  // the raising candidates through the new edge.
+  const pref::PreferenceGraph empty = edge_graph({});
+  const pref::PreferenceGraph graph = edge_graph({{5, 9}});
+  ASSERT_TRUE(reference_sync(raising_sketch(), graph).error.has_value());
+  check_raising(graph, {}, "incremental", &empty);
+  check_raising(graph, rejecting({3, 12}), "incremental, neither viable",
+                &empty);
+}
+
+}  // namespace
+}  // namespace compsynth::solver

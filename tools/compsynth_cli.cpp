@@ -20,9 +20,6 @@
 //                       mode = race (default) | pin-grid | pin-z3, the pins
 //                       being deterministic single-leg variants. Overrides
 //                       --backend.
-//   --solver-cache [n]  cache Z3 verdicts across queries (n = max entries,
-//                       default 4096); repeated identical (sketch, graph)
-//                       queries replay without touching the solver
 //   --no-incremental    rebuild the Z3 encoding from scratch every query
 //                       instead of extending it via push/pop (debugging /
 //                       A-B timing; verdicts are identical either way)
@@ -79,7 +76,7 @@ struct Options {
 void usage(std::ostream& os) {
   os << "usage: compsynth_cli <sketch-file> [--target <expr>] [--backend z3|grid]\n"
         "       [--workers ep1,ep2,...] [--portfolio [race|pin-grid|pin-z3]]\n"
-        "       [--solver-cache [entries]] [--no-incremental] [--pairs k]\n"
+        "       [--no-incremental] [--pairs k]\n"
         "       [--initial n] [--max-iters n] [--seed n] [--resume file]\n"
         "       [--save file] [--trace file] [--metrics] [--quiet]\n";
 }
@@ -139,17 +136,6 @@ std::optional<Options> parse_args(int argc, char** argv) {
                                    : solver::PortfolioMode::kPinZ3;
         }
       }
-    } else if (arg == "--solver-cache") {
-      std::size_t entries = 4096;
-      if (i + 1 < argc) {
-        const std::string next = argv[i + 1];
-        if (!next.empty() &&
-            next.find_first_not_of("0123456789") == std::string::npos) {
-          ++i;
-          entries = static_cast<std::size_t>(std::stoull(next));
-        }
-      }
-      opt.config.solver_cache = std::make_shared<solver::SolverCache>(entries);
     } else if (arg == "--no-incremental") {
       opt.config.finder.incremental = false;
     } else if (arg == "--pairs") {

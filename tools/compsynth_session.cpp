@@ -20,9 +20,6 @@
 //                              --backend; the mode is recorded in the
 //                              snapshot's backend tag, so resume must pass
 //                              the same mode.
-//   --solver-cache [n]         cache Z3 verdicts across queries (n = max
-//                              entries, default 4096); contents persist
-//                              through snapshots via the @cache section
 //   --no-incremental           rebuild the Z3 encoding per query instead of
 //                              extending it via push/pop
 //   --dir <dir>                snapshot directory (required)
@@ -97,7 +94,7 @@ void usage(std::ostream& os) {
   os << "usage: compsynth_session run|resume <sketch-file> --target <expr> "
         "--dir <dir>\n"
         "         [--backend z3|grid] [--portfolio [race|pin-grid|pin-z3]]\n"
-        "         [--solver-cache [entries]] [--no-incremental]\n"
+        "         [--no-incremental]\n"
         "         [--every k] [--keep n] [--pairs k]\n"
         "         [--initial n] [--max-iters n] [--seed n] [--stop-after n]\n"
         "         [--trace file] [--metrics] [--quiet]\n"
@@ -158,17 +155,6 @@ std::optional<Options> parse_args(int argc, char** argv) {
                                    : solver::PortfolioMode::kPinZ3;
         }
       }
-    } else if (arg == "--solver-cache") {
-      std::size_t entries = 4096;
-      if (i + 1 < argc) {
-        const std::string next = argv[i + 1];
-        if (!next.empty() &&
-            next.find_first_not_of("0123456789") == std::string::npos) {
-          ++i;
-          entries = static_cast<std::size_t>(std::stoull(next));
-        }
-      }
-      opt.config.solver_cache = std::make_shared<solver::SolverCache>(entries);
     } else if (arg == "--no-incremental") {
       opt.config.finder.incremental = false;
     } else if (arg == "--dir") {

@@ -87,24 +87,16 @@ struct RunReport {
   // Survivor count of the most recent grid_sync, attached to the next
   // iteration event (the sync happens inside that iteration's solver call).
   std::optional<long long> pending_survivors;
-  // Static-analysis events: the synthesizer's lint summary (kind=lint) and
-  // accumulated GridFinder pruning totals (kind=prune).
+  // The synthesizer's static-analysis lint summary ("analysis", kind=lint).
   std::optional<JsonObject> lint;
-  // Solver-acceleration events (docs/SOLVER.md): cache traffic, interval
-  // pre-check discharges, incremental encoding reuse, portfolio race wins.
-  long long cache_hits = 0;
-  long long cache_misses = 0;
-  long long cache_stores = 0;
+  // Solver-acceleration events (docs/SOLVER.md): interval pre-check
+  // discharges, incremental encoding reuse, portfolio race wins.
   long long precheck_hits = 0;
   long long incremental_reuses = 0;
   long long incremental_builds = 0;
   long long portfolio_races = 0;
   long long portfolio_grid_wins = 0;
   long long portfolio_z3_wins = 0;
-  long long prune_events = 0;
-  long long pruned_regions = 0;
-  long long pruned_candidates = 0;
-  long long degenerate_dims = 0;
   // Batched lane evaluator (schema rev 1.5): grid_sync's selected lane ISA
   // ("scalar" / "avx2") -> sync count, plus the reported lane width.
   std::map<std::string, long long> lane_isas;
@@ -116,7 +108,9 @@ struct RunReport {
   long long rehydrations = 0;
   long long replayed_answers = 0;
   // Event kinds this report does not understand (a newer producer's schema
-  // revision): tallied and rendered rather than silently dropped.
+  // revision, or one an older revision had and 1.7 removed, such as
+  // "solver_cache" and "analysis" kind=prune): tallied and rendered rather
+  // than silently dropped.
   std::map<std::string, long long> unknown;
   long long events = 0;
 };
@@ -156,24 +150,9 @@ void absorb(RunReport& run, const JsonObject& obj, const std::string& ev) {
     const std::string kind = str_or(obj, "kind", "?");
     if (kind == "lint") {
       run.lint = obj;
-    } else if (kind == "prune") {
-      auto& [count, secs] = run.components["analysis"];
-      ++count;
-      secs += num_or(obj, "secs", 0);
-      ++run.prune_events;
-      run.pruned_regions +=
-          static_cast<long long>(num_or(obj, "pruned_regions", 0));
-      run.pruned_candidates +=
-          static_cast<long long>(num_or(obj, "pruned_candidates", 0));
-      run.degenerate_dims = std::max(
-          run.degenerate_dims,
-          static_cast<long long>(num_or(obj, "degenerate_dims", 0)));
+    } else {
+      ++run.unknown[ev + "/" + kind];
     }
-  } else if (ev == "solver_cache") {
-    const std::string op = str_or(obj, "op", "?");
-    if (op == "hit") ++run.cache_hits;
-    if (op == "miss") ++run.cache_misses;
-    if (op == "store") ++run.cache_stores;
   } else if (ev == "interval_precheck") {
     ++run.precheck_hits;
   } else if (ev == "z3_incremental") {
@@ -268,13 +247,6 @@ void render_run(std::ostream& os, const RunReport& run) {
     }
     os << ".\n\n";
   }
-  if (run.prune_events > 0) {
-    os << "Analysis pruning: " << run.pruned_candidates
-       << " candidate(s) skipped across " << run.pruned_regions
-       << " refuted region(s), " << run.degenerate_dims
-       << " degenerate dim(s), over " << run.prune_events
-       << " rebuild(s).\n\n";
-  }
   if (!run.lane_isas.empty()) {
     os << "Batched evaluator: ";
     bool first = true;
@@ -289,19 +261,10 @@ void render_run(std::ostream& os, const RunReport& run) {
 
   // Solver acceleration: only rendered when the run exercised any of it, so
   // plain grid-backend reports stay unchanged.
-  if (run.cache_hits + run.cache_misses + run.precheck_hits +
-          run.incremental_reuses + run.incremental_builds +
+  if (run.precheck_hits + run.incremental_reuses + run.incremental_builds +
           run.portfolio_races >
       0) {
     os << "### Solver acceleration\n\n| accelerator | value |\n|---|---|\n";
-    if (run.cache_hits + run.cache_misses > 0) {
-      const double rate =
-          100.0 * run.cache_hits / (run.cache_hits + run.cache_misses);
-      os << "| cache hits / lookups | " << run.cache_hits << " / "
-         << (run.cache_hits + run.cache_misses) << " (" << fmt(rate, 1)
-         << "%) |\n"
-         << "| cache stores | " << run.cache_stores << " |\n";
-    }
     if (run.precheck_hits > 0) {
       os << "| interval pre-check discharges | " << run.precheck_hits
          << " |\n";
@@ -337,8 +300,9 @@ void render_run(std::ostream& os, const RunReport& run) {
 
   if (!run.unknown.empty()) {
     os << "### Unknown events\n\n"
-       << "Event kinds this trace_report does not understand (newer schema "
-          "revision?); counted, not dropped.\n\n"
+       << "Event kinds this trace_report does not understand (a newer "
+          "schema revision, or one removed in 1.7); counted, not "
+          "dropped.\n\n"
        << "| event | count |\n|---|---|\n";
     for (const auto& [ev, count] : run.unknown) {
       os << "| " << ev << " | " << count << " |\n";
