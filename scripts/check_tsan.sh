@@ -2,8 +2,10 @@
 # Builds the tree with ThreadSanitizer (-DCOMPSYNTH_SANITIZE=thread) in a
 # dedicated build directory and runs every concurrency-exercising test: the
 # thread pool, the sharded GridFinder sync (checked against the brute-force
-# reference at 4 threads), the portfolio/acceleration layer, the synthesis
-# service (host + protocol), the seeded concurrency stress suite
+# reference at 4 threads), the acceleration differentials (Z3 accelerations
+# and the portfolio, whose legs run one after the other but whose grid leg
+# shards its sync across the pool), the synthesis service (host +
+# protocol), the seeded concurrency stress suite
 # (tests/concurrency_stress_test.cpp) and the bench smokes.
 #
 # First-party code is expected TSan-clean with no suppressions. The only

@@ -69,7 +69,10 @@ inline constexpr int kTraceSchemaVersion = 1;
 ///      and the counters analysis.pruned_{regions,candidates} and
 ///      solver.cache_{hits,misses,stores}; grid_sync's "lane_isa",
 ///      "lane_width" and "distributed" keys are now always present.
-inline constexpr int kTraceSchemaMinorVersion = 7;
+/// 1.8: sequential portfolio — removes "portfolio" events, the counters
+///      portfolio.{races,grid_wins,z3_wins}, the portfolio.seconds
+///      histogram and pair_search's status=cancelled.
+inline constexpr int kTraceSchemaMinorVersion = 8;
 
 /// One field value: integer, double, string or bool.
 struct FieldValue {

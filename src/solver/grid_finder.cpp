@@ -719,13 +719,6 @@ std::optional<DistinguishingPair> GridFinder::distinguish(const Survivor& a,
 FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
                                              int num_pairs) {
   if (num_pairs < 1) throw std::invalid_argument("find_distinguishing: num_pairs < 1");
-  if (cancelled()) {
-    // Cancelled before any work: skip even the sync (the next uncancelled
-    // call will bring the version space in line).
-    FinderResult res;
-    res.status = FinderStatus::kUnknown;
-    return res;
-  }
   sync(graph);
 
   // The span covers the candidate-pair search proper (sync has its own
@@ -794,14 +787,6 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
   std::size_t examined = 0;
   for (const auto& [ia, ib] : schedule) {
     if (static_cast<int>(witnesses.size()) >= wanted) break;
-    if (cancelled()) {
-      // Portfolio racing: the other leg already answered. kUnknown tells
-      // the portfolio this leg has no verdict to contribute.
-      note("cancelled", examined, witnesses.size(), 0);
-      FinderResult res;
-      res.status = FinderStatus::kUnknown;
-      return res;
-    }
     ++examined;
     if (auto pair = distinguish(survivors_[ia], survivors_[ib])) {
       witnesses.push_back(Witness{ia, ib, *std::move(pair)});

@@ -26,7 +26,6 @@
 // ablation bench (bench_ablation_solver) compares the two head to head.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -128,15 +127,6 @@ class GridFinder final : public CandidateFinder {
   /// are visible in the JSON.
   std::size_t last_sync_threads() const { return last_sync_threads_; }
   std::size_t last_sync_shards() const { return last_sync_shards_; }
-
-  /// Cooperative cancellation for portfolio racing (non-owning; nullptr
-  /// disables). find_distinguishing polls the flag between candidate pairs
-  /// and returns kUnknown promptly once it flips; sync() always runs to
-  /// completion so the version space stays consistent. A cancelled search
-  /// still advances the pair-search RNG by however many pairs it examined,
-  /// so race-mode runs are not replay-deterministic (docs/SOLVER.md
-  /// §Portfolio). Not part of save_state.
-  void set_cancel_flag(const std::atomic<bool>* cancel) { cancel_ = cancel; }
 
   /// Durable-session persistence: the pair-search RNG stream, the sync
   /// cursors (edges/ties already folded into the version space) and the
@@ -261,20 +251,13 @@ class GridFinder final : public CandidateFinder {
   // their own slots of pre-sized output vectors (never these members), and
   // every member write below happens on the caller's thread either before
   // the shards are submitted or after parallel_for's completion barrier —
-  // the pool's own synchronization publishes them. The only cross-thread
-  // member is cancel_, a pointer to the caller-owned atomic, set strictly
-  // before (and cleared strictly after) the racing search it cancels.
+  // the pool's own synchronization publishes them.
   std::vector<Survivor> survivors_;
   bool initialized_ = false;
   std::size_t edges_seen_ = 0;
   std::size_t ties_seen_ = 0;
   std::size_t last_sync_threads_ = 1;
   std::size_t last_sync_shards_ = 1;
-  const std::atomic<bool>* cancel_ = nullptr;
-
-  bool cancelled() const {
-    return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
-  }
 };
 
 }  // namespace compsynth::solver

@@ -1,47 +1,15 @@
 #include "solver/portfolio_finder.h"
 
-#include <atomic>
+#include <charconv>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
-
-#include "obs/run_context.h"
-#include "obs/trace.h"
-#include "util/sync.h"
-#include "util/thread_annotations.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace compsynth::solver {
 
 namespace {
-
-const char* status_name(FinderStatus s) {
-  switch (s) {
-    case FinderStatus::kFound: return "found";
-    case FinderStatus::kUniqueRanking: return "unique_ranking";
-    case FinderStatus::kNoCandidate: return "no_candidate";
-    case FinderStatus::kUnknown: return "unknown";
-  }
-  return "unknown";
-}
-
-const char* mode_name(PortfolioMode m) {
-  switch (m) {
-    case PortfolioMode::kRace: return "race";
-    case PortfolioMode::kPinGrid: return "pin_grid";
-    case PortfolioMode::kPinZ3: return "pin_z3";
-  }
-  return "race";
-}
-
-/// A leg's answer is decisive when it settles the loop's next move: a
-/// distinguishing pair, a convergence proof, or an inconsistency verdict.
-/// Only kUnknown (timeout / cancellation / budget exhaustion) is not.
-bool decisive(const FinderResult& r) {
-  return r.status != FinderStatus::kUnknown;
-}
 
 [[noreturn]] void bad_state(const std::string& why) {
   throw std::invalid_argument("PortfolioFinder::restore_state: " + why);
@@ -57,14 +25,17 @@ std::string read_section(const std::string& state, std::size_t& pos,
   pos += header.size();
   const std::size_t eol = state.find('\n', pos);
   if (eol == std::string::npos) bad_state("truncated section header");
+  // Digits only: from_chars takes no sign or whitespace for an unsigned
+  // type (std::stoul would, and would read "-1" as SIZE_MAX).
+  const char* first = state.data() + pos;
+  const char* last = state.data() + eol;
   std::size_t bytes = 0;
-  try {
-    bytes = std::stoul(state.substr(pos, eol - pos));
-  } catch (const std::exception&) {
-    bad_state("malformed section length");
-  }
+  const auto [end, ec] = std::from_chars(first, last, bytes);
+  if (ec != std::errc() || end != last) bad_state("malformed section length");
   pos = eol + 1;
-  if (pos + bytes + 1 > state.size() || state[pos + bytes] != '\n') {
+  // pos <= state.size() here, so the subtraction cannot wrap; the blob and
+  // its trailing newline must both fit.
+  if (bytes >= state.size() - pos || state[pos + bytes] != '\n') {
     bad_state("section '" + tag + "' overruns the payload");
   }
   std::string blob = state.substr(pos, bytes);
@@ -74,20 +45,11 @@ std::string read_section(const std::string& state, std::size_t& pos,
 
 }  // namespace
 
-PortfolioFinder::PortfolioFinder(sketch::Sketch sketch, PortfolioConfig config,
+PortfolioFinder::PortfolioFinder(sketch::Sketch sketch, GridFinderConfig grid,
                                  Viability viability, ScenarioDomain domain)
-    : config_(config) {
-  GridFinderConfig grid_config = config.grid;
-  if (config.mode == PortfolioMode::kRace && grid_config.threads == 0) {
-    // In a race the shared pool belongs to the Z3 leg's task; a grid
-    // parallel_for queued behind it would serialize the "race" on small
-    // pools. An explicit threads > 1 still gets its own dedicated pool.
-    grid_config.threads = 1;
-  }
-  grid_ = std::make_unique<GridFinder>(sketch, grid_config, viability, domain);
-  z3_ = std::make_unique<Z3Finder>(std::move(sketch), config.grid.base,
-                                   std::move(viability), std::move(domain));
-}
+    : grid_(std::make_unique<GridFinder>(sketch, grid, viability, domain)),
+      z3_(std::make_unique<Z3Finder>(std::move(sketch), grid.base,
+                                     std::move(viability), std::move(domain))) {}
 
 void PortfolioFinder::set_run_context(const obs::RunContext* ctx) {
   CandidateFinder::set_run_context(ctx);
@@ -97,132 +59,19 @@ void PortfolioFinder::set_run_context(const obs::RunContext* ctx) {
 
 FinderResult PortfolioFinder::find_distinguishing(
     const pref::PreferenceGraph& graph, int num_pairs) {
-  switch (config_.mode) {
-    case PortfolioMode::kPinGrid:
-      return grid_->find_distinguishing(graph, num_pairs);
-    case PortfolioMode::kPinZ3:
-      return z3_->find_distinguishing(graph, num_pairs);
-    case PortfolioMode::kRace:
-      return race(graph, num_pairs);
+  FinderResult grid_result = grid_->find_distinguishing(graph, num_pairs);
+  // A grid pair and an empty grid version space are exact. The grid's
+  // unique-ranking verdict is only a sample, so Z3 answers the same query
+  // instead: its UNSAT is the paper's stopping rule.
+  if (grid_result.status == FinderStatus::kFound ||
+      grid_result.status == FinderStatus::kNoCandidate) {
+    return grid_result;
   }
-  throw std::logic_error("PortfolioFinder: unreachable mode");
-}
-
-FinderResult PortfolioFinder::race(const pref::PreferenceGraph& graph,
-                                   int num_pairs) {
-  obs::Span span(obs_, "portfolio");
-
-  FinderResult grid_result;
-  FinderResult z3_result;
-  double grid_secs = 0;
-  double z3_secs = 0;
-  bool z3_ran = false;
-
-  util::ThreadPool& pool = util::ThreadPool::shared();
-  if (pool.size() <= 1) {
-    // No spawned workers: submit() would run the Z3 leg inline *before* the
-    // grid leg even started. Run the (almost always faster) grid leg first
-    // and consult Z3 only when the grid is not decisive.
-    util::Stopwatch grid_sw;
-    grid_result = grid_->find_distinguishing(graph, num_pairs);
-    grid_secs = grid_sw.elapsed_seconds();
-    if (!decisive(grid_result) ||
-        grid_result.status == FinderStatus::kUniqueRanking) {
-      // The grid's unique-ranking verdict is approximate; escalate it (and
-      // any kUnknown) to the solver for an authoritative answer. kFound and
-      // kNoCandidate are exact, so Z3 is skipped for those.
-      util::Stopwatch z3_sw;
-      z3_result = z3_->find_distinguishing(graph, num_pairs);
-      z3_secs = z3_sw.elapsed_seconds();
-      z3_ran = true;
-    }
-  } else {
-    // Z3 leg on a pool worker, grid leg on the caller. Whoever produces a
-    // kFound first cancels the other; the Z3 task references call locals,
-    // so it is ALWAYS joined before this frame returns, cancelled or not.
-    std::atomic<bool> cancel_grid{false};
-    // tsa-ok(join_mutex): function-local, guards the z3_done flag below;
-    // GUARDED_BY only applies to members, so the association is by comment.
-    util::Mutex join_mutex;
-    util::CondVar join_cv;
-    bool z3_done = false;  // guarded by join_mutex
-
-    z3_ran = true;
-    pool.submit([&] {
-      util::Stopwatch z3_sw;
-      FinderResult r = z3_->find_distinguishing(graph, num_pairs);
-      const double secs = z3_sw.elapsed_seconds();
-      {
-        const util::MutexLock lock(join_mutex);
-        z3_result = std::move(r);
-        z3_secs = secs;
-        z3_done = true;
-        if (z3_result.status == FinderStatus::kFound) {
-          cancel_grid.store(true, std::memory_order_relaxed);
-        }
-      }
-      join_cv.notify_all();
-    });
-
-    grid_->set_cancel_flag(&cancel_grid);
-    util::Stopwatch grid_sw;
-    grid_result = grid_->find_distinguishing(graph, num_pairs);
-    grid_secs = grid_sw.elapsed_seconds();
-    grid_->set_cancel_flag(nullptr);
-
-    if (grid_result.status == FinderStatus::kFound) {
-      // Grid won the race; stop burning solver time. interrupt() is safe
-      // against the task having already finished (it is then a no-op on the
-      // next query's entry, which resets the flag).
-      z3_->interrupt();
-    }
-    const util::MutexLock lock(join_mutex);
-    join_cv.wait(join_mutex, [&] { return z3_done; });
-  }
-
-  // Winner order: a concrete distinguishing pair beats everything (grid's
-  // pairs are preferred — they arrive with the version space already synced
-  // for the follow-up find_consistent); then Z3's definitive verdicts,
-  // which are proofs, beat the grid's approximate ones.
-  FinderResult* winner = nullptr;
-  const char* winner_name = nullptr;
-  if (grid_result.status == FinderStatus::kFound) {
-    winner = &grid_result;
-    winner_name = "grid";
-  } else if (z3_ran && z3_result.status == FinderStatus::kFound) {
-    winner = &z3_result;
-    winner_name = "z3";
-  } else if (z3_ran && decisive(z3_result)) {
-    winner = &z3_result;
-    winner_name = "z3";
-  } else if (decisive(grid_result)) {
-    winner = &grid_result;
-    winner_name = "grid";
-  } else {
-    winner = z3_ran ? &z3_result : &grid_result;
-    winner_name = z3_ran ? "z3" : "grid";
-  }
-
-  if (obs::active(obs_)) {
-    obs_->count("portfolio.races");
-    obs_->count(winner_name[0] == 'g' ? "portfolio.grid_wins"
-                                      : "portfolio.z3_wins");
-    if (obs::TraceEvent* e = span.event()) {
-      e->str("mode", mode_name(config_.mode))
-          .str("winner", winner_name)
-          .str("status", status_name(winner->status))
-          .str("grid_status", status_name(grid_result.status))
-          .str("z3_status", z3_ran ? status_name(z3_result.status) : "skipped")
-          .num("grid_secs", grid_secs)
-          .num("z3_secs", z3_secs);
-    }
-  }
-  return std::move(*winner);
+  return z3_->find_distinguishing(graph, num_pairs);
 }
 
 std::optional<sketch::HoleAssignment> PortfolioFinder::find_consistent(
     const pref::PreferenceGraph& graph) {
-  if (config_.mode == PortfolioMode::kPinZ3) return z3_->find_consistent(graph);
   return grid_->find_consistent(graph);
 }
 

@@ -1,26 +1,20 @@
-// Portfolio finder: GridFinder and Z3Finder racing on the same query.
+// Portfolio finder: GridFinder first, Z3Finder for the verdicts the grid
+// can only sample.
 //
 // The two back-ends have complementary cost profiles: the grid's explicit
 // version space answers most mid-loop queries in microseconds but its
-// "unique ranking" verdict is approximate, while Z3 is authoritative but
-// pays solver time on every query. The portfolio runs both and takes the
-// first decisive answer — in practice the grid wins the find-a-pair rounds
-// and Z3 settles the endgame, giving grid-like latency with solver-grade
-// convergence (docs/SOLVER.md §Portfolio).
+// "unique ranking" verdict is approximate (a sampling budget), while Z3 is
+// authoritative but pays solver time on every query. The portfolio asks
+// the grid leg first and keeps its answer when it is exact — a
+// distinguishing pair, or an empty version space — and otherwise returns
+// the Z3 leg's answer to the same query. So the grid answers the find-a-pair
+// rounds and Z3 settles the endgame, giving grid-like latency with the
+// paper's UNSAT stopping rule (docs/SOLVER.md §Portfolio).
 //
-// Modes:
-//   kRace     both legs run concurrently (the Z3 leg on a
-//             util::ThreadPool::submit task, the grid leg on the caller);
-//             the loser is cancelled via Z3Finder::interrupt() /
-//             GridFinder::set_cancel_flag(). Fast but NOT
-//             replay-deterministic: a cancelled grid search still consumed
-//             RNG draws for the pairs it examined before the flag flipped,
-//             so a rerun may ask different questions.
-//   kPinGrid  every query is answered by the grid leg alone.
-//   kPinZ3    every query is answered by the Z3 leg alone.
-// The pinned modes are pure delegation — byte-identical verdicts, models
-// and query sequences to running that back-end by itself — which is what
-// the differential tests pin down. kRace is the performance mode.
+// Both legs run on the caller's thread, one after the other, so a run is
+// replay-deterministic: a rerun, or a resume from any checkpoint, asks the
+// identical question sequence. Up to the first query the grid answers with
+// "unique ranking", that sequence equals the plain grid back-end's.
 #pragma once
 
 #include <memory>
@@ -32,52 +26,33 @@
 
 namespace compsynth::solver {
 
-enum class PortfolioMode {
-  kRace,     // both legs concurrently, first decisive answer wins
-  kPinGrid,  // deterministic: grid leg only
-  kPinZ3,    // deterministic: Z3 leg only
-};
-
-struct PortfolioConfig {
-  /// Configuration of the grid leg; `grid.base` (margins, timeout, retry,
-  /// incremental, interval_precheck) doubles as the Z3 leg's FinderConfig
-  /// so the two legs always agree on the query semantics. In kRace mode a
-  /// `grid.threads` of 0 is forced to 1: the shared pool is running the Z3
-  /// leg, and a parallel_for queued behind it would serialize the race on
-  /// small pools.
-  GridFinderConfig grid;
-  PortfolioMode mode = PortfolioMode::kRace;
-};
-
 class PortfolioFinder final : public CandidateFinder {
  public:
-  explicit PortfolioFinder(sketch::Sketch sketch, PortfolioConfig config = {},
+  /// `grid` configures the grid leg; `grid.base` (margins, timeout, retry,
+  /// incremental, interval_precheck) doubles as the Z3 leg's FinderConfig
+  /// so the two legs always agree on the query semantics.
+  explicit PortfolioFinder(sketch::Sketch sketch, GridFinderConfig grid = {},
                            Viability viability = {}, ScenarioDomain domain = {});
 
   FinderResult find_distinguishing(const pref::PreferenceGraph& graph,
                                    int num_pairs) override;
 
-  /// kPinZ3 delegates to the Z3 leg; every other mode uses the grid leg,
-  /// whose answer is exact and instant once its version space is synced.
+  /// Always the grid leg, whose answer is exact and instant once its
+  /// version space is synced.
   std::optional<sketch::HoleAssignment> find_consistent(
       const pref::PreferenceGraph& graph) override;
 
   void set_run_context(const obs::RunContext* ctx) override;
 
-  /// The legs, for wiring that targets one back-end specifically (solver
-  /// cache, fault injectors, query logs).
-  GridFinder& grid() { return *grid_; }
+  /// The Z3 leg, for wiring that targets it specifically (fault injector,
+  /// query log).
   Z3Finder& z3() { return *z3_; }
-  PortfolioMode mode() const { return config_.mode; }
 
   /// Durable-session persistence: both legs' states, length-prefixed.
   std::string save_state() const override;
   void restore_state(const std::string& state) override;
 
  private:
-  FinderResult race(const pref::PreferenceGraph& graph, int num_pairs);
-
-  PortfolioConfig config_;
   std::unique_ptr<GridFinder> grid_;
   std::unique_ptr<Z3Finder> z3_;
 };

@@ -299,27 +299,6 @@ struct Z3Finder::CheckOutcome {
   std::optional<z3::model> model;  // engaged iff result == sat
 };
 
-// Registers the context being checked so interrupt() can reach it from
-// another thread; closes the window where an interrupt lands between the
-// flag flip and the check by re-checking the flag after registration.
-class ActiveCheckGuard {
- public:
-  ActiveCheckGuard(Z3Finder& finder, z3::context& ctx) : finder_(finder) {
-    const util::MutexLock lock(finder_.active_mutex_);
-    finder_.active_ctx_ = &ctx;
-    if (finder_.interrupted_.load()) ctx.interrupt();
-  }
-  ActiveCheckGuard(const ActiveCheckGuard&) = delete;
-  ActiveCheckGuard& operator=(const ActiveCheckGuard&) = delete;
-  ~ActiveCheckGuard() {
-    const util::MutexLock lock(finder_.active_mutex_);
-    finder_.active_ctx_ = nullptr;
-  }
-
- private:
-  Z3Finder& finder_;
-};
-
 Z3Finder::Z3Finder(sketch::Sketch sketch, FinderConfig config, Viability viability,
                    ScenarioDomain domain)
     : sketch_(std::move(sketch)),
@@ -352,21 +331,6 @@ void Z3Finder::log_query(z3::solver& solver, const char* kind) {
               << solver.to_smt2() << "\n";
 }
 
-void Z3Finder::interrupt() {
-  interrupted_.store(true);
-  const util::MutexLock lock(active_mutex_);
-  if (active_ctx_ != nullptr) active_ctx_->interrupt();
-}
-
-void Z3Finder::reset_after_interrupt() {
-  if (!interrupted_.exchange(false)) return;
-  // An interrupted tactic leaves its solver in an unspecified state (and a
-  // pending interrupt flag may still be set on the context); drop the
-  // incremental encodings so the next query re-encodes in a fresh context.
-  dist_encodings_.clear();
-  cons_encoding_.reset();
-}
-
 void Z3Finder::observe_graph(const pref::PreferenceGraph& graph) {
   bool match = interned_metrics_.size() <= graph.vertex_count();
   for (std::size_t v = 0; match && v < interned_metrics_.size(); ++v) {
@@ -393,7 +357,6 @@ void Z3Finder::observe_graph(const pref::PreferenceGraph& graph) {
 // extracted from whichever solver produced it before it goes away.
 Z3Finder::CheckOutcome Z3Finder::check_with_fallback(z3::context& ctx,
                                                      z3::solver& s) {
-  ActiveCheckGuard guard(*this, ctx);
   CheckOutcome out;
   out.result = s.check();
   if (out.result == z3::sat) {
@@ -401,7 +364,6 @@ Z3Finder::CheckOutcome Z3Finder::check_with_fallback(z3::context& ctx,
     return out;
   }
   if (out.result == z3::unsat) return out;
-  if (interrupted_.load()) return out;  // canceled, not stuck: no fallback
   util::log(util::LogLevel::kDebug,
             "nlsat returned unknown; retrying with default solver");
   z3::solver fallback(ctx);
@@ -545,7 +507,6 @@ FinderResult Z3Finder::resolve_unsat(const pref::PreferenceGraph& graph,
 FinderResult Z3Finder::find_distinguishing(const pref::PreferenceGraph& graph,
                                            int num_pairs) {
   if (num_pairs < 1) throw std::invalid_argument("find_distinguishing: num_pairs < 1");
-  reset_after_interrupt();
   observe_graph(graph);
 
   if (precheck_enabled()) {
@@ -676,7 +637,6 @@ FinderResult Z3Finder::find_distinguishing(const pref::PreferenceGraph& graph,
 
 std::optional<sketch::HoleAssignment> Z3Finder::find_consistent(
     const pref::PreferenceGraph& graph) {
-  reset_after_interrupt();
   observe_graph(graph);
 
   if (precheck_enabled() && precheck_refutes_graph(graph, "consistent")) {

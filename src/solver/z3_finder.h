@@ -12,16 +12,13 @@
 // so UNSAT exactly means "all viable G-consistent candidates induce the same
 // margin-separated ranking" and synthesis can stop.
 //
-// Acceleration layer (docs/SOLVER.md): three mechanisms, each transparent to
+// Acceleration layer (docs/SOLVER.md): two mechanisms, each transparent to
 // the verdict/model sequence —
 //   1. interval pre-checks that discharge provably-UNSAT queries without Z3;
 //   2. incremental encodings kept alive across iterations via push/pop,
-//      asserting only the preference graph's new constraints each round;
-//   3. (one level up) solver/portfolio_finder.h races this finder against
-//      GridFinder and cancels the loser through interrupt().
+//      asserting only the preference graph's new constraints each round.
 #pragma once
 
-#include <atomic>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -31,8 +28,6 @@
 
 #include "sketch/analyze.h"
 #include "solver/finder.h"
-#include "util/sync.h"
-#include "util/thread_annotations.h"
 
 namespace z3 {
 class context;  // from z3++.h; kept out of this header deliberately
@@ -76,13 +71,6 @@ class Z3Finder final : public CandidateFinder {
     injector_ = std::move(injector);
   }
 
-  /// Cancels an in-flight check from another thread (portfolio racing): the
-  /// running query returns kUnknown promptly, and the next query rebuilds
-  /// the incremental encodings (an interrupted tactic leaves them in an
-  /// unspecified state). Safe to call at any time, including when no check
-  /// is running.
-  void interrupt();
-
   /// Durable-session persistence: the query counter plus the attached fault
   /// injector's decision stream (when any), so a resumed run keeps stable
   /// query indices in traces and replays the identical fault sequence. The
@@ -99,8 +87,6 @@ class Z3Finder final : public CandidateFinder {
   struct CheckOutcome;
 
  private:
-  friend class ActiveCheckGuard;
-
   /// The shared UNSAT epilogue of the distinguishing query: multi-pair
   /// queries retry with a single pair (fewer separated witnesses may remain
   /// even when k do not), then find_consistent splits "unique ranking" from
@@ -111,10 +97,6 @@ class Z3Finder final : public CandidateFinder {
                            long index);
   CheckOutcome check_with_fallback(z3::context& ctx, z3::solver& s);
   void log_query(z3::solver& solver, const char* kind);
-
-  /// Drops poisoned incremental state after an interrupt; called on entry to
-  /// every query.
-  void reset_after_interrupt();
 
   // --- Interval pre-checks (docs/SOLVER.md §Pre-checks) ------------------
   bool precheck_enabled() const;
@@ -159,14 +141,6 @@ class Z3Finder final : public CandidateFinder {
   /// off (a scratch encoding is built and dropped per query instead).
   std::map<int, std::unique_ptr<DistEncoding>> dist_encodings_;
   std::unique_ptr<ConsEncoding> cons_encoding_;
-
-  /// Cross-thread cancellation: interrupt() flips the flag and interrupts
-  /// whichever context is mid-check (registered under the mutex). The flag
-  /// is atomic rather than guarded because checking threads poll it on hot
-  /// paths where taking active_mutex_ would serialize against interrupt().
-  util::Mutex active_mutex_;
-  z3::context* active_ctx_ GUARDED_BY(active_mutex_) = nullptr;
-  std::atomic<bool> interrupted_{false};
 };
 
 }  // namespace compsynth::solver

@@ -343,19 +343,28 @@ Synthesizer make_z3_synthesizer(const sketch::Sketch& sketch,
 
 namespace {
 
-Synthesizer make_grid_based(const sketch::Sketch& sketch, SynthesisConfig config,
-                            solver::Viability viability,
-                            solver::QueryStrategy strategy) {
+/// The grid configuration shared by every grid-based factory, portfolio
+/// included, so a portfolio run derives the same grid seed (and asks the
+/// same questions up to its first Z3-answered query) as the plain grid
+/// back-end, and honours the same threads and shard backend.
+solver::GridFinderConfig grid_config_for(const SynthesisConfig& config,
+                                         solver::QueryStrategy strategy) {
   solver::GridFinderConfig grid_config;
   grid_config.base = config.finder;
   grid_config.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
   grid_config.strategy = strategy;
   grid_config.threads = config.grid_threads;
   grid_config.shard_backend = config.grid_shard_backend;
+  return grid_config;
+}
+
+Synthesizer make_grid_based(const sketch::Sketch& sketch, SynthesisConfig config,
+                            solver::Viability viability,
+                            solver::QueryStrategy strategy) {
   return Synthesizer(sketch,
                      std::make_unique<solver::GridFinder>(
-                         sketch, grid_config, std::move(viability),
-                         config.scenario_domain),
+                         sketch, grid_config_for(config, strategy),
+                         std::move(viability), config.scenario_domain),
                      config);
 }
 
@@ -378,16 +387,9 @@ Synthesizer make_bisection_synthesizer(const sketch::Sketch& sketch,
 Synthesizer make_portfolio_synthesizer(const sketch::Sketch& sketch,
                                        SynthesisConfig config,
                                        solver::Viability viability) {
-  solver::PortfolioConfig pc;
-  pc.mode = config.portfolio_mode;
-  pc.grid.base = config.finder;
-  // Same grid seed derivation as make_grid_synthesizer, so a pinned-grid
-  // portfolio run asks the identical query sequence as the plain grid
-  // back-end (the differential tests rely on this).
-  pc.grid.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
-  pc.grid.threads = config.grid_threads;
   auto finder = std::make_unique<solver::PortfolioFinder>(
-      sketch, pc, std::move(viability), config.scenario_domain);
+      sketch, grid_config_for(config, solver::QueryStrategy::kFirstFound),
+      std::move(viability), config.scenario_domain);
   return Synthesizer(sketch, std::move(finder), config);
 }
 

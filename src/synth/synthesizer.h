@@ -69,11 +69,6 @@ struct SynthesisConfig {
   /// results are byte-identical either way (docs/DISTRIBUTED.md).
   solver::ShardSyncBackend* grid_shard_backend = nullptr;
 
-  /// Leg selection for make_portfolio_synthesizer (ignored by the other
-  /// factories): kRace races grid vs Z3 per query; kPinGrid / kPinZ3 pin
-  /// one leg for deterministic differential runs.
-  solver::PortfolioMode portfolio_mode = solver::PortfolioMode::kRace;
-
   /// Noise handling (§6.1): record contradictory answers instead of
   /// rejecting them, and greedily repair cycles / drop least-trusted answers
   /// when G becomes unsatisfiable.
@@ -216,10 +211,11 @@ Synthesizer make_bisection_synthesizer(const sketch::Sketch& sketch,
                                        SynthesisConfig config = {},
                                        solver::Viability viability = {});
 
-/// Portfolio back-end (solver/portfolio_finder.h): a GridFinder and a
-/// Z3Finder answering every query per config.portfolio_mode — racing
-/// concurrently (kRace, the performance default) or pinned to one leg for
-/// deterministic runs.
+/// Portfolio back-end (solver/portfolio_finder.h): the grid back-end's
+/// GridFinder answers each query first, and a Z3Finder answers the queries
+/// where the grid can only sample a "unique ranking" verdict. Deterministic,
+/// and it honours grid_threads and grid_shard_backend like the grid
+/// factories.
 Synthesizer make_portfolio_synthesizer(const sketch::Sketch& sketch,
                                        SynthesisConfig config = {},
                                        solver::Viability viability = {});

@@ -57,12 +57,12 @@ class ThreadPool {
                     const std::function<void(std::size_t, std::size_t)>& body,
                     std::size_t min_chunk = 1);
 
-  /// Enqueues one opaque task for a worker thread. Built for the portfolio
-  /// finder's solver racing (one long-running leg per task); keep using
-  /// parallel_for for data-parallel loops. When the pool has no spawned
-  /// workers (size 1) the task runs inline before submit returns — callers
-  /// that need true concurrency must check size() first. Tasks must not
-  /// call back into the same pool (see the nested-use note above).
+  /// Enqueues one opaque task for a worker thread (SessionHost runs its
+  /// session advances this way); keep using parallel_for for data-parallel
+  /// loops. When the pool has no spawned workers (size 1) the task runs
+  /// inline before submit returns — callers that need true concurrency must
+  /// check size() first. Tasks must not call back into the same pool (see
+  /// the nested-use note above).
   void submit(std::function<void()> task);
 
   /// Process-wide default pool, created on first use.

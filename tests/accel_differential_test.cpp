@@ -1,12 +1,12 @@
 // Differential tests for the solver acceleration layer (docs/SOLVER.md).
 //
-// Every acceleration — incremental push/pop encodings, interval pre-checks,
-// pinned portfolio legs — must be *transparent*: the same seed produces the
-// identical oracle query sequence and the identical learned objective with
-// the feature on or off, across the SWAN, ABR-QoE and homenet sketches. The
-// racing portfolio mode is exempt from sequence identity by design (the
-// winning leg varies with load) and is instead held to ranking-equivalence
-// against the target.
+// Every Z3 acceleration — incremental push/pop encodings, interval
+// pre-checks — must be *transparent*: the same seed produces the identical
+// oracle query sequence and the identical learned objective with the
+// feature on or off, across the SWAN, ABR-QoE and homenet sketches. The
+// portfolio asks the plain grid back-end's questions until the grid's first
+// unique-ranking verdict, asks the identical sequence on every run, and
+// converges to an objective ranking-equivalent to the target.
 //
 // Also covers resuming from a snapshot whose @cache section still holds the
 // entries of the solver cache that older versions kept.
@@ -26,7 +26,6 @@
 #include "session/snapshot.h"
 #include "sketch/library.h"
 #include "solver/equivalence.h"
-#include "solver/portfolio_finder.h"
 #include "synth/synthesizer.h"
 
 namespace compsynth {
@@ -177,13 +176,6 @@ void check_z3_accelerations(const Workload& w, int max_iterations) {
     expect_same_run(baseline, run_once(w, Backend::kZ3, config),
                     "incremental + precheck");
   }
-  {
-    // A pinned-Z3 portfolio is pure delegation to its Z3 leg.
-    synth::SynthesisConfig config = base_config(w, max_iterations);
-    config.portfolio_mode = solver::PortfolioMode::kPinZ3;
-    expect_same_run(baseline, run_once(w, Backend::kPortfolio, config),
-                    "portfolio pin-z3");
-  }
 }
 
 TEST(AccelDifferential, SwanZ3AccelerationsPreserveSequence) {
@@ -198,42 +190,53 @@ TEST(AccelDifferential, HomenetZ3AccelerationsPreserveSequence) {
   check_z3_accelerations(homenet_workload(), 4);
 }
 
-// A pinned-grid portfolio must be indistinguishable from the plain grid
-// back-end, all the way to convergence (the factories derive the identical
-// pair-search RNG seed for both).
-void check_pinned_grid(const Workload& w) {
+// The portfolio answers with its grid leg whenever the grid finds a pair,
+// and the factories derive the grid leg's pair-search seed exactly as for
+// the plain grid back-end. So up to the query where the grid first reports
+// a unique ranking (where the plain grid run converges and stops), the two
+// runs ask the same questions: the grid run's whole sequence is a prefix of
+// the portfolio's. The portfolio stops at the same iteration cap, so its
+// Z3 leg answers exactly that last query.
+void check_portfolio_follows_grid(const Workload& w) {
   synth::SynthesisConfig config = base_config(w, 300);
   const RunOut grid = run_once(w, Backend::kGrid, config);
   ASSERT_EQ(grid.result.status, synth::SynthesisStatus::kConverged);
 
-  config.portfolio_mode = solver::PortfolioMode::kPinGrid;
-  expect_same_run(grid, run_once(w, Backend::kPortfolio, config),
-                  "portfolio pin-grid");
+  config.max_iterations = grid.result.iterations;
+  const RunOut portfolio = run_once(w, Backend::kPortfolio, config);
+  ASSERT_GE(portfolio.log.size(), grid.log.size());
+  const std::vector<std::string> prefix(
+      portfolio.log.begin(),
+      portfolio.log.begin() + static_cast<std::ptrdiff_t>(grid.log.size()));
+  EXPECT_EQ(prefix, grid.log);
+  EXPECT_EQ(portfolio.result.iterations, grid.result.iterations);
 }
 
-TEST(AccelDifferential, SwanPinnedGridPortfolioMatchesGridBackend) {
-  check_pinned_grid(swan_workload());
+TEST(AccelDifferential, SwanPortfolioAsksGridQuestionsUntilUniqueRanking) {
+  check_portfolio_follows_grid(swan_workload());
 }
 
-TEST(AccelDifferential, AbrQoePinnedGridPortfolioMatchesGridBackend) {
-  check_pinned_grid(abr_workload());
+TEST(AccelDifferential, AbrQoePortfolioAsksGridQuestionsUntilUniqueRanking) {
+  check_portfolio_follows_grid(abr_workload());
 }
 
-TEST(AccelDifferential, HomenetPinnedGridPortfolioMatchesGridBackend) {
-  check_pinned_grid(homenet_workload());
+TEST(AccelDifferential, HomenetPortfolioAsksGridQuestionsUntilUniqueRanking) {
+  check_portfolio_follows_grid(homenet_workload());
 }
 
-// The racing portfolio is not replay-deterministic (a cancelled grid search
-// still advances its RNG), so it is held to the outcome, not the sequence:
-// it must converge to a ranking-equivalent objective.
-TEST(AccelDifferential, RacingPortfolioConvergesToEquivalentObjective) {
+// Both legs run one after the other on the caller's thread, so two runs ask
+// byte-identical question sequences; the Z3 leg's UNSAT verdict makes the
+// learned objective ranking-equivalent to the target, checked with Z3.
+TEST(AccelDifferential, PortfolioIsDeterministicAndConvergesToEquivalentObjective) {
   const Workload w = swan_workload();
   synth::SynthesisConfig config = base_config(w, 300);
-  const RunOut race = run_once(w, Backend::kPortfolio, config);
-  ASSERT_EQ(race.result.status, synth::SynthesisStatus::kConverged);
-  ASSERT_TRUE(race.result.objective.has_value());
-  EXPECT_TRUE(solver::ranking_equivalent(w.sketch, *race.result.objective,
+  const RunOut first = run_once(w, Backend::kPortfolio, config);
+  ASSERT_EQ(first.result.status, synth::SynthesisStatus::kConverged);
+  ASSERT_TRUE(first.result.objective.has_value());
+  EXPECT_TRUE(solver::ranking_equivalent(w.sketch, *first.result.objective,
                                          w.target, config.finder));
+  expect_same_run(first, run_once(w, Backend::kPortfolio, config),
+                  "portfolio rerun");
 }
 
 // A v2 snapshot of a Z3 homenet run (seed 77, checkpointed at iteration 2),

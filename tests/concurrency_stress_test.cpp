@@ -1,6 +1,6 @@
 // Seeded concurrency stress tests over the shared-state surfaces annotated
 // in this tree (docs/CONCURRENCY.md): metrics instruments, the thread
-// pool, the portfolio's cancel/interrupt paths and the session host. Every
+// pool and the session host. Every
 // test asserts an invariant that a lost update or a torn read would break
 // (histogram count == bin sum, LRU residency bound, no lost answers), so
 // the suite is meaningful both natively — where a race shows up as a wrong
@@ -27,10 +27,7 @@
 #include "serve/protocol.h"
 #include "serve/session_host.h"
 #include "sketch/eval.h"
-#include "sketch/library.h"
 #include "sketch/parser.h"
-#include "solver/grid_finder.h"
-#include "solver/z3_finder.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -215,67 +212,6 @@ TEST(ConcurrencyStressThreadPool, ParallelForRethrowsWhileSubmitsInterleave) {
   }
   stop.store(true);
   noise.join();
-}
-
-// --- Portfolio cancel / interrupt storms ------------------------------------
-
-TEST(ConcurrencyStressPortfolio, GridCancelStorm) {
-  solver::GridFinder finder(sketch::swan_sketch());
-  const pref::PreferenceGraph empty;
-  for (int round = 0; round < 15; ++round) {
-    std::atomic<bool> cancel{false};
-    finder.set_cancel_flag(&cancel);
-    SpinBarrier barrier(2);
-    std::thread storm([&] {
-      barrier.arrive_and_wait();
-      // Flip as fast as possible; the searcher polls with relaxed loads, so
-      // any observed true must abort promptly and cleanly.
-      for (int i = 0; i < 2000; ++i) {
-        cancel.store(i % 2 == 0, std::memory_order_relaxed);
-      }
-      cancel.store(true, std::memory_order_relaxed);
-    });
-    barrier.arrive_and_wait();
-    const solver::FinderResult r = finder.find_distinguishing(empty, 1);
-    storm.join();
-    // Either the search won the race (kFound) or the cancel landed
-    // (kUnknown); anything else means cancellation corrupted the search.
-    EXPECT_TRUE(r.status == solver::FinderStatus::kFound ||
-                r.status == solver::FinderStatus::kUnknown)
-        << "round " << round;
-    finder.set_cancel_flag(nullptr);
-  }
-  // The finder survives the storm in a usable state.
-  EXPECT_EQ(finder.find_distinguishing(empty, 1).status,
-            solver::FinderStatus::kFound);
-}
-
-TEST(ConcurrencyStressPortfolio, Z3InterruptStorm) {
-  solver::FinderConfig config;
-  config.timeout_ms = 60000;
-  solver::Z3Finder finder(sketch::swan_sketch(), config);
-  const pref::PreferenceGraph empty;
-  std::atomic<bool> stop{false};
-  std::thread storm([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      finder.interrupt();
-      std::this_thread::yield();
-    }
-  });
-  for (int round = 0; round < 10; ++round) {
-    const solver::FinderResult r = finder.find_distinguishing(empty, 1);
-    // An interrupt mid-check yields kUnknown; between checks it is absorbed
-    // by reset_after_interrupt on the next entry. Both are fine — a crash,
-    // a hang or any other status is not.
-    EXPECT_TRUE(r.status == solver::FinderStatus::kFound ||
-                r.status == solver::FinderStatus::kUnknown)
-        << "round " << round;
-  }
-  stop.store(true);
-  storm.join();
-  // With the storm over, the finder recovers and answers authoritatively.
-  EXPECT_EQ(finder.find_distinguishing(empty, 1).status,
-            solver::FinderStatus::kFound);
 }
 
 // --- SessionHost ------------------------------------------------------------

@@ -79,20 +79,30 @@ struct DifferentialCase {
   std::uint64_t seed = 1;
 };
 
-synth::Synthesizer make_synth(const DifferentialCase& c, bool z3,
+enum class Backend { kGrid, kZ3, kPortfolio };
+
+synth::Synthesizer make_synth(const DifferentialCase& c, Backend backend,
                               synth::SynthesisConfig config) {
-  return z3 ? synth::make_z3_synthesizer(c.sketch, std::move(config))
-            : synth::make_grid_synthesizer(c.sketch, std::move(config));
+  switch (backend) {
+    case Backend::kZ3:
+      return synth::make_z3_synthesizer(c.sketch, std::move(config));
+    case Backend::kPortfolio:
+      return synth::make_portfolio_synthesizer(c.sketch, std::move(config));
+    case Backend::kGrid:
+      break;
+  }
+  return synth::make_grid_synthesizer(c.sketch, std::move(config));
 }
 
-void run_differential(const DifferentialCase& c, bool z3 = false) {
+void run_differential(const DifferentialCase& c,
+                      Backend backend = Backend::kGrid) {
   synth::SynthesisConfig config;
   config.seed = c.seed;
   config.max_iterations = 300;
 
   // Reference: an uninterrupted run.
   LoggingOracle ref_user(c.sketch, c.target, config.finder.tie_tolerance);
-  synth::Synthesizer ref_synth = make_synth(c, z3, config);
+  synth::Synthesizer ref_synth = make_synth(c, backend, config);
   const synth::SynthesisResult ref = ref_synth.run(ref_user);
   ASSERT_EQ(ref.status, synth::SynthesisStatus::kConverged);
   ASSERT_TRUE(ref.objective.has_value());
@@ -106,7 +116,7 @@ void run_differential(const DifferentialCase& c, bool z3 = false) {
   cap_config.checkpoint = [&](const synth::SessionState& st) {
     checkpoints.emplace_back(st, cap_user.log.size());
   };
-  synth::Synthesizer cap_synth = make_synth(c, z3, cap_config);
+  synth::Synthesizer cap_synth = make_synth(c, backend, cap_config);
   const synth::SynthesisResult cap = cap_synth.run(cap_user);
   ASSERT_EQ(cap.status, synth::SynthesisStatus::kConverged);
   EXPECT_EQ(cap.objective->index, ref.objective->index);
@@ -118,7 +128,7 @@ void run_differential(const DifferentialCase& c, bool z3 = false) {
   for (const auto& [state, log_len] : checkpoints) {
     if (state.iterations >= ref.iterations) continue;  // final checkpoint
     LoggingOracle user(c.sketch, c.target, config.finder.tie_tolerance);
-    synth::Synthesizer s = make_synth(c, z3, config);
+    synth::Synthesizer s = make_synth(c, backend, config);
     const synth::SynthesisResult r = s.resume(user, state);
     ASSERT_EQ(r.status, synth::SynthesisStatus::kConverged)
         << "resume at iteration " << state.iterations;
@@ -161,7 +171,19 @@ TEST(SessionDifferential, HomenetKillResumeAtEveryIteration) {
 
 TEST(SessionDifferential, Z3BackendKillResumeSmoke) {
   const auto& sk = sketch::swan_sketch();
-  run_differential({sk, sketch::swan_target(), 5}, /*z3=*/true);
+  run_differential({sk, sketch::swan_target(), 5}, Backend::kZ3);
+}
+
+// The portfolio runs its grid and Z3 legs one after the other, so it is
+// replay-deterministic like either back-end alone; its snapshot carries
+// both legs' states.
+TEST(SessionDifferential, HomenetPortfolioKillResumeAtEveryIteration) {
+  const auto& sk = sketch::homenet_sketch();
+  sketch::HoleAssignment target;
+  target.index = {sk.holes()[0].nearest_index(20),
+                  sk.holes()[1].nearest_index(1),
+                  sk.holes()[2].nearest_index(1)};
+  run_differential({sk, target, 77}, Backend::kPortfolio);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "sketch/parser.h"
 #include "solver/equivalence.h"
 #include "solver/grid_finder.h"
+#include "solver/portfolio_finder.h"
 #include "solver/z3_encoder.h"
 #include "solver/z3_finder.h"
 #include "util/rng.h"
@@ -452,6 +454,49 @@ TEST(GridFinderState, RejectsAbsurdSurvivorCountsAsTypedErrors) {
                      "shard 0 0 16 " + count + " 0000"),
                  std::invalid_argument)
         << "dist wire count " << count;
+  }
+}
+
+// --- PortfolioFinder state ----------------------------------------------------
+
+// A portfolio blob holding the state of both legs after one query.
+std::string portfolio_state_blob(const sketch::Sketch& sk) {
+  GridFinderConfig config;
+  config.threads = 1;
+  PortfolioFinder finder(sk, config);
+  finder.find_distinguishing(state_test_graph(sk), 1);
+  return finder.save_state();
+}
+
+// The grid section's length must be plain digits, and a length that makes
+// the section end past the payload must be rejected without reading there,
+// including one whose end offset wraps around SIZE_MAX.
+TEST(PortfolioFinderState, RejectsCraftedSectionLengthsAsTypedErrors) {
+  const auto& sk = sketch::swan_sketch();
+  const std::string blob = portfolio_state_blob(sk);
+  const std::string head = "portfolio 1\ngrid ";
+  const std::size_t eol = blob.find('\n', head.size());
+  ASSERT_NE(eol, std::string::npos);
+  const std::string length = blob.substr(head.size(), eol - head.size());
+  const auto with_length = [&](const std::string& text) {
+    return head + text + blob.substr(eol);
+  };
+  GridFinderConfig config;
+  config.threads = 1;
+  PortfolioFinder b(sk, config);
+  b.restore_state(with_length(length));  // the untouched blob restores
+
+  // The blob starts at the offset just past the length's newline; the
+  // length SIZE_MAX - offset makes offset + length + 1 wrap to 0.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const std::size_t digits = std::to_string(kMax).size();
+  const std::string wrap = std::to_string(kMax - (head.size() + digits + 1));
+  ASSERT_EQ(wrap.size(), digits);
+
+  for (const std::string& bad :
+       {wrap, std::string("-1"), "+" + length, " " + length}) {
+    EXPECT_THROW(b.restore_state(with_length(bad)), std::invalid_argument)
+        << "grid section length '" << bad << "'";
   }
 }
 

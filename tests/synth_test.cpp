@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "oracle/ground_truth.h"
 #include "oracle/variants.h"
@@ -11,6 +14,7 @@
 #include "sketch/eval.h"
 #include "sketch/parser.h"
 #include "solver/equivalence.h"
+#include "solver/shard_sync.h"
 #include "synth/experiment.h"
 #include "synth/synthesizer.h"
 
@@ -148,6 +152,41 @@ TEST(Synthesizer, TranscriptCanBeDisabled) {
   const SynthesisResult r = run_grid(sketch::swan_target(), c);
   EXPECT_TRUE(r.transcript.empty());
   EXPECT_GT(r.iterations, 0);
+}
+
+// Counts the full syncs handed to it and declines each one, so GridFinder
+// falls back to its local scan and the run is otherwise unchanged.
+class CountingShardBackend final : public solver::ShardSyncBackend {
+ public:
+  int calls = 0;
+
+  std::optional<std::vector<std::string>> sync_shards(
+      const pref::PreferenceGraph& /*graph*/,
+      const std::vector<solver::ShardRange>& /*ranges*/) override {
+    ++calls;
+    return std::nullopt;
+  }
+};
+
+// The portfolio's grid leg is built like the grid back-end's, so a
+// configured shard backend (compsynth_cli --workers) receives its full syncs.
+TEST(Synthesizer, PortfolioGridLegDispatchesFullSyncsToShardBackend) {
+  const auto& sk = sketch::swan_sketch();
+  const auto run_with = [&](bool portfolio) {
+    CountingShardBackend backend;
+    SynthesisConfig c = grid_config(4);
+    c.max_iterations = 3;
+    c.grid_shard_backend = &backend;
+    Synthesizer s = portfolio ? make_portfolio_synthesizer(sk, c)
+                              : make_grid_synthesizer(sk, c);
+    oracle::GroundTruthOracle user(sk, sketch::swan_target(),
+                                   c.finder.tie_tolerance);
+    s.run(user);
+    return backend.calls;
+  };
+  const int grid_calls = run_with(false);
+  EXPECT_GT(grid_calls, 0);
+  EXPECT_EQ(run_with(true), grid_calls);
 }
 
 // --- Correctness across target variants (the Fig. 3 claim, grid back-end) -----

@@ -8,18 +8,16 @@
 //                       DSL expression over the sketch's metrics
 //                       (e.g. --target "throughput - 2*latency");
 //                       without it, YOU answer preference queries (1/2/=)
-//   --backend z3|grid   candidate finder (default: z3, the paper's engine)
-//   --workers E1,E2,..  distribute the grid back-end's full version-space
+//   --backend z3|grid|portfolio
+//                       candidate finder (default: z3, the paper's engine);
+//                       portfolio asks the grid first and Z3 where the grid
+//                       can only sample a verdict (docs/SOLVER.md §Portfolio)
+//   --workers E1,E2,..  distribute the grid leg's full version-space
 //                       rebuilds across compsynth_worker endpoints
 //                       (unix:<path> or [tcp:]host:port, comma-separated;
-//                       docs/DISTRIBUTED.md). Implies --backend grid.
+//                       docs/DISTRIBUTED.md). Turns --backend z3 into grid.
 //                       Worker failure falls back to the local scan, so
 //                       results are identical with or without workers.
-//   --portfolio [mode]  race the grid and Z3 finders per query (the solver
-//                       acceleration layer, docs/SOLVER.md §Portfolio);
-//                       mode = race (default) | pin-grid | pin-z3, the pins
-//                       being deterministic single-leg variants. Overrides
-//                       --backend.
 //   --no-incremental    rebuild the Z3 encoding from scratch every query
 //                       instead of extending it via push/pop (debugging /
 //                       A-B timing; verdicts are identical either way)
@@ -63,7 +61,6 @@ struct Options {
   std::string sketch_path;
   std::optional<std::string> target_expr;
   std::string backend = "z3";
-  bool portfolio = false;
   std::vector<std::string> workers;
   std::optional<std::string> resume_path;
   std::optional<std::string> save_path;
@@ -74,8 +71,8 @@ struct Options {
 };
 
 void usage(std::ostream& os) {
-  os << "usage: compsynth_cli <sketch-file> [--target <expr>] [--backend z3|grid]\n"
-        "       [--workers ep1,ep2,...] [--portfolio [race|pin-grid|pin-z3]]\n"
+  os << "usage: compsynth_cli <sketch-file> [--target <expr>]\n"
+        "       [--backend z3|grid|portfolio] [--workers ep1,ep2,...]\n"
         "       [--no-incremental] [--pairs k]\n"
         "       [--initial n] [--max-iters n] [--seed n] [--resume file]\n"
         "       [--save file] [--trace file] [--metrics] [--quiet]\n";
@@ -99,7 +96,8 @@ std::optional<Options> parse_args(int argc, char** argv) {
       if (auto v = need_value(i)) opt.target_expr = *v; else return std::nullopt;
     } else if (arg == "--backend") {
       if (auto v = need_value(i)) opt.backend = *v; else return std::nullopt;
-      if (opt.backend != "z3" && opt.backend != "grid") {
+      if (opt.backend != "z3" && opt.backend != "grid" &&
+          opt.backend != "portfolio") {
         std::cerr << "unknown backend '" << opt.backend << "'\n";
         return std::nullopt;
       }
@@ -122,19 +120,6 @@ std::optional<Options> parse_args(int argc, char** argv) {
       if (opt.workers.empty()) {
         std::cerr << "--workers requires at least one endpoint\n";
         return std::nullopt;
-      }
-      opt.backend = "grid";  // the distribution seam is grid-only
-    } else if (arg == "--portfolio") {
-      opt.portfolio = true;
-      if (i + 1 < argc) {
-        const std::string next = argv[i + 1];
-        if (next == "race" || next == "pin-grid" || next == "pin-z3") {
-          ++i;
-          opt.config.portfolio_mode =
-              next == "race"       ? solver::PortfolioMode::kRace
-              : next == "pin-grid" ? solver::PortfolioMode::kPinGrid
-                                   : solver::PortfolioMode::kPinZ3;
-        }
       }
     } else if (arg == "--no-incremental") {
       opt.config.finder.incremental = false;
@@ -172,6 +157,8 @@ std::optional<Options> parse_args(int argc, char** argv) {
     std::cerr << "missing sketch file\n";
     return std::nullopt;
   }
+  // The distribution seam is grid-only.
+  if (!opt.workers.empty() && opt.backend == "z3") opt.backend = "grid";
   return opt;
 }
 
@@ -241,9 +228,9 @@ int main(int argc, char** argv) {
     }
 
     synth::Synthesizer synthesizer =
-        opt->portfolio ? synth::make_portfolio_synthesizer(sk, config)
-        : opt->backend == "grid" ? synth::make_grid_synthesizer(sk, config)
-                                 : synth::make_z3_synthesizer(sk, config);
+        opt->backend == "portfolio" ? synth::make_portfolio_synthesizer(sk, config)
+        : opt->backend == "grid"    ? synth::make_grid_synthesizer(sk, config)
+                                    : synth::make_z3_synthesizer(sk, config);
 
     pref::PreferenceGraph initial(opt->config.tolerate_inconsistency);
     if (opt->resume_path) {

@@ -14,12 +14,10 @@
 // snapshot's manifest and state summary without running anything.
 //
 // Options (run/resume):
-//   --backend z3|grid          candidate finder (default: grid)
-//   --portfolio [mode]         race the grid and Z3 finders per query; mode =
-//                              race (default) | pin-grid | pin-z3. Overrides
-//                              --backend; the mode is recorded in the
-//                              snapshot's backend tag, so resume must pass
-//                              the same mode.
+//   --backend z3|grid|portfolio
+//                              candidate finder (default: grid); recorded
+//                              in the snapshot's backend tag, so resume
+//                              must pass the same one
 //   --no-incremental           rebuild the Z3 encoding per query instead of
 //                              extending it via push/pop
 //   --dir <dir>                snapshot directory (required)
@@ -76,7 +74,6 @@ struct Options {
   std::string sketch_path;  // or snapshot path for `inspect`
   std::optional<std::string> target_expr;
   std::string backend = "grid";
-  bool portfolio = false;
   std::string dir;
   int every = 1;
   int keep = 4;
@@ -93,8 +90,7 @@ struct Options {
 void usage(std::ostream& os) {
   os << "usage: compsynth_session run|resume <sketch-file> --target <expr> "
         "--dir <dir>\n"
-        "         [--backend z3|grid] [--portfolio [race|pin-grid|pin-z3]]\n"
-        "         [--no-incremental]\n"
+        "         [--backend z3|grid|portfolio] [--no-incremental]\n"
         "         [--every k] [--keep n] [--pairs k]\n"
         "         [--initial n] [--max-iters n] [--seed n] [--stop-after n]\n"
         "         [--trace file] [--metrics] [--quiet]\n"
@@ -139,21 +135,10 @@ std::optional<Options> parse_args(int argc, char** argv) {
       if (!value_for([&](const std::string& v) { opt.target_expr = v; })) return std::nullopt;
     } else if (arg == "--backend") {
       if (!value_for([&](const std::string& v) { opt.backend = v; })) return std::nullopt;
-      if (opt.backend != "z3" && opt.backend != "grid") {
+      if (opt.backend != "z3" && opt.backend != "grid" &&
+          opt.backend != "portfolio") {
         std::cerr << "unknown backend '" << opt.backend << "'\n";
         return std::nullopt;
-      }
-    } else if (arg == "--portfolio") {
-      opt.portfolio = true;
-      if (i + 1 < argc) {
-        const std::string next = argv[i + 1];
-        if (next == "race" || next == "pin-grid" || next == "pin-z3") {
-          ++i;
-          opt.config.portfolio_mode =
-              next == "race"       ? solver::PortfolioMode::kRace
-              : next == "pin-grid" ? solver::PortfolioMode::kPinGrid
-                                   : solver::PortfolioMode::kPinZ3;
-        }
       }
     } else if (arg == "--no-incremental") {
       opt.config.finder.incremental = false;
@@ -362,25 +347,10 @@ int main(int argc, char** argv) {
     ckpt.obs = &config.obs;
     session::CheckpointManager manager(ckpt);
 
-    // The backend tag names the finder topology a resume must reconstruct;
-    // a portfolio's mode changes that topology's determinism, so it is part
-    // of the tag.
-    std::string backend_tag = opt->backend;
-    if (opt->portfolio) {
-      switch (opt->config.portfolio_mode) {
-        case solver::PortfolioMode::kRace: backend_tag = "portfolio-race"; break;
-        case solver::PortfolioMode::kPinGrid:
-          backend_tag = "portfolio-pin-grid";
-          break;
-        case solver::PortfolioMode::kPinZ3:
-          backend_tag = "portfolio-pin-z3";
-          break;
-      }
-    }
-
+    // The backend tag names the finder a resume must reconstruct.
     session::SnapshotMeta meta;
     meta.sketch = sk.name();
-    meta.backend = backend_tag;
+    meta.backend = opt->backend;
     meta.seed = config.seed;
     meta.run_id = config.obs.run_id;
     const auto write_snapshot = session::checkpoint_hook(manager, meta);
@@ -397,9 +367,9 @@ int main(int argc, char** argv) {
     config.checkpoint_every = opt->every;
 
     synth::Synthesizer synthesizer =
-        opt->portfolio ? synth::make_portfolio_synthesizer(sk, config)
-        : opt->backend == "grid" ? synth::make_grid_synthesizer(sk, config)
-                                 : synth::make_z3_synthesizer(sk, config);
+        opt->backend == "portfolio" ? synth::make_portfolio_synthesizer(sk, config)
+        : opt->backend == "grid"    ? synth::make_grid_synthesizer(sk, config)
+                                    : synth::make_z3_synthesizer(sk, config);
     if (auto* z3 = dynamic_cast<solver::Z3Finder*>(&synthesizer.finder())) {
       z3->set_fault_injector(z3_injector);
     } else if (auto* pf =
@@ -422,7 +392,7 @@ int main(int argc, char** argv) {
       for (const std::string& bad : corrupt) {
         if (!opt->quiet) std::cout << "skipped torn/corrupt snapshot " << bad << "\n";
       }
-      if (snap->meta.sketch != sk.name() || snap->meta.backend != backend_tag ||
+      if (snap->meta.sketch != sk.name() || snap->meta.backend != opt->backend ||
           snap->meta.seed != config.seed) {
         std::cerr << "error: snapshot '" << chosen << "' was written by sketch '"
                   << snap->meta.sketch << "' backend '" << snap->meta.backend

@@ -61,3 +61,16 @@ endif()
 if(NOT mismatch_err MATCHES "refusing to resume")
   message(FATAL_ERROR "expected a refusal diagnostic, got: ${mismatch_err}")
 endif()
+
+# So must a different back-end: the grid snapshot's tag is `grid`, and
+# `--backend portfolio` records (and expects) `portfolio`.
+execute_process(
+  COMMAND "${SESSION}" resume "${SKETCH}" --backend portfolio --quiet --seed 5
+          --dir "${DIR}" --target "${TARGET_EXPR}"
+  RESULT_VARIABLE backend_status ERROR_VARIABLE backend_err)
+if(backend_status EQUAL 0)
+  message(FATAL_ERROR "resume with a different backend should have been refused")
+endif()
+if(NOT backend_err MATCHES "backend 'grid'.*refusing to resume")
+  message(FATAL_ERROR "expected a backend refusal diagnostic, got: ${backend_err}")
+endif()

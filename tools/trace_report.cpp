@@ -90,13 +90,10 @@ struct RunReport {
   // The synthesizer's static-analysis lint summary ("analysis", kind=lint).
   std::optional<JsonObject> lint;
   // Solver-acceleration events (docs/SOLVER.md): interval pre-check
-  // discharges, incremental encoding reuse, portfolio race wins.
+  // discharges and incremental encoding reuse.
   long long precheck_hits = 0;
   long long incremental_reuses = 0;
   long long incremental_builds = 0;
-  long long portfolio_races = 0;
-  long long portfolio_grid_wins = 0;
-  long long portfolio_z3_wins = 0;
   // Batched lane evaluator (schema rev 1.5): grid_sync's selected lane ISA
   // ("scalar" / "avx2") -> sync count, plus the reported lane width.
   std::map<std::string, long long> lane_isas;
@@ -108,9 +105,9 @@ struct RunReport {
   long long rehydrations = 0;
   long long replayed_answers = 0;
   // Event kinds this report does not understand (a newer producer's schema
-  // revision, or one an older revision had and 1.7 removed, such as
-  // "solver_cache" and "analysis" kind=prune): tallied and rendered rather
-  // than silently dropped.
+  // revision, or one an older revision had and a later one removed, such as
+  // "solver_cache" and "analysis" kind=prune (1.7) or "portfolio" (1.8)):
+  // tallied and rendered rather than silently dropped.
   std::map<std::string, long long> unknown;
   long long events = 0;
 };
@@ -161,14 +158,6 @@ void absorb(RunReport& run, const JsonObject& obj, const std::string& ev) {
     } else {
       ++run.incremental_builds;
     }
-  } else if (ev == "portfolio") {
-    ++run.portfolio_races;
-    const std::string winner = str_or(obj, "winner", "?");
-    if (winner == "grid") ++run.portfolio_grid_wins;
-    if (winner == "z3") ++run.portfolio_z3_wins;
-    auto& [count, secs] = run.components["portfolio"];
-    ++count;
-    secs += num_or(obj, "secs", 0);
   } else if (ev == "oracle_query") {
     const std::string kind = str_or(obj, "kind", "?");
     std::string key = kind;
@@ -261,9 +250,7 @@ void render_run(std::ostream& os, const RunReport& run) {
 
   // Solver acceleration: only rendered when the run exercised any of it, so
   // plain grid-backend reports stay unchanged.
-  if (run.precheck_hits + run.incremental_reuses + run.incremental_builds +
-          run.portfolio_races >
-      0) {
+  if (run.precheck_hits + run.incremental_reuses + run.incremental_builds > 0) {
     os << "### Solver acceleration\n\n| accelerator | value |\n|---|---|\n";
     if (run.precheck_hits > 0) {
       os << "| interval pre-check discharges | " << run.precheck_hits
@@ -273,14 +260,6 @@ void render_run(std::ostream& os, const RunReport& run) {
       os << "| incremental encoding reuses / builds | "
          << run.incremental_reuses << " / " << run.incremental_builds
          << " |\n";
-    }
-    if (run.portfolio_races > 0) {
-      const double grid_rate =
-          100.0 * run.portfolio_grid_wins / run.portfolio_races;
-      os << "| portfolio races | " << run.portfolio_races << " |\n"
-         << "| portfolio wins grid / z3 | " << run.portfolio_grid_wins
-         << " / " << run.portfolio_z3_wins << " (grid " << fmt(grid_rate, 1)
-         << "%) |\n";
     }
     os << "\n";
   }
@@ -301,7 +280,7 @@ void render_run(std::ostream& os, const RunReport& run) {
   if (!run.unknown.empty()) {
     os << "### Unknown events\n\n"
        << "Event kinds this trace_report does not understand (a newer "
-          "schema revision, or one removed in 1.7); counted, not "
+          "schema revision, or one removed in 1.7 or 1.8); counted, not "
           "dropped.\n\n"
        << "| event | count |\n|---|---|\n";
     for (const auto& [ev, count] : run.unknown) {
