@@ -15,10 +15,11 @@
 //                     if the coordinator fell back to the local scan
 // measuring a full version-space rebuild (GridFinder::sync from scratch over
 // the 54,571-candidate SWAN grid) and an incremental filter after new answers
-// arrive, plus raw evaluation throughput of each evaluator (tree, scalar
-// tape, lane tape) on its own. The JSON records which lane
-// ISA the dispatcher picked (lane_isa / lane_width) so numbers from
-// different hosts are comparable; docs/EVALUATOR.md explains the engine.
+// arrive, plus raw evaluation throughput of each evaluator (tree, lane tape
+// under the scalar and the dispatched kernel) on its own. The JSON records
+// the host (compiler, build type, lane ISA the dispatcher picked, lane
+// width, threads) so numbers from different hosts are comparable;
+// docs/EVALUATOR.md explains the engine.
 //
 // Usage:
 //   bench_eval [--out PATH]   full run; writes BENCH_eval.json (default PATH)
@@ -241,8 +242,6 @@ double time_full_sync_distributed(
 // Raw evaluator throughput over (candidate, scenario) pairs, evals/second.
 struct EvalThroughput {
   double tree = 0;
-  double compiled = 0;
-  double compiled_batched = 0;
   double lanes_scalar = 0;
   double lanes_dispatch = 0;  // 0 when the dispatcher's pick IS scalar
 };
@@ -250,7 +249,6 @@ struct EvalThroughput {
 EvalThroughput measure_eval_throughput(int n_candidates, int n_scenarios,
                                        int reps) {
   const sketch::Sketch& sk = sketch::swan_sketch();
-  const sketch::CompiledSketch compiled(sk);
   const sketch::BatchTape batch(sk);
   util::Rng rng(4242);
 
@@ -280,29 +278,6 @@ EvalThroughput measure_eval_throughput(int n_candidates, int n_scenarios,
     }
   }
   const double tree_seconds = tree_watch.elapsed_seconds();
-
-  util::Stopwatch tape_watch;
-  for (int r = 0; r < reps; ++r) {
-    for (const auto& holes : candidates) {
-      for (int s = 0; s < n_scenarios; ++s) {
-        sink += compiled.eval(
-            std::span<const double>(flat).subspan(
-                static_cast<std::size_t>(s) * width, width),
-            holes);
-      }
-    }
-  }
-  const double tape_seconds = tape_watch.elapsed_seconds();
-
-  std::vector<double> out(static_cast<std::size_t>(n_scenarios));
-  util::Stopwatch batch_watch;
-  for (int r = 0; r < reps; ++r) {
-    for (const auto& holes : candidates) {
-      compiled.eval_many(flat, holes, out);
-      sink += out[0];
-    }
-  }
-  const double batch_seconds = batch_watch.elapsed_seconds();
 
   // Lane tape: candidates transposed into kBatchLaneWidth-wide SoA groups
   // (the tail group pads with the last candidate, its lanes discarded from
@@ -347,8 +322,6 @@ EvalThroughput measure_eval_throughput(int n_candidates, int n_scenarios,
 
   EvalThroughput result;
   result.tree = total_evals / tree_seconds;
-  result.compiled = total_evals / tape_seconds;
-  result.compiled_batched = total_evals / batch_seconds;
   result.lanes_scalar = total_evals / lanes_scalar_seconds;
   result.lanes_dispatch = lanes_dispatch_seconds > 0
                               ? total_evals / lanes_dispatch_seconds
@@ -466,8 +439,6 @@ int run(bool smoke, const std::string& out_path) {
   const EvalThroughput throughput = measure_eval_throughput(
       /*n_candidates=*/64, /*n_scenarios=*/512, /*reps=*/8);
   std::cout << "eval throughput tree " << throughput.tree / 1e6
-            << " Me/s, compiled " << throughput.compiled / 1e6
-            << " Me/s, batched " << throughput.compiled_batched / 1e6
             << " Me/s, lanes(scalar) " << throughput.lanes_scalar / 1e6
             << " Me/s, lanes(" << lane_isa << ") "
             << throughput.lanes_dispatch / 1e6 << " Me/s\n";
@@ -481,6 +452,8 @@ int run(bool smoke, const std::string& out_path) {
   json << "{\n"
        << "  \"bench\": \"eval\",\n"
        << "  \"workload\": \"swan_table1\",\n"
+       << "  \"compiler\": \"" << COMPSYNTH_BENCH_COMPILER << "\",\n"
+       << "  \"build_type\": \"" << COMPSYNTH_BENCH_BUILD_TYPE << "\",\n"
        << "  \"candidates\": " << candidates << ",\n"
        << "  \"edges\": " << graph.edges().size() << ",\n"
        << "  \"ties\": " << graph.ties().size() << ",\n"
@@ -495,8 +468,6 @@ int run(bool smoke, const std::string& out_path) {
        << "  \"reps\": " << reps << ",\n"
        << "  \"eval_throughput_per_sec\": {\n"
        << "    \"tree\": " << throughput.tree << ",\n"
-       << "    \"compiled\": " << throughput.compiled << ",\n"
-       << "    \"compiled_batched\": " << throughput.compiled_batched << ",\n"
        << "    \"lanes_scalar\": " << throughput.lanes_scalar << ",\n"
        << "    \"lanes_dispatch\": " << throughput.lanes_dispatch << "\n"
        << "  },\n"

@@ -18,6 +18,9 @@
 // baseline's; it runs twice and must ask the identical sequence both times,
 // and a full run checks its objective is ranking-equivalent to the target.
 //
+// The JSON records the host (compiler, build type, lane ISA, threads) next
+// to the rows, so numbers from different hosts are never compared blind.
+//
 // Usage:
 //   bench_solver [--out PATH]  full runs; writes BENCH_solver.json
 //   bench_solver --smoke       truncated runs for CTest — exercises every
@@ -35,6 +38,7 @@
 #include "oracle/ground_truth.h"
 #include "oracle/oracle.h"
 #include "pref/scenario.h"
+#include "sketch/compile.h"
 #include "sketch/library.h"
 #include "solver/equivalence.h"
 #include "synth/synthesizer.h"
@@ -243,6 +247,10 @@ int run(bool smoke, const std::string& out_path) {
   json << "{\n"
        << "  \"bench\": \"solver\",\n"
        << "  \"workload\": \"swan_table1\",\n"
+       << "  \"compiler\": \"" << COMPSYNTH_BENCH_COMPILER << "\",\n"
+       << "  \"build_type\": \"" << COMPSYNTH_BENCH_BUILD_TYPE << "\",\n"
+       << "  \"lane_isa\": \""
+       << sketch::lane_isa_name(sketch::active_lane_isa()) << "\",\n"
        << "  \"candidates\": " << candidates << ",\n"
        << "  \"seed\": 7,\n"
        << "  \"threads_available\": " << util::ThreadPool::shared().size()

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -84,6 +85,9 @@ int try_connect(const std::string& endpoint) {
     if (fd < 0) {
       throw std::runtime_error(std::string("socket: ") + std::strerror(errno));
     }
+    // Requests are single sends awaiting a reply; Nagle would only delay them.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
       const int saved = errno;
       ::close(fd);

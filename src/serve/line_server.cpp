@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -169,6 +170,13 @@ void LineServer::accept_loop() {
         if (errno == EINTR || errno == ECONNABORTED) continue;
         return;  // listener gone
       }
+      if (!unix_socket_) {
+        // Each response is one send() (connection_loop); with Nagle on, a
+        // response whose head was still unacknowledged would wait for the
+        // peer's delayed ACK (~40 ms) before its tail left.
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      }
       conn_fds_.insert(fd);
       conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
     }
@@ -201,7 +209,9 @@ void LineServer::connection_loop(int fd) {
         stop_requested = true;
         break;
       }
-      if (!send_all(fd, response) || !send_all(fd, "\n")) {
+      // One buffer per response: a separate send of the trailing newline
+      // is a write-write-read pattern that stalls on TCP's delayed ACK.
+      if (!send_all(fd, response + '\n')) {
         pos = buffer.size();
         stop_requested = true;  // peer gone; just leave the loop below
         break;

@@ -7,7 +7,7 @@
 // with the scalar interpreter (operand-swapped min/max for std::min/std::max
 // NaN semantics, ordered-quiet compares, xor-with-sign-bit negation); the
 // lane differential tests in tests/compile_test.cpp enforce this against
-// both CompiledSketch and the tree interpreter.
+// the tree interpreter.
 //
 // Only built when CMake detects -mavx2 support on an x86-64 target
 // (COMPSYNTH_HAVE_AVX2); other builds dispatch to the scalar kernel.

@@ -2,8 +2,8 @@
 // back-ends of sketch::BatchTape (see compile.h for the public API and
 // docs/EVALUATOR.md for the full specification).
 //
-// A BatchProgram is a *structured* tape: unlike CompiledSketch's jump-guarded
-// tape, control flow is expressed as paired region markers
+// A BatchProgram is a *structured* tape: it has no jumps; control flow is
+// expressed as paired region markers
 // (kIteBegin/kIteElse/kIteEnd, kChoiceBegin/.../kChoiceEnd) executed under a
 // per-lane activity mask. Every lane runs every instruction; masks decide
 // which lanes an instruction is *semantically* executing for:
@@ -37,7 +37,7 @@
 namespace compsynth::sketch::internal {
 
 /// One structured-tape instruction. Booleans are 1.0 / 0.0 values, exactly
-/// as on the scalar tape.
+/// as the comparisons produce them.
 struct BatchInstr {
   enum class Op : std::uint8_t {
     kPushConst,   // push broadcast(value)

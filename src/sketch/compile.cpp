@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <string_view>
 
 #include "sketch/batch_kernel.h"
@@ -17,10 +15,6 @@ constexpr const char* kNumericPositionError =
     "eval_numeric: boolean node in numeric position";
 constexpr const char* kBoolPositionError =
     "eval_bool: numeric node in boolean position";
-
-// Value stacks this deep live on the C++ stack; deeper tapes (pathological
-// fuzzer trees) fall back to one heap allocation per eval call.
-constexpr std::size_t kInlineStack = 64;
 
 // --- Constant folding --------------------------------------------------------
 //
@@ -108,226 +102,13 @@ ExprPtr fold(const ExprPtr& e) {
   return std::make_shared<const Expr>(std::move(copy));
 }
 
-// --- Stack-depth accounting --------------------------------------------------
-//
-// Exact maximum stack occupancy of the emitted code. Left operands stay on
-// the stack while right operands evaluate, hence the `1 + need(rhs)` terms.
-// kRaise nodes reserve one slot so the bound stays valid on every path.
-
-std::size_t need_numeric(const Expr& e);
-std::size_t need_bool(const Expr& e);
-
-std::size_t need_numeric(const Expr& e) {
-  switch (e.kind) {
-    case Expr::Kind::kConst:
-    case Expr::Kind::kMetric:
-    case Expr::Kind::kHole:
-      return 1;
-    case Expr::Kind::kNeg:
-      return need_numeric(*e.children[0]);
-    case Expr::Kind::kBinary:
-      return std::max(need_numeric(*e.children[0]),
-                      1 + need_numeric(*e.children[1]));
-    case Expr::Kind::kIte:
-      return std::max({need_bool(*e.children[0]), need_numeric(*e.children[1]),
-                       need_numeric(*e.children[2])});
-    case Expr::Kind::kChoice: {
-      std::size_t deepest = 1;
-      for (const ExprPtr& alt : e.children) {
-        deepest = std::max(deepest, need_numeric(*alt));
-      }
-      return deepest;
-    }
-    case Expr::Kind::kCmp:
-    case Expr::Kind::kBoolBinary:
-    case Expr::Kind::kNot:
-    case Expr::Kind::kBoolConst:
-      return 1;  // compiles to kRaise
-  }
-  return 1;
-}
-
-std::size_t need_bool(const Expr& e) {
-  switch (e.kind) {
-    case Expr::Kind::kBoolConst:
-      return 1;
-    case Expr::Kind::kCmp:
-      return std::max(need_numeric(*e.children[0]),
-                      1 + need_numeric(*e.children[1]));
-    case Expr::Kind::kBoolBinary:
-      return std::max(need_bool(*e.children[0]), 1 + need_bool(*e.children[1]));
-    case Expr::Kind::kNot:
-      return need_bool(*e.children[0]);
-    case Expr::Kind::kConst:
-    case Expr::Kind::kMetric:
-    case Expr::Kind::kHole:
-    case Expr::Kind::kNeg:
-    case Expr::Kind::kBinary:
-    case Expr::Kind::kIte:
-    case Expr::Kind::kChoice:
-      return 1;  // compiles to kRaise
-  }
-  return 1;
-}
-
-// --- Lowering ----------------------------------------------------------------
-
-class Emitter {
- public:
-  void numeric(const Expr& e) {
-    using Op = Instr::Op;
-    switch (e.kind) {
-      case Expr::Kind::kConst: {
-        Instr in{Op::kPushConst};
-        in.value = e.literal;
-        tape.push_back(in);
-        return;
-      }
-      case Expr::Kind::kMetric:
-        push_indexed(Op::kPushMetric, e.metric);
-        return;
-      case Expr::Kind::kHole:
-        push_indexed(Op::kPushHole, e.hole);
-        return;
-      case Expr::Kind::kNeg:
-        numeric(*e.children[0]);
-        tape.push_back(Instr{Op::kNeg});
-        return;
-      case Expr::Kind::kBinary: {
-        numeric(*e.children[0]);
-        numeric(*e.children[1]);
-        Op op = Op::kAdd;
-        switch (e.bin_op) {
-          case BinOp::kAdd: op = Op::kAdd; break;
-          case BinOp::kSub: op = Op::kSub; break;
-          case BinOp::kMul: op = Op::kMul; break;
-          case BinOp::kDiv: op = Op::kDiv; break;
-          case BinOp::kMin: op = Op::kMin; break;
-          case BinOp::kMax: op = Op::kMax; break;
-        }
-        tape.push_back(Instr{op});
-        return;
-      }
-      case Expr::Kind::kIte: {
-        boolean(*e.children[0]);
-        const std::size_t to_else = placeholder(Op::kJumpIfZero);
-        numeric(*e.children[1]);
-        const std::size_t to_end = placeholder(Op::kJump);
-        patch(to_else);
-        numeric(*e.children[2]);
-        patch(to_end);
-        return;
-      }
-      case Expr::Kind::kChoice: {
-        // One dispatch instruction jumping through a table; every
-        // alternative but the last jumps over the remaining ones.
-        const std::size_t n = e.children.size();
-        const std::size_t base = tables.size();
-        tables.push_back(static_cast<std::int32_t>(n));
-        tables.resize(tables.size() + n);
-        Instr in{Op::kChoice};
-        in.a = static_cast<std::int32_t>(e.hole);
-        in.b = static_cast<std::int32_t>(base);
-        const std::size_t dispatch = tape.size();
-        tape.push_back(in);
-        std::vector<std::size_t> exits;
-        for (std::size_t i = 0; i < n; ++i) {
-          tables[base + 1 + i] =
-              static_cast<std::int32_t>(tape.size() - dispatch - 1);
-          numeric(*e.children[i]);
-          if (i + 1 < n) exits.push_back(placeholder(Op::kJump));
-        }
-        for (const std::size_t at : exits) patch(at);
-        return;
-      }
-      case Expr::Kind::kCmp:
-      case Expr::Kind::kBoolBinary:
-      case Expr::Kind::kNot:
-      case Expr::Kind::kBoolConst:
-        raise(/*numeric_position=*/true);
-        return;
-    }
-  }
-
-  void boolean(const Expr& e) {
-    using Op = Instr::Op;
-    switch (e.kind) {
-      case Expr::Kind::kBoolConst: {
-        Instr in{Op::kPushConst};
-        in.value = e.literal != 0 ? 1.0 : 0.0;
-        tape.push_back(in);
-        return;
-      }
-      case Expr::Kind::kCmp: {
-        numeric(*e.children[0]);
-        numeric(*e.children[1]);
-        Op op = Op::kLt;
-        switch (e.cmp_op) {
-          case CmpOp::kLt: op = Op::kLt; break;
-          case CmpOp::kLe: op = Op::kLe; break;
-          case CmpOp::kGt: op = Op::kGt; break;
-          case CmpOp::kGe: op = Op::kGe; break;
-          case CmpOp::kEq: op = Op::kEq; break;
-          case CmpOp::kNe: op = Op::kNe; break;
-        }
-        tape.push_back(Instr{op});
-        return;
-      }
-      case Expr::Kind::kBoolBinary:
-        boolean(*e.children[0]);
-        boolean(*e.children[1]);
-        tape.push_back(
-            Instr{e.bool_op == BoolOp::kAnd ? Op::kAnd : Op::kOr});
-        return;
-      case Expr::Kind::kNot:
-        boolean(*e.children[0]);
-        tape.push_back(Instr{Op::kNot});
-        return;
-      case Expr::Kind::kConst:
-      case Expr::Kind::kMetric:
-      case Expr::Kind::kHole:
-      case Expr::Kind::kNeg:
-      case Expr::Kind::kBinary:
-      case Expr::Kind::kIte:
-      case Expr::Kind::kChoice:
-        raise(/*numeric_position=*/false);
-        return;
-    }
-  }
-
-  std::vector<Instr> tape;
-  std::vector<std::int32_t> tables;
-
- private:
-  void push_indexed(Instr::Op op, std::size_t id) {
-    Instr in{op};
-    in.a = static_cast<std::int32_t>(id);
-    tape.push_back(in);
-  }
-
-  std::size_t placeholder(Instr::Op op) {
-    tape.push_back(Instr{op});
-    return tape.size() - 1;
-  }
-
-  // Jump offsets are relative to the instruction after the jump.
-  void patch(std::size_t at) {
-    tape[at].a = static_cast<std::int32_t>(tape.size() - at - 1);
-  }
-
-  void raise(bool numeric_position) {
-    Instr in{Instr::Op::kRaise};
-    in.a = numeric_position ? 0 : 1;
-    tape.push_back(in);
-  }
-};
-
 // --- Batch lowering ----------------------------------------------------------
 //
 // Emits the structured (jump-free) tape batch_kernel.h executes under
-// per-lane masks. The traversal mirrors Emitter exactly — same type
-// contexts, same ill-typed-node kRaise placement — so per lane the two
-// tapes perform the identical operation sequence on the identical path.
+// per-lane masks. The traversal follows eval_numeric/eval_bool exactly —
+// same type contexts, and a kRaise wherever the interpreter would throw on
+// an ill-typed node — so per lane the tape performs the interpreter's
+// operation sequence on the interpreter's path.
 
 std::size_t batch_need_numeric(const Expr& e);
 std::size_t batch_need_bool(const Expr& e);
@@ -344,8 +125,8 @@ std::size_t batch_need_numeric(const Expr& e) {
       return std::max(batch_need_numeric(*e.children[0]),
                       1 + batch_need_numeric(*e.children[1]));
     case Expr::Kind::kIte:
-      // Unlike the jump tape, the then-value stays parked on the stack
-      // while the else branch evaluates, hence the extra slot.
+      // The then-value stays parked on the stack while the else branch
+      // evaluates, hence the extra slot.
       return std::max({batch_need_bool(*e.children[0]),
                        batch_need_numeric(*e.children[1]),
                        1 + batch_need_numeric(*e.children[2])});
@@ -559,167 +340,6 @@ std::atomic<std::uint8_t>& lane_isa_cell() {
 }
 
 }  // namespace
-
-CompiledSketch::CompiledSketch(const Sketch& sketch)
-    : CompiledSketch(*sketch.body(), sketch.metrics().size(),
-                     sketch.holes().size()) {}
-
-CompiledSketch::CompiledSketch(const Expr& body, std::size_t metric_count,
-                               std::size_t hole_count)
-    : metric_count_(metric_count), hole_count_(hole_count) {
-  const ExprPtr folded =
-      fold(std::make_shared<const Expr>(body));
-  Emitter emitter;
-  emitter.numeric(*folded);
-  tape_ = std::move(emitter.tape);
-  tables_ = std::move(emitter.tables);
-  max_stack_ = need_numeric(*folded);
-}
-
-double CompiledSketch::run(std::span<const double> metrics,
-                           std::span<const double> holes,
-                           double* stack) const {
-  using Op = Instr::Op;
-  const Instr* code = tape_.data();
-  const auto end = static_cast<std::ptrdiff_t>(tape_.size());
-  std::size_t sp = 0;
-  for (std::ptrdiff_t pc = 0; pc < end; ++pc) {
-    const Instr& in = code[pc];
-    switch (in.op) {
-      case Op::kPushConst:
-        stack[sp++] = in.value;
-        break;
-      case Op::kPushMetric:
-        stack[sp++] = metrics[static_cast<std::size_t>(in.a)];
-        break;
-      case Op::kPushHole:
-        stack[sp++] = holes[static_cast<std::size_t>(in.a)];
-        break;
-      case Op::kNeg:
-        stack[sp - 1] = -stack[sp - 1];
-        break;
-      case Op::kAdd:
-        --sp;
-        stack[sp - 1] += stack[sp];
-        break;
-      case Op::kSub:
-        --sp;
-        stack[sp - 1] -= stack[sp];
-        break;
-      case Op::kMul:
-        --sp;
-        stack[sp - 1] *= stack[sp];
-        break;
-      case Op::kDiv: {
-        --sp;
-        const double divisor = stack[sp];
-        if (divisor == 0) throw EvalError("division by zero");
-        stack[sp - 1] /= divisor;
-        break;
-      }
-      case Op::kMin:
-        --sp;
-        stack[sp - 1] = std::min(stack[sp - 1], stack[sp]);
-        break;
-      case Op::kMax:
-        --sp;
-        stack[sp - 1] = std::max(stack[sp - 1], stack[sp]);
-        break;
-      case Op::kLt:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] < stack[sp] ? 1.0 : 0.0;
-        break;
-      case Op::kLe:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] <= stack[sp] ? 1.0 : 0.0;
-        break;
-      case Op::kGt:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] > stack[sp] ? 1.0 : 0.0;
-        break;
-      case Op::kGe:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] >= stack[sp] ? 1.0 : 0.0;
-        break;
-      case Op::kEq:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] == stack[sp] ? 1.0 : 0.0;
-        break;
-      case Op::kNe:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] != stack[sp] ? 1.0 : 0.0;
-        break;
-      case Op::kAnd:
-        --sp;
-        stack[sp - 1] = (stack[sp - 1] != 0 && stack[sp] != 0) ? 1.0 : 0.0;
-        break;
-      case Op::kOr:
-        --sp;
-        stack[sp - 1] = (stack[sp - 1] != 0 || stack[sp] != 0) ? 1.0 : 0.0;
-        break;
-      case Op::kNot:
-        stack[sp - 1] = stack[sp - 1] == 0 ? 1.0 : 0.0;
-        break;
-      case Op::kJump:
-        pc += in.a;
-        break;
-      case Op::kJumpIfZero:
-        if (stack[--sp] == 0) pc += in.a;
-        break;
-      case Op::kChoice: {
-        const auto raw = static_cast<std::int64_t>(
-            std::llround(holes[static_cast<std::size_t>(in.a)]));
-        const std::size_t base = static_cast<std::size_t>(in.b);
-        const std::int64_t count = tables_[base];
-        const auto idx =
-            static_cast<std::size_t>(std::clamp<std::int64_t>(raw, 0, count - 1));
-        pc += tables_[base + 1 + idx];
-        break;
-      }
-      case Op::kRaise:
-        throw EvalError(in.a == 0 ? kNumericPositionError : kBoolPositionError);
-    }
-  }
-  return stack[sp - 1];
-}
-
-double CompiledSketch::eval(std::span<const double> metrics,
-                            std::span<const double> holes) const {
-  if (metrics.size() != metric_count_) {
-    throw EvalError("eval: scenario arity does not match sketch metrics");
-  }
-  if (holes.size() != hole_count_) {
-    throw EvalError("eval: hole values arity does not match sketch holes");
-  }
-  if (max_stack_ <= kInlineStack) {
-    double stack[kInlineStack];
-    return run(metrics, holes, stack);
-  }
-  std::vector<double> stack(max_stack_);
-  return run(metrics, holes, stack.data());
-}
-
-void CompiledSketch::eval_many(std::span<const double> metrics_flat,
-                               std::span<const double> holes,
-                               std::span<double> out) const {
-  if (metrics_flat.size() != out.size() * metric_count_) {
-    throw EvalError("eval_many: flat metric buffer does not match out size");
-  }
-  if (holes.size() != hole_count_) {
-    throw EvalError("eval: hole values arity does not match sketch holes");
-  }
-  double inline_stack[kInlineStack];
-  std::vector<double> heap_stack;
-  double* stack = inline_stack;
-  if (max_stack_ > kInlineStack) {
-    heap_stack.resize(max_stack_);
-    stack = heap_stack.data();
-  }
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = run(metrics_flat.subspan(i * metric_count_, metric_count_), holes,
-                 stack);
-  }
-}
 
 // --- BatchTape ---------------------------------------------------------------
 

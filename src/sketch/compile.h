@@ -1,24 +1,25 @@
-// Compiled evaluator for sketch expressions.
+// Compiled evaluator for sketch expressions: the lane tape.
 //
-// Lowers a (type-checked) Expr tree into a flat instruction tape executed by
-// a small stack machine: one contiguous std::vector<Instr>, no recursion, no
-// per-node shared_ptr hops. Bulk candidate scoring — GridFinder's version
-// space sync, distinguishing-pair search and bisection scoring — runs the
-// tape instead of the tree interpreter; eval.h remains the reference
-// semantics and tests/compile_test.cpp cross-checks the two on every library
-// sketch plus fuzzer-generated ASTs (including error paths).
+// Lowers a (type-checked) Expr tree once into a structured masked tape,
+// sketch::BatchTape, that evaluates kBatchLaneWidth candidates against one
+// scenario per call, candidates stored structure-of-arrays. Every bulk
+// evaluation in GridFinder runs it: version-space sync (8 candidates per
+// pass), distinguishing-pair search (the two candidates of a pair in one
+// pass) and bisection scoring (8 survivors per pass). eval.h remains the
+// reference semantics, and tests/compile_test.cpp cross-checks the two on
+// every library sketch plus fuzzer-generated ASTs (including error paths).
 //
-// Semantics are bit-for-bit those of eval_numeric/eval_bool:
+// Semantics per lane are bit-for-bit those of eval_numeric/eval_bool:
 //   * kIte evaluates the condition and then ONLY the taken branch; kChoice
 //     evaluates only the selected alternative (selector rounded with
-//     std::llround and clamped to [0, N-1]). Branches therefore compile to
-//     jump-guarded regions — a division by zero in an untaken branch must
-//     not throw.
-//   * Division by zero throws EvalError("division by zero") when reached.
-//   * Ill-typed nodes (boolean in numeric position or vice versa) compile to
-//     kRaise instructions that throw the interpreter's exact message when —
-//     and only when — execution reaches them; compilation itself never
-//     throws on ill-typed input.
+//     std::llround and clamped to [0, N-1]). Branches run as masked regions,
+//     so a division by zero in an untaken branch poisons nothing.
+//   * Division by zero poisons the lane with LaneError::kDivZero when
+//     reached; throw_lane_error turns it into EvalError("division by zero").
+//   * Ill-typed nodes (boolean in numeric position or vice versa) lower to
+//     kRaise instructions that poison the lane with the interpreter's exact
+//     message when — and only when — execution reaches them; compilation
+//     itself never throws on ill-typed input.
 //   * && / || evaluate both operands (no short-circuit), like the tree
 //     interpreter and the Z3 encoding.
 // Constant folding only replaces a subtree with the double the interpreter
@@ -30,7 +31,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "sketch/ast.h"
 #include "sketch/eval.h"
@@ -40,81 +40,6 @@ namespace compsynth::sketch {
 namespace internal {
 struct BatchProgram;
 }  // namespace internal
-
-/// One tape instruction. Booleans live on the same stack as numbers,
-/// encoded as 1.0 / 0.0 (comparisons push exactly these two values).
-struct Instr {
-  enum class Op : std::uint8_t {
-    kPushConst,   // push value
-    kPushMetric,  // push metrics[a]
-    kPushHole,    // push holes[a]
-    kNeg,         // unary minus on top of stack
-    kAdd, kSub, kMul,
-    kDiv,         // throws EvalError on zero divisor
-    kMin, kMax,
-    kLt, kLe, kGt, kGe, kEq, kNe,  // pop 2 numbers, push 1.0 / 0.0
-    kAnd, kOr,    // pop 2 booleans (both already evaluated), push combined
-    kNot,         // invert boolean on top of stack
-    kJump,        // pc += a (relative to the instruction after this one)
-    kJumpIfZero,  // pop; if it is 0.0, pc += a
-    kChoice,      // clamp(llround(holes[a])) into the jump table at
-                  // tables[b] (layout: count, then count offsets)
-    kRaise,       // throw EvalError: a = 0 numeric-position, 1 bool-position
-  };
-
-  Op op;
-  std::int32_t a = 0;  // metric/hole id, jump offset, table base or message id
-  std::int32_t b = 0;  // kChoice: base index into the jump-offset table
-  double value = 0;    // kPushConst payload
-};
-
-/// A sketch body lowered to a tape, ready for repeated evaluation.
-///
-/// Immutable after construction; eval/eval_many are const and safe to call
-/// concurrently from many threads (each call uses its own value stack).
-class CompiledSketch {
- public:
-  /// Compiles the sketch's body. Never throws on the (always well-typed)
-  /// trees a Sketch can hold; arity errors surface at eval time exactly as
-  /// with eval_with_values.
-  explicit CompiledSketch(const Sketch& sketch);
-
-  /// Compiles a bare numeric expression over `metric_count` metrics and
-  /// `hole_count` holes — the tree need not be well-typed (ill-typed nodes
-  /// become runtime raises). Used by the differential tests.
-  CompiledSketch(const Expr& body, std::size_t metric_count,
-                 std::size_t hole_count);
-
-  /// Evaluates the tape. Argument and error semantics match
-  /// eval_with_values(sketch, holes, metrics) bit-for-bit.
-  double eval(std::span<const double> metrics,
-              std::span<const double> holes) const;
-
-  /// Batched evaluation over `out.size()` scenarios stored contiguously in
-  /// `metrics_flat` (scenario i occupies [i*metric_count, (i+1)*metric_count)).
-  /// Equivalent to calling eval per scenario, amortizing the stack setup.
-  void eval_many(std::span<const double> metrics_flat,
-                 std::span<const double> holes, std::span<double> out) const;
-
-  std::size_t metric_count() const { return metric_count_; }
-  std::size_t hole_count() const { return hole_count_; }
-
-  /// Introspection for tests and diagnostics.
-  const std::vector<Instr>& tape() const { return tape_; }
-  std::size_t max_stack() const { return max_stack_; }
-
- private:
-  double run(std::span<const double> metrics, std::span<const double> holes,
-             double* stack) const;
-
-  std::vector<Instr> tape_;
-  std::vector<std::int32_t> tables_;  // kChoice jump tables, back to back
-  std::size_t metric_count_ = 0;
-  std::size_t hole_count_ = 0;
-  std::size_t max_stack_ = 0;
-};
-
-// --- Batched (multi-candidate) evaluation ------------------------------------
 
 /// Number of candidates a BatchTape evaluates per call. Fixed at 8 on every
 /// back-end (AVX2 uses two 4-wide registers, the scalar fallback plain
@@ -163,11 +88,10 @@ const char* lane_error_message(LaneError err);
 
 /// A sketch body lowered once into a structured masked tape that evaluates
 /// kLaneWidth candidates against one scenario per call, candidates stored
-/// structure-of-arrays. Semantics per lane are bit-for-bit those of
-/// CompiledSketch::eval / the tree interpreter, including lazy kIte/kChoice
-/// (masked regions instead of jumps) and reachable-only errors, which
-/// surface as per-lane poison codes instead of exceptions so one raising
-/// candidate cannot abort its batch siblings.
+/// structure-of-arrays. Semantics per lane are bit-for-bit those of the tree
+/// interpreter, including lazy kIte/kChoice (masked regions) and
+/// reachable-only errors, which surface as per-lane poison codes instead of
+/// exceptions so one raising candidate cannot abort its batch siblings.
 ///
 /// Immutable after construction; eval_lanes is const and safe to call
 /// concurrently from many threads (each call uses its own stacks).
@@ -177,8 +101,9 @@ class BatchTape {
 
   explicit BatchTape(const Sketch& sketch);
 
-  /// Compiles a bare numeric expression; ill-typed nodes become per-lane
-  /// poison at run time, mirroring CompiledSketch. Used by the tests.
+  /// Compiles a bare numeric expression over `metric_count` metrics and
+  /// `hole_count` holes — the tree need not be well-typed (ill-typed nodes
+  /// become per-lane poison at run time). Used by the differential tests.
   BatchTape(const Expr& body, std::size_t metric_count,
             std::size_t hole_count);
 

@@ -27,12 +27,81 @@ constexpr std::int64_t kMinParallelCandidates = 2048;
 
 constexpr double kNotComputed = std::numeric_limits<double>::quiet_NaN();
 
+constexpr std::size_t W = sketch::kBatchLaneWidth;
+
+/// Fills lanes n.. of an SoA hole buffer (hole h, lane l at h*W+l) with lane
+/// n-1's values, so every lane holds in-domain values; callers ignore the
+/// outputs of those pad lanes.
+void pad_lanes(std::vector<double>& holes_soa, std::size_t n) {
+  const std::size_t n_holes = holes_soa.size() / W;
+  for (std::size_t h = 0; h < n_holes; ++h) {
+    std::fill(holes_soa.begin() + static_cast<std::ptrdiff_t>(h * W + n),
+              holes_soa.begin() + static_cast<std::ptrdiff_t>((h + 1) * W),
+              holes_soa[h * W + (n - 1)]);
+  }
+}
+
+/// Per-vertex lane results of one kBatchLaneWidth-candidate group, filled
+/// lazily by the caller's `ensure(v)`: vertex v, lane l at v*W+l, and bit l
+/// of err_bits[v] set when lane l errored on v.
+struct VertexLanes {
+  explicit VertexLanes(std::size_t n_vertices)
+      : vals(n_vertices * W), errs(n_vertices * W), err_bits(n_vertices, 0) {}
+  std::vector<double> vals;
+  std::vector<sketch::LaneError> errs;
+  std::vector<unsigned char> err_bits;
+};
+
+/// Checks the lanes in `alive_bits` against edges[first_edge..] and then
+/// ties[first_tie..] in graph order, each lane stopping at its first failure,
+/// and returns the lanes that satisfy them all. Per lane the better (first)
+/// vertex's error is observed before the worse (second) one's, then the
+/// comparison, so the error recorded in lane_err is exactly the EvalError a
+/// one-candidate scan would have thrown. Error lanes take the scalar slow
+/// path (rare); each comparison is one vectorized mask. lane_gt_bits is false
+/// on NaN, so a NaN kills the lane as `!(fb > fw)` would;
+/// lane_abs_diff_gt_bits is false on NaN, so a NaN tie difference never
+/// exceeds the bound and the lane survives.
+template <typename Ensure>
+unsigned check_lanes(const pref::PreferenceGraph& graph, std::size_t first_edge,
+                     std::size_t first_tie, double tie_bound,
+                     unsigned alive_bits, const VertexLanes& vl,
+                     std::array<sketch::LaneError, W>& lane_err,
+                     Ensure&& ensure) {
+  const auto constraint = [&](pref::VertexId u, pref::VertexId v) {
+    ensure(u);
+    ensure(v);
+    const unsigned err_mask =
+        static_cast<unsigned>(vl.err_bits[u] | vl.err_bits[v]) & alive_bits;
+    for (unsigned bits = err_mask; bits != 0; bits &= bits - 1) {
+      const auto l = static_cast<std::size_t>(std::countr_zero(bits));
+      const sketch::LaneError eu = vl.errs[u * W + l];
+      lane_err[l] = eu != sketch::LaneError::kNone ? eu : vl.errs[v * W + l];
+    }
+    alive_bits &= ~err_mask;
+  };
+  const auto& edges = graph.edges();
+  for (std::size_t i = first_edge; i < edges.size() && alive_bits != 0; ++i) {
+    const pref::Edge& e = edges[i];
+    constraint(e.better, e.worse);
+    alive_bits &=
+        sketch::lane_gt_bits(&vl.vals[e.better * W], &vl.vals[e.worse * W]);
+  }
+  const auto& ties = graph.ties();
+  for (std::size_t i = first_tie; i < ties.size() && alive_bits != 0; ++i) {
+    const auto& t = ties[i];
+    constraint(t.first, t.second);
+    alive_bits &= ~sketch::lane_abs_diff_gt_bits(
+        &vl.vals[t.first * W], &vl.vals[t.second * W], tie_bound);
+  }
+  return alive_bits;
+}
+
 }  // namespace
 
 GridFinder::GridFinder(sketch::Sketch sketch, GridFinderConfig config,
                        Viability viability, ScenarioDomain domain)
     : sketch_(std::move(sketch)),
-      compiled_(sketch_),
       batch_(sketch_),
       config_(config),
       viability_(std::move(viability)),
@@ -62,29 +131,6 @@ util::ThreadPool* GridFinder::pool() const {
   return &util::ThreadPool::shared();
 }
 
-double GridFinder::objective(std::span<const double> hole_values,
-                             std::span<const double> metrics) const {
-  // Distinguishing-pair search and bisection scoring evaluate ONE candidate
-  // against many scenarios — the transpose of the lane tape's
-  // 8-candidates-1-scenario shape — so they run the scalar tape; the two
-  // tapes are bit-identical (tests/compile_test.cpp).
-  return compiled_.eval(metrics, hole_values);
-}
-
-std::vector<double> GridFinder::objective_batch(
-    std::span<const double> hole_values,
-    const std::vector<pref::Scenario>& scenarios) const {
-  std::vector<double> out(scenarios.size());
-  const std::size_t width = sketch_.metrics().size();
-  std::vector<double> flat(scenarios.size() * width);
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    std::copy(scenarios[i].metrics.begin(), scenarios[i].metrics.end(),
-              flat.begin() + static_cast<std::ptrdiff_t>(i * width));
-  }
-  compiled_.eval_many(flat, hole_values, out);
-  return out;
-}
-
 sketch::HoleAssignment GridFinder::assignment_at(std::int64_t linear) const {
   sketch::HoleAssignment a;
   a.index.resize(sketch_.holes().size());
@@ -104,17 +150,26 @@ std::int64_t GridFinder::shard_span(std::int64_t total) {
   return std::max<std::int64_t>(4096, (total + 63) / 64);
 }
 
+void GridFinder::stage_survivors(std::size_t base, std::size_t n,
+                                 std::vector<double>& holes_soa) const {
+  const std::size_t n_holes = sketch_.holes().size();
+  for (std::size_t l = 0; l < n; ++l) {
+    const Survivor& s = survivors_[base + l];
+    for (std::size_t h = 0; h < n_holes; ++h) {
+      holes_soa[h * W + l] = s.hole_values[h];
+    }
+  }
+  pad_lanes(holes_soa, n);
+}
+
 void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
                                        const pref::PreferenceGraph& graph,
                                        std::vector<Survivor>& out,
                                        BatchCounters& counters) const {
-  constexpr std::size_t W = sketch::kBatchLaneWidth;
   const std::size_t n_vertices = graph.vertex_count();
   const auto& holes = sketch_.holes();
   const std::size_t n_holes = holes.size();
   const double tie_bound = config_.base.tie_tolerance + 1e-9;
-  const auto& edges = graph.edges();
-  const auto& ties = graph.ties();
 
   // Odometer cursor shared across groups (index 0 varies fastest, matching
   // assignment_at).
@@ -123,11 +178,8 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
   std::vector<std::int64_t> idx(W * n_holes);    // lane-major hole indices
   std::vector<double> holes_soa(n_holes * W);    // hole h, lane l at h*W+l
   std::vector<double> lane_values(n_holes);      // AoS view for viability
-  std::vector<double> vvals(n_vertices * W);     // vertex v, lane l at v*W+l
-  std::vector<sketch::LaneError> verrs(n_vertices * W);
+  VertexLanes vl(n_vertices);
   std::vector<char> vdone(n_vertices, 0);
-  // Bit l of verr_bits[v] = lane l errored on vertex v (valid when vdone[v]).
-  std::vector<unsigned char> verr_bits(n_vertices, 0);
   std::array<sketch::LaneError, W> lane_err{};
 
   for (std::int64_t base = lo; base < hi; base += W) {
@@ -150,7 +202,6 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
       if (!viability_.concrete || viability_.concrete(lane_values)) {
         alive_bits |= 1u << l;
       }
-      lane_err[l] = sketch::LaneError::kNone;
       std::size_t pos = 0;
       while (pos < n_holes) {
         if (++cursor.index[pos] < holes[pos].count) break;
@@ -158,74 +209,24 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
         ++pos;
       }
     }
-    for (std::size_t l = n; l < W; ++l) {
-      for (std::size_t h = 0; h < n_holes; ++h) {
-        holes_soa[h * W + l] = holes_soa[h * W + (n - 1)];
-      }
-      lane_err[l] = sketch::LaneError::kNone;
-    }
+    pad_lanes(holes_soa, n);
+    lane_err.fill(sketch::LaneError::kNone);
     std::fill(vdone.begin(), vdone.end(), char{0});
 
     const auto ensure = [&](pref::VertexId v) {
       if (vdone[v]) return;
       vdone[v] = 1;
-      batch_.eval_lanes(graph.scenario(v).metrics, holes_soa, &vvals[v * W],
-                        &verrs[v * W]);
+      batch_.eval_lanes(graph.scenario(v).metrics, holes_soa,
+                        &vl.vals[v * W], &vl.errs[v * W]);
       unsigned bits = 0;
       for (std::size_t l = 0; l < n; ++l) {
-        if (verrs[v * W + l] != sketch::LaneError::kNone) bits |= 1u << l;
+        if (vl.errs[v * W + l] != sketch::LaneError::kNone) bits |= 1u << l;
       }
-      verr_bits[v] = static_cast<unsigned char>(bits);
+      vl.err_bits[v] = static_cast<unsigned char>(bits);
       counters.lane_evals += static_cast<long long>(W);
     };
-
-    // Constraint checks per lane, in graph order: the better vertex's error
-    // is observed first, then the worse one's, then the comparison — so each
-    // lane's first recorded error is exactly the EvalError a one-candidate
-    // scan would have thrown for that candidate. Error lanes take the scalar
-    // slow path (rare); the comparison itself is one vectorized mask per
-    // edge. lane_gt_bits is false on NaN, so a NaN kills the lane, as
-    // `!(fb > fw)` would.
-    for (const auto& e : edges) {
-      if (alive_bits == 0) break;
-      ensure(e.better);
-      ensure(e.worse);
-      const unsigned err_mask =
-          static_cast<unsigned>(verr_bits[e.better] | verr_bits[e.worse]) &
-          alive_bits;
-      if (err_mask != 0) {
-        for (unsigned bits = err_mask; bits != 0; bits &= bits - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(bits));
-          const sketch::LaneError eb = verrs[e.better * W + l];
-          lane_err[l] =
-              eb != sketch::LaneError::kNone ? eb : verrs[e.worse * W + l];
-        }
-        alive_bits &= ~err_mask;
-      }
-      alive_bits &=
-          sketch::lane_gt_bits(&vvals[e.better * W], &vvals[e.worse * W]);
-    }
-    // lane_abs_diff_gt_bits is false on NaN, so a NaN difference never
-    // exceeds the bound and the lane survives.
-    for (const auto& t : ties) {
-      if (alive_bits == 0) break;
-      ensure(t.first);
-      ensure(t.second);
-      const unsigned err_mask =
-          static_cast<unsigned>(verr_bits[t.first] | verr_bits[t.second]) &
-          alive_bits;
-      if (err_mask != 0) {
-        for (unsigned bits = err_mask; bits != 0; bits &= bits - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(bits));
-          const sketch::LaneError eu = verrs[t.first * W + l];
-          lane_err[l] =
-              eu != sketch::LaneError::kNone ? eu : verrs[t.second * W + l];
-        }
-        alive_bits &= ~err_mask;
-      }
-      alive_bits &= ~sketch::lane_abs_diff_gt_bits(
-          &vvals[t.first * W], &vvals[t.second * W], tie_bound);
-    }
+    alive_bits = check_lanes(graph, 0, 0, tie_bound, alive_bits, vl, lane_err,
+                             ensure);
 
     // Drain the group in candidate order: survivors below an erroring lane
     // are appended before its EvalError is re-thrown, exactly as a
@@ -249,7 +250,7 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
       // its values are clean and safe to memoize.
       s.vertex_values.assign(n_vertices, kNotComputed);
       for (std::size_t v = 0; v < n_vertices; ++v) {
-        if (vdone[v]) s.vertex_values[v] = vvals[v * W + l];
+        if (vdone[v]) s.vertex_values[v] = vl.vals[v * W + l];
       }
       out.push_back(std::move(s));
     }
@@ -260,19 +261,12 @@ void GridFinder::filter_range_batch(std::size_t lo, std::size_t hi,
                                     const pref::PreferenceGraph& graph,
                                     std::vector<char>& keep,
                                     BatchCounters& counters) {
-  constexpr std::size_t W = sketch::kBatchLaneWidth;
   const std::size_t n_vertices = graph.vertex_count();
-  const std::size_t n_holes = sketch_.holes().size();
   const double tie_bound = config_.base.tie_tolerance + 1e-9;
-  const auto& edges = graph.edges();
-  const auto& ties = graph.ties();
 
-  std::vector<double> holes_soa(n_holes * W);
-  std::vector<double> vvals(n_vertices * W);
-  std::vector<sketch::LaneError> verrs(n_vertices * W);
+  std::vector<double> holes_soa(sketch_.holes().size() * W);
+  VertexLanes vl(n_vertices);
   std::vector<char> vdone(n_vertices, 0);
-  // Bit l of verr_bits[v] = lane l errored on vertex v (valid when vdone[v]).
-  std::vector<unsigned char> verr_bits(n_vertices, 0);
   std::array<double, W> fresh_vals{};
   std::array<sketch::LaneError, W> fresh_errs{};
   std::array<sketch::LaneError, W> lane_err{};
@@ -282,19 +276,8 @@ void GridFinder::filter_range_batch(std::size_t lo, std::size_t hi,
     ++counters.groups;
     unsigned alive_bits =
         static_cast<unsigned>((1u << n) - 1);  // real lanes start alive
-    for (std::size_t l = 0; l < n; ++l) {
-      const Survivor& s = survivors_[base + l];
-      for (std::size_t h = 0; h < n_holes; ++h) {
-        holes_soa[h * W + l] = s.hole_values[h];
-      }
-      lane_err[l] = sketch::LaneError::kNone;
-    }
-    for (std::size_t l = n; l < W; ++l) {
-      for (std::size_t h = 0; h < n_holes; ++h) {
-        holes_soa[h * W + l] = holes_soa[h * W + (n - 1)];
-      }
-      lane_err[l] = sketch::LaneError::kNone;
-    }
+    stage_survivors(base, n, holes_soa);
+    lane_err.fill(sketch::LaneError::kNone);
     std::fill(vdone.begin(), vdone.end(), char{0});
 
     // Memo-aware vertex evaluation: a lane with a cached (non-NaN) value for
@@ -305,8 +288,8 @@ void GridFinder::filter_range_batch(std::size_t lo, std::size_t hi,
     const auto ensure = [&](pref::VertexId v) {
       if (vdone[v]) return;
       vdone[v] = 1;
-      double* vals = &vvals[v * W];
-      sketch::LaneError* errs = &verrs[v * W];
+      double* vals = &vl.vals[v * W];
+      sketch::LaneError* errs = &vl.errs[v * W];
       bool any_fresh = false;
       for (std::size_t l = 0; l < n; ++l) {
         const Survivor& s = survivors_[base + l];
@@ -318,7 +301,7 @@ void GridFinder::filter_range_batch(std::size_t lo, std::size_t hi,
         }
       }
       if (!any_fresh) {
-        verr_bits[v] = 0;  // memoized values cannot error
+        vl.err_bits[v] = 0;  // memoized values cannot error
         return;
       }
       batch_.eval_lanes(graph.scenario(v).metrics, holes_soa,
@@ -334,51 +317,10 @@ void GridFinder::filter_range_batch(std::size_t lo, std::size_t hi,
         errs[l] = fresh_errs[l];
         if (errs[l] != sketch::LaneError::kNone) bits |= 1u << l;
       }
-      verr_bits[v] = static_cast<unsigned char>(bits);
+      vl.err_bits[v] = static_cast<unsigned char>(bits);
     };
-
-    // Same bitmask pattern as enumerate_range_batch: scalar slow path only
-    // for erroring lanes, one vectorized mask per constraint otherwise.
-    for (std::size_t ei = edges_seen_; ei < edges.size(); ++ei) {
-      if (alive_bits == 0) break;
-      const auto& e = edges[ei];
-      ensure(e.better);
-      ensure(e.worse);
-      const unsigned err_mask =
-          static_cast<unsigned>(verr_bits[e.better] | verr_bits[e.worse]) &
-          alive_bits;
-      if (err_mask != 0) {
-        for (unsigned bits = err_mask; bits != 0; bits &= bits - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(bits));
-          const sketch::LaneError eb = verrs[e.better * W + l];
-          lane_err[l] =
-              eb != sketch::LaneError::kNone ? eb : verrs[e.worse * W + l];
-        }
-        alive_bits &= ~err_mask;
-      }
-      alive_bits &=
-          sketch::lane_gt_bits(&vvals[e.better * W], &vvals[e.worse * W]);
-    }
-    for (std::size_t ti = ties_seen_; ti < ties.size(); ++ti) {
-      if (alive_bits == 0) break;
-      const auto& t = ties[ti];
-      ensure(t.first);
-      ensure(t.second);
-      const unsigned err_mask =
-          static_cast<unsigned>(verr_bits[t.first] | verr_bits[t.second]) &
-          alive_bits;
-      if (err_mask != 0) {
-        for (unsigned bits = err_mask; bits != 0; bits &= bits - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(bits));
-          const sketch::LaneError eu = verrs[t.first * W + l];
-          lane_err[l] =
-              eu != sketch::LaneError::kNone ? eu : verrs[t.second * W + l];
-        }
-        alive_bits &= ~err_mask;
-      }
-      alive_bits &= ~sketch::lane_abs_diff_gt_bits(
-          &vvals[t.first * W], &vvals[t.second * W], tie_bound);
-    }
+    alive_bits = check_lanes(graph, edges_seen_, ties_seen_, tie_bound,
+                             alive_bits, vl, lane_err, ensure);
 
     for (std::size_t l = 0; l < n; ++l) {
       if (lane_err[l] != sketch::LaneError::kNone) {
@@ -394,7 +336,7 @@ void GridFinder::filter_range_batch(std::size_t lo, std::size_t hi,
         s.vertex_values.resize(n_vertices, kNotComputed);
       }
       for (std::size_t v = 0; v < n_vertices; ++v) {
-        if (vdone[v]) s.vertex_values[v] = vvals[v * W + l];
+        if (vdone[v]) s.vertex_values[v] = vl.vals[v * W + l];
       }
     }
   }
@@ -633,12 +575,34 @@ std::optional<DistinguishingPair> GridFinder::distinguish(const Survivor& a,
     cross_size *= boundaries[m].size();
   }
 
+  // Both candidates share one lane-tape pass per scenario: lane 0 holds a,
+  // lanes 1.. hold b (the pad lanes copy b, so every lane is in-domain).
+  const std::size_t n_holes = sketch_.holes().size();
+  std::vector<double> pair_soa(n_holes * W);
+  for (std::size_t h = 0; h < n_holes; ++h) {
+    pair_soa[h * W] = a.hole_values[h];
+    pair_soa[h * W + 1] = b.hole_values[h];
+  }
+  pad_lanes(pair_soa, 2);
+  struct PairValues {
+    double fa, fb;
+    sketch::LaneError ea, eb;
+  };
+  const auto eval_pair = [&](const pref::Scenario& s) {
+    std::array<double, W> out{};
+    std::array<sketch::LaneError, W> err{};
+    batch_.eval_lanes(s.metrics, pair_soa, out.data(), err.data());
+    return PairValues{out[0], out[1], err[0], err[1]};
+  };
+
   auto check = [&](const pref::Scenario& s1, const pref::Scenario& s2)
       -> std::optional<DistinguishingPair> {
-    const double fa1 = objective(a.hole_values, s1.metrics);
-    const double fa2 = objective(a.hole_values, s2.metrics);
-    const double fb1 = objective(b.hole_values, s1.metrics);
-    const double fb2 = objective(b.hole_values, s2.metrics);
+    const auto [fa1, fb1, ea1, eb1] = eval_pair(s1);
+    const auto [fa2, fb2, ea2, eb2] = eval_pair(s2);
+    // Raise in one-candidate order: a at s1, a at s2, b at s1, b at s2.
+    for (const sketch::LaneError e : {ea1, ea2, eb1, eb2}) {
+      if (e != sketch::LaneError::kNone) sketch::throw_lane_error(e);
+    }
     if (fa1 >= fa2 + margin && fb2 >= fb1 + margin) {
       return DistinguishingPair{s1, s2};
     }
@@ -671,8 +635,21 @@ std::optional<DistinguishingPair> GridFinder::distinguish(const Survivor& a,
       if (pos == n_metrics) break;
     }
     // Cache both candidates' values so each pair test is two comparisons.
-    const std::vector<double> fa = objective_batch(a.hole_values, grid_points);
-    const std::vector<double> fb = objective_batch(b.hole_values, grid_points);
+    // Errors raise in one-candidate order: a's first error over the points,
+    // then b's.
+    std::vector<double> fa(grid_points.size()), fb(grid_points.size());
+    sketch::LaneError first_ea = sketch::LaneError::kNone;
+    sketch::LaneError first_eb = sketch::LaneError::kNone;
+    for (std::size_t i = 0; i < grid_points.size(); ++i) {
+      const auto [va, vb, ea, eb] = eval_pair(grid_points[i]);
+      fa[i] = va;
+      fb[i] = vb;
+      if (first_ea == sketch::LaneError::kNone) first_ea = ea;
+      if (first_eb == sketch::LaneError::kNone) first_eb = eb;
+    }
+    for (const sketch::LaneError e : {first_ea, first_eb}) {
+      if (e != sketch::LaneError::kNone) sketch::throw_lane_error(e);
+    }
     // Randomize the scan order so repeated calls surface different pairs
     // (the synthesizer wants fresh scenarios each iteration).
     std::vector<std::size_t> order(grid_points.size());
@@ -776,11 +753,8 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
   // (mirroring an SMT solver's arbitrary model); under kBisection several
   // are scored by how evenly the user's answer would split the version
   // space, and the most informative one is asked.
-  struct Witness {
-    std::size_t ia = 0, ib = 0;
-    DistinguishingPair pair;
-  };
-  std::vector<Witness> witnesses;
+  std::vector<std::pair<std::size_t, std::size_t>> owners;  // per witness
+  std::vector<DistinguishingPair> witnesses;
   const int wanted =
       config_.strategy == QueryStrategy::kBisection ? config_.bisection_samples : 1;
 
@@ -789,7 +763,8 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
     if (static_cast<int>(witnesses.size()) >= wanted) break;
     ++examined;
     if (auto pair = distinguish(survivors_[ia], survivors_[ib])) {
-      witnesses.push_back(Witness{ia, ib, *std::move(pair)});
+      owners.emplace_back(ia, ib);
+      witnesses.push_back(*std::move(pair));
     }
   }
 
@@ -805,47 +780,16 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
 
   std::size_t chosen = 0;
   if (witnesses.size() > 1) {
-    // Guaranteed elimination of an answer = survivors inconsistent with it;
-    // the worst case over the two strict answers is the witness's value.
-    // Every survivor's hole values are already materialized, and the chunked
-    // counts are plain integer sums, so sharding keeps the score exact.
-    util::ThreadPool* pool = this->pool();
-    long best_score = -1;
-    for (std::size_t w = 0; w < witnesses.size(); ++w) {
-      const auto& p = witnesses[w].pair;
-      std::atomic<long> prefer_1{0}, prefer_2{0};
-      auto score = [&](std::size_t lo, std::size_t hi) {
-        long local_1 = 0, local_2 = 0;
-        for (std::size_t i = lo; i < hi; ++i) {
-          const Survivor& cand = survivors_[i];
-          const double f1 = objective(cand.hole_values, p.preferred_by_a.metrics);
-          const double f2 = objective(cand.hole_values, p.preferred_by_b.metrics);
-          if (f1 > f2) ++local_1;
-          else if (f2 > f1) ++local_2;
-        }
-        prefer_1 += local_1;
-        prefer_2 += local_2;
-      };
-      if (pool == nullptr) {
-        score(0, survivors_.size());
-      } else {
-        pool->parallel_for(0, survivors_.size(), score, /*min_chunk=*/64);
-      }
-      const long score_w = std::min(prefer_1.load(), prefer_2.load());
-      if (score_w > best_score) {
-        best_score = score_w;
-        chosen = w;
-      }
-    }
+    const std::vector<long> scores = bisection_scores(witnesses);
+    chosen = static_cast<std::size_t>(
+        std::max_element(scores.begin(), scores.end()) - scores.begin());
   }
-
   FinderResult res;
   res.status = FinderStatus::kFound;
-  const std::size_t chosen_a = witnesses[chosen].ia;
-  const std::size_t chosen_b = witnesses[chosen].ib;
+  const auto [chosen_a, chosen_b] = owners[chosen];
   res.candidate_a = survivors_[chosen_a].assignment;
   res.candidate_b = survivors_[chosen_b].assignment;
-  res.pairs.push_back(std::move(witnesses[chosen].pair));
+  res.pairs.push_back(std::move(witnesses[chosen]));
 
   // Additional pairs (Fig. 4 protocol) come from the same candidate pair.
   for (int tries = 0;
@@ -862,6 +806,50 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
   }
   note("found", schedule.size(), witnesses.size(), res.pairs.size());
   return res;
+}
+
+std::vector<long> GridFinder::bisection_scores(
+    std::span<const DistinguishingPair> pairs) const {
+  // Guaranteed elimination of an answer = survivors inconsistent with it;
+  // the worst case over the two strict answers is the witness's value.
+  // Survivors are scored kBatchLaneWidth per pass, staged as the
+  // incremental filter stages them, and the chunked counts are plain integer
+  // sums, so sharding keeps the score exact.
+  util::ThreadPool* pool = this->pool();
+  std::vector<long> scores;
+  scores.reserve(pairs.size());
+  for (const DistinguishingPair& p : pairs) {
+    std::atomic<long> prefer_1{0}, prefer_2{0};
+    auto score = [&](std::size_t lo, std::size_t hi) {
+      std::vector<double> holes_soa(sketch_.holes().size() * W);
+      std::array<double, W> f1{}, f2{};
+      std::array<sketch::LaneError, W> e1{}, e2{};
+      long local_1 = 0, local_2 = 0;
+      for (std::size_t base = lo; base < hi; base += W) {
+        const std::size_t n = std::min(W, hi - base);
+        stage_survivors(base, n, holes_soa);
+        batch_.eval_lanes(p.preferred_by_a.metrics, holes_soa, f1.data(),
+                          e1.data());
+        batch_.eval_lanes(p.preferred_by_b.metrics, holes_soa, f2.data(),
+                          e2.data());
+        for (std::size_t l = 0; l < n; ++l) {
+          if (e1[l] != sketch::LaneError::kNone) sketch::throw_lane_error(e1[l]);
+          if (e2[l] != sketch::LaneError::kNone) sketch::throw_lane_error(e2[l]);
+          if (f1[l] > f2[l]) ++local_1;
+          else if (f2[l] > f1[l]) ++local_2;
+        }
+      }
+      prefer_1 += local_1;
+      prefer_2 += local_2;
+    };
+    if (pool == nullptr) {
+      score(0, survivors_.size());
+    } else {
+      pool->parallel_for(0, survivors_.size(), score, /*min_chunk=*/64);
+    }
+    scores.push_back(std::min(prefer_1.load(), prefer_2.load()));
+  }
+  return scores;
 }
 
 std::optional<sketch::HoleAssignment> GridFinder::find_consistent(

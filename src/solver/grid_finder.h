@@ -13,9 +13,11 @@
 // (util/thread_pool.h), each survivor's hole values are materialized once,
 // and survivors memoize their objective value at every interned graph vertex
 // so re-filtering after new answers touches only the new edges. Pair search
-// evaluates one candidate against many scenarios through the scalar tape
-// (sketch::CompiledSketch). tests/grid_reference_test.cpp checks every sync
-// against a brute-force sketch::eval reference.
+// and bisection scoring run on the same lane tape: a candidate pair shares
+// one pass per scenario (lane 0 = a, the other lanes = b), and bisection
+// scores 8 survivors per pass. tests/grid_reference_test.cpp checks sync,
+// pair search and bisection scoring against brute-force sketch::eval
+// references.
 //
 // Compared to Z3Finder:
 //   + no SMT dependency, trivially debuggable, very fast per query;
@@ -178,15 +180,17 @@ class GridFinder final : public CandidateFinder {
                               std::size_t index, std::int64_t lo,
                               std::int64_t hi) const;
 
+  /// kBisection's score of each disagreement witness against the current
+  /// survivors: the number the weaker strict answer rules out,
+  /// min(#survivors scoring preferred_by_a strictly higher, #survivors
+  /// scoring preferred_by_b strictly higher). find_distinguishing asks the
+  /// first witness with the highest score. A survivor that raises on either
+  /// scenario re-throws its EvalError. Exposed so tests can hold the scores
+  /// to a reference scorer.
+  std::vector<long> bisection_scores(
+      std::span<const DistinguishingPair> pairs) const;
+
  private:
-  /// One evaluation through the scalar tape (pair search and bisection
-  /// scoring: one candidate, many scenarios).
-  double objective(std::span<const double> hole_values,
-                   std::span<const double> metrics) const;
-  /// Batched evaluation of many scenarios under one candidate.
-  std::vector<double> objective_batch(
-      std::span<const double> hole_values,
-      const std::vector<pref::Scenario>& scenarios) const;
   /// Decodes a linear candidate index into a hole assignment (index 0 is
   /// the fastest-varying digit, matching odometer order).
   sketch::HoleAssignment assignment_at(std::int64_t linear) const;
@@ -227,6 +231,11 @@ class GridFinder final : public CandidateFinder {
   bool rebuild_remote(const pref::PreferenceGraph& graph,
                       std::size_t n_shards, std::int64_t span_len,
                       std::int64_t total);
+  /// Stages survivors_[base, base+n) as lanes 0..n-1 of `holes_soa` and pads
+  /// the rest — the group shape of the incremental filter and bisection
+  /// scoring.
+  void stage_survivors(std::size_t base, std::size_t n,
+                       std::vector<double>& holes_soa) const;
   /// Rebuilds a Survivor (assignment + hole values, empty vertex memos —
   /// the next incremental filter refills the ones it needs) from its linear
   /// index.
@@ -239,8 +248,7 @@ class GridFinder final : public CandidateFinder {
   util::ThreadPool* pool() const;
 
   sketch::Sketch sketch_;
-  sketch::CompiledSketch compiled_;  // must follow sketch_ (init order)
-  sketch::BatchTape batch_;          // must follow sketch_ (init order)
+  sketch::BatchTape batch_;  // must follow sketch_ (init order)
   GridFinderConfig config_;
   Viability viability_;
   ScenarioDomain domain_;

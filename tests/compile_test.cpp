@@ -1,11 +1,14 @@
-// Differential tests for the compiled sketch evaluator (sketch/compile.h):
-// the tape must agree with the tree interpreter bit-for-bit — values,
-// division-by-zero throws, kChoice clamping, laziness of untaken branches,
-// and ill-typed-node errors — on every library sketch and on fuzzer-generated
+// Differential tests for the compiled sketch evaluator (sketch/compile.h),
+// the lane tape sketch::BatchTape: every lane must agree with the tree
+// interpreter bit-for-bit — values, division-by-zero and ill-typed-node
+// errors, kChoice clamping, laziness of untaken branches — under every lane
+// ISA the host supports, on every library sketch and on fuzzer-generated
 // ASTs (in the spirit of the klee-mc ExprXChkBuilder oracle pattern, where a
 // fast builder is cross-checked against a reference builder on every query).
-// GridFinder's sync over these tapes is checked against a brute-force
-// reference in tests/grid_reference_test.cpp.
+// Candidates are staged in the two shapes GridFinder uses: a pair (lane 0 =
+// a, the other lanes = b) for pair search, and up to 8 distinct candidates
+// for sync and bisection scoring. GridFinder's use of the tape is checked
+// against brute-force references in tests/grid_reference_test.cpp.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -26,9 +29,9 @@
 namespace compsynth::sketch {
 namespace {
 
-// Bitwise double equality: NaN == NaN, +0.0 != -0.0. The compiled tape runs
-// the same double operations in the same order as the interpreter, so
-// anything weaker than this would mask a real divergence.
+// Bitwise double equality: NaN == NaN, +0.0 != -0.0. The lane tape runs the
+// same double operations in the same order as the interpreter, so anything
+// weaker than this would mask a real divergence.
 bool bit_equal(double a, double b) {
   std::uint64_t ba = 0, bb = 0;
   std::memcpy(&ba, &a, sizeof(a));
@@ -36,34 +39,89 @@ bool bit_equal(double a, double b) {
   return ba == bb;
 }
 
-// Evaluates an expression through both evaluators and asserts identical
-// outcomes: same value (bitwise) or same EvalError message.
-void expect_equivalent(const Expr& body, const CompiledSketch& compiled,
-                       std::span<const double> metrics,
-                       std::span<const double> holes,
-                       const std::string& context) {
-  bool tree_threw = false, tape_threw = false;
-  std::string tree_err, tape_err;
-  double tree_val = 0, tape_val = 0;
-  try {
-    tree_val = eval_numeric(body, metrics, holes);
-  } catch (const EvalError& e) {
-    tree_threw = true;
-    tree_err = e.what();
+// Restores the dispatched lane kernel when a test that forces ISAs exits.
+struct IsaRestore {
+  LaneIsa saved = active_lane_isa();
+  ~IsaRestore() { set_active_lane_isa(saved); }
+};
+
+std::vector<LaneIsa> supported_isas() {
+  std::vector<LaneIsa> isas{LaneIsa::kScalar};
+  if (lane_isa_supported(LaneIsa::kAvx2)) isas.push_back(LaneIsa::kAvx2);
+  return isas;
+}
+
+// SoA staging with the documented pad rule: spare lanes copy the last real
+// candidate and their outputs are ignored.
+std::vector<double> stage(const std::vector<std::vector<double>>& lanes,
+                          std::size_t n_holes) {
+  constexpr std::size_t W = BatchTape::kLaneWidth;
+  std::vector<double> soa(n_holes * W);
+  for (std::size_t l = 0; l < W; ++l) {
+    const auto& src = lanes[std::min(l, lanes.size() - 1)];
+    for (std::size_t h = 0; h < n_holes; ++h) soa[h * W + l] = src[h];
   }
-  try {
-    tape_val = compiled.eval(metrics, holes);
-  } catch (const EvalError& e) {
-    tape_threw = true;
-    tape_err = e.what();
+  return soa;
+}
+
+// Per-lane differential oracle (docs/EVALUATOR.md): up to kBatchLaneWidth
+// candidates evaluated under EVERY supported lane ISA, each real lane
+// required to reproduce the tree interpreter's outcome for its candidate
+// exactly — bitwise value or the identical EvalError message, with raising
+// lanes poisoning only themselves.
+void expect_lanes_equivalent(const Expr& body, const BatchTape& tape,
+                             std::span<const double> metrics,
+                             const std::vector<std::vector<double>>& lanes,
+                             const std::string& context) {
+  constexpr std::size_t W = BatchTape::kLaneWidth;
+  ASSERT_FALSE(lanes.empty());
+  ASSERT_LE(lanes.size(), W);
+  for (const auto& lane : lanes) {
+    ASSERT_EQ(lane.size(), tape.hole_count()) << context;
   }
-  ASSERT_EQ(tree_threw, tape_threw) << context;
-  if (tree_threw) {
-    EXPECT_EQ(tree_err, tape_err) << context;
-  } else {
-    EXPECT_TRUE(bit_equal(tree_val, tape_val))
-        << context << "\n tree: " << tree_val << "\n tape: " << tape_val;
+  const std::vector<double> soa = stage(lanes, tape.hole_count());
+
+  IsaRestore restore;
+  for (const LaneIsa isa : supported_isas()) {
+    ASSERT_TRUE(set_active_lane_isa(isa));
+    std::array<double, W> out{};
+    std::array<LaneError, W> err{};
+    tape.eval_lanes(metrics, soa, out.data(), err.data());
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      const std::string where = context + " [isa " + lane_isa_name(isa) +
+                                ", lane " + std::to_string(l) + "]";
+      bool tree_threw = false;
+      std::string tree_err;
+      double tree_val = 0;
+      try {
+        tree_val = eval_numeric(body, metrics, lanes[l]);
+      } catch (const EvalError& e) {
+        tree_threw = true;
+        tree_err = e.what();
+      }
+      if (tree_threw) {
+        ASSERT_NE(err[l], LaneError::kNone) << where;
+        EXPECT_EQ(std::string(lane_error_message(err[l])), tree_err) << where;
+      } else {
+        ASSERT_EQ(err[l], LaneError::kNone) << where;
+        EXPECT_TRUE(bit_equal(out[l], tree_val))
+            << where << "\n tree: " << tree_val << "\n lane: " << out[l];
+      }
+    }
   }
+}
+
+// One candidate through the dispatched kernel (staged in every lane), as a
+// value or the EvalError the interpreter would throw for it.
+double eval_one(const BatchTape& tape, std::span<const double> metrics,
+                const std::vector<double>& holes) {
+  constexpr std::size_t W = BatchTape::kLaneWidth;
+  std::array<double, W> out{};
+  std::array<LaneError, W> err{};
+  tape.eval_lanes(metrics, stage({holes}, holes.size()), out.data(),
+                  err.data());
+  if (err[0] != LaneError::kNone) throw_lane_error(err[0]);
+  return out[0];
 }
 
 // --- Library sketches --------------------------------------------------------
@@ -80,19 +138,26 @@ const Sketch& library_sketch(int which) {
   }
 }
 
+std::vector<double> random_holes(const Sketch& sk, util::Rng& rng) {
+  HoleAssignment a;
+  for (const auto& h : sk.holes()) {
+    a.index.push_back(rng.uniform_int(0, h.count - 1));
+  }
+  return sk.hole_values(a);
+}
+
 class LibrarySketchCompile : public ::testing::TestWithParam<int> {};
 
 TEST_P(LibrarySketchCompile, MatchesTreeInterpreterEverywhere) {
   const Sketch& sk = library_sketch(GetParam());
-  const CompiledSketch compiled(sk);
+  const BatchTape tape(sk);
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 11);
 
   for (int probe = 0; probe < 300; ++probe) {
-    HoleAssignment a;
-    for (const auto& h : sk.holes()) {
-      a.index.push_back(rng.uniform_int(0, h.count - 1));
+    std::vector<std::vector<double>> lanes;
+    for (std::size_t l = 0; l < BatchTape::kLaneWidth; ++l) {
+      lanes.push_back(random_holes(sk, rng));
     }
-    const std::vector<double> holes = sk.hole_values(a);
     std::vector<double> point;
     for (const auto& m : sk.metrics()) {
       // Mix interior points with the boundary values where piecewise
@@ -100,29 +165,39 @@ TEST_P(LibrarySketchCompile, MatchesTreeInterpreterEverywhere) {
       point.push_back(rng.bernoulli(0.25) ? (rng.bernoulli(0.5) ? m.lo : m.hi)
                                           : rng.uniform_real(m.lo, m.hi));
     }
-    expect_equivalent(*sk.body(), compiled, point, holes, sk.name());
+    expect_lanes_equivalent(*sk.body(), tape, point, lanes, sk.name());
   }
 }
 
 TEST_P(LibrarySketchCompile, EvalManyMatchesEvalPerScenario) {
+  // Pair search's shape: one candidate pair staged once (lane 0 = a, the
+  // other lanes = b), evaluated against many scenarios; both candidates must
+  // match eval_with_values at every scenario.
   const Sketch& sk = library_sketch(GetParam());
-  const CompiledSketch compiled(sk);
+  const BatchTape tape(sk);
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 24593 + 29);
+  const std::vector<std::vector<double>> pair{random_holes(sk, rng),
+                                              random_holes(sk, rng)};
+  const std::vector<double> soa = stage(pair, sk.holes().size());
 
-  HoleAssignment a;
-  for (const auto& h : sk.holes()) a.index.push_back(rng.uniform_int(0, h.count - 1));
-  const std::vector<double> holes = sk.hole_values(a);
-
-  const std::size_t width = sk.metrics().size();
-  const std::size_t n = 64;
-  std::vector<double> flat(n * width);
-  for (double& v : flat) v = rng.uniform_real(0, 10);
-  std::vector<double> batched(n);
-  compiled.eval_many(flat, holes, batched);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double one = compiled.eval(
-        std::span<const double>(flat).subspan(i * width, width), holes);
-    EXPECT_TRUE(bit_equal(one, batched[i])) << sk.name() << " scenario " << i;
+  IsaRestore restore;
+  for (const LaneIsa isa : supported_isas()) {
+    ASSERT_TRUE(set_active_lane_isa(isa));
+    for (int i = 0; i < 64; ++i) {
+      std::vector<double> point;
+      for (const auto& m : sk.metrics()) {
+        point.push_back(rng.uniform_real(m.lo, m.hi));
+      }
+      std::array<double, BatchTape::kLaneWidth> out{};
+      std::array<LaneError, BatchTape::kLaneWidth> err{};
+      tape.eval_lanes(point, soa, out.data(), err.data());
+      for (std::size_t l = 0; l < 2; ++l) {
+        ASSERT_EQ(err[l], LaneError::kNone);
+        EXPECT_TRUE(bit_equal(out[l], eval_with_values(sk, pair[l], point)))
+            << sk.name() << " [isa " << lane_isa_name(isa) << ", scenario "
+            << i << ", lane " << l << "]";
+      }
+    }
   }
 }
 
@@ -131,57 +206,75 @@ INSTANTIATE_TEST_SUITE_P(AllLibrarySketches, LibrarySketchCompile,
 
 // --- Targeted semantics ------------------------------------------------------
 
-TEST(CompiledSketch, DivisionByZeroThrowsLikeInterpreter) {
+TEST(BatchTape, DivisionByZeroRaisesLikeInterpreter) {
   const Sketch sk = parse_sketch(
       "sketch s(m in [0, 10]) { 1 / m }");
-  const CompiledSketch compiled(sk);
+  const BatchTape tape(sk);
   const std::vector<double> holes;
-  EXPECT_THROW(compiled.eval(std::vector<double>{0.0}, holes), EvalError);
-  EXPECT_TRUE(bit_equal(compiled.eval(std::vector<double>{2.0}, holes), 0.5));
+  try {
+    eval_one(tape, std::vector<double>{0.0}, holes);
+    ADD_FAILURE() << "1 / 0 did not raise";
+  } catch (const EvalError& e) {
+    EXPECT_STREQ(e.what(), "division by zero");
+  }
+  EXPECT_TRUE(bit_equal(eval_one(tape, std::vector<double>{2.0}, holes), 0.5));
 }
 
-TEST(CompiledSketch, UntakenBranchesAreNotEvaluated) {
+TEST(BatchTape, UntakenBranchesAreNotEvaluated) {
   // The tree interpreter only evaluates the taken Ite branch; a division by
-  // zero hiding in the other branch must not throw from the tape either.
+  // zero hiding in the other branch must not poison the lane either.
   const Sketch sk = parse_sketch(
       "sketch s(m in [0, 10]) { if m > 0 then 1 / m else -1 }");
-  const CompiledSketch compiled(sk);
+  const BatchTape tape(sk);
   const std::vector<double> holes;
-  EXPECT_TRUE(bit_equal(compiled.eval(std::vector<double>{0.0}, holes), -1.0));
-  EXPECT_TRUE(bit_equal(compiled.eval(std::vector<double>{4.0}, holes), 0.25));
+  EXPECT_TRUE(bit_equal(eval_one(tape, std::vector<double>{0.0}, holes), -1.0));
+  EXPECT_TRUE(bit_equal(eval_one(tape, std::vector<double>{4.0}, holes), 0.25));
+  for (const double m : {0.0, 4.0}) {
+    expect_lanes_equivalent(*sk.body(), tape, std::vector<double>{m}, {holes},
+                            "untaken branch");
+  }
 }
 
-TEST(CompiledSketch, ChoiceClampsAndStaysLazy) {
+TEST(BatchTape, ChoiceClampsAndStaysLazy) {
   // Raw tape over: choose h0 { 1/m, 7, m }. Selector values are clamped to
   // [0, 2] exactly like the interpreter, and unselected alternatives are
-  // never executed (1/m with m = 0 only throws when alternative 0 is picked).
+  // never executed (1/m with m = 0 only raises when alternative 0 is picked).
   const ExprPtr body =
       choice(0, {binary(BinOp::kDiv, constant(1), metric(0)), constant(7),
                  metric(0)});
-  const CompiledSketch compiled(*body, /*metric_count=*/1, /*hole_count=*/1);
+  const BatchTape tape(*body, /*metric_count=*/1, /*hole_count=*/1);
   const std::vector<double> m0{0.0};
   for (const double sel : {-3.0, -0.4, 0.0}) {
     SCOPED_TRACE(sel);
-    EXPECT_THROW(compiled.eval(m0, std::vector<double>{sel}), EvalError);
+    EXPECT_THROW(eval_one(tape, m0, {sel}), EvalError);
   }
   for (const double sel : {1.0, 1.4}) {
     SCOPED_TRACE(sel);
-    EXPECT_TRUE(bit_equal(compiled.eval(m0, std::vector<double>{sel}), 7.0));
+    EXPECT_TRUE(bit_equal(eval_one(tape, m0, {sel}), 7.0));
   }
   for (const double sel : {2.0, 5.0, 99.0}) {
     SCOPED_TRACE(sel);
-    EXPECT_TRUE(bit_equal(compiled.eval(m0, std::vector<double>{sel}), 0.0));
+    EXPECT_TRUE(bit_equal(eval_one(tape, m0, {sel}), 0.0));
   }
-  // Cross-check clamping against the interpreter for a spread of selectors.
-  for (double sel = -4.0; sel <= 6.0; sel += 0.25) {
-    expect_equivalent(*body, compiled, std::vector<double>{3.0},
-                      std::vector<double>{sel}, "choice selector");
+  // Cross-check clamping against the interpreter for a spread of selectors,
+  // eight per pass, at a zero and a non-zero divisor.
+  std::vector<std::vector<double>> lanes;
+  for (double sel = -4.0; sel <= 6.0; sel += 0.25) lanes.push_back({sel});
+  for (std::size_t i = 0; i < lanes.size(); i += BatchTape::kLaneWidth) {
+    const std::vector<std::vector<double>> group(
+        lanes.begin() + static_cast<std::ptrdiff_t>(i),
+        lanes.begin() + static_cast<std::ptrdiff_t>(
+                            std::min(lanes.size(), i + BatchTape::kLaneWidth)));
+    for (const double m : {0.0, 3.0}) {
+      expect_lanes_equivalent(*body, tape, std::vector<double>{m}, group,
+                              "choice selector");
+    }
   }
 }
 
-TEST(CompiledSketch, ArityErrorsMatchEvalWithValues) {
+TEST(BatchTape, ArityErrorsMatchEvalWithValues) {
   const Sketch& sk = swan_sketch();
-  const CompiledSketch compiled(sk);
+  const BatchTape tape(sk);
   const std::vector<double> good_holes = sk.hole_values(swan_target());
   const std::vector<double> good_point{5.0, 50.0};
 
@@ -195,27 +288,35 @@ TEST(CompiledSketch, ArityErrorsMatchEvalWithValues) {
   };
   const std::vector<double> short_point{5.0};
   const std::vector<double> short_holes{1.0};
-  EXPECT_EQ(message_of([&] { compiled.eval(short_point, good_holes); }),
+  const std::string short_point_msg =
+      message_of([&] { eval_one(tape, short_point, good_holes); });
+  EXPECT_FALSE(short_point_msg.empty());
+  EXPECT_EQ(short_point_msg,
             message_of([&] { eval_with_values(sk, good_holes, short_point); }));
-  EXPECT_EQ(message_of([&] { compiled.eval(good_point, short_holes); }),
+  const std::string short_holes_msg =
+      message_of([&] { eval_one(tape, good_point, short_holes); });
+  EXPECT_FALSE(short_holes_msg.empty());
+  EXPECT_EQ(short_holes_msg,
             message_of([&] { eval_with_values(sk, short_holes, good_point); }));
 }
 
-TEST(CompiledSketch, ConstantFoldingShrinksTheTapeWithoutChangingResults) {
+TEST(BatchTape, ConstantFoldingShrinksTheTapeWithoutChangingResults) {
   const Sketch folded = parse_sketch(
       "sketch s(m in [0, 10]) { m + (2 * 3 + min(4, 1)) }");
-  const CompiledSketch compiled(folded);
+  const BatchTape tape(folded);
   // The whole parenthesized subtree folds to one constant: push m, push 7, add.
-  EXPECT_EQ(compiled.tape().size(), 3u);
-  EXPECT_TRUE(bit_equal(compiled.eval(std::vector<double>{2.0}, {}), 9.0));
+  EXPECT_EQ(tape.op_count(), 3u);
+  EXPECT_TRUE(bit_equal(eval_one(tape, std::vector<double>{2.0}, {}), 9.0));
+  expect_lanes_equivalent(*folded.body(), tape, std::vector<double>{2.5}, {{}},
+                          "folded");
 
-  // A constant division by zero must NOT fold: it still throws when reached
+  // A constant division by zero must NOT fold: it still raises when reached
   // and still doesn't when the branch is skipped.
   const Sketch guarded = parse_sketch(
       "sketch s(m in [0, 10]) { if m > 5 then 1 / 0 else m }");
-  const CompiledSketch gc(guarded);
-  EXPECT_TRUE(bit_equal(gc.eval(std::vector<double>{1.0}, {}), 1.0));
-  EXPECT_THROW(gc.eval(std::vector<double>{6.0}, {}), EvalError);
+  const BatchTape gt(guarded);
+  EXPECT_TRUE(bit_equal(eval_one(gt, std::vector<double>{1.0}, {}), 1.0));
+  EXPECT_THROW(eval_one(gt, std::vector<double>{6.0}, {}), EvalError);
 }
 
 // --- Fuzzing: well-typed sketches -------------------------------------------
@@ -315,27 +416,25 @@ Sketch random_sketch(util::Rng& rng) {
                 gen.numeric(/*depth=*/5));
 }
 
-// 50 params x 5 sketches x 48 probes = 12,000 (sketch, holes, scenario)
-// triples through both evaluators.
+// 50 params x 5 sketches x 48 probes = 12,000 (sketch, candidate pair,
+// scenario) triples in pair search's lane layout: lane 0 = a, the other lanes
+// = b.
 class CompiledFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(CompiledFuzz, AgreesWithTreeInterpreter) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 12289 + 7);
   for (int round = 0; round < 5; ++round) {
     const Sketch sk = random_sketch(rng);
-    const CompiledSketch compiled(sk);
+    const BatchTape tape(sk);
     for (int probe = 0; probe < 48; ++probe) {
-      HoleAssignment a;
-      for (const auto& h : sk.holes()) {
-        a.index.push_back(rng.uniform_int(0, h.count - 1));
-      }
-      const std::vector<double> holes = sk.hole_values(a);
+      const std::vector<std::vector<double>> pair{random_holes(sk, rng),
+                                                  random_holes(sk, rng)};
       std::vector<double> point;
       for (std::size_t m = 0; m < sk.metrics().size(); ++m) {
         // Quarter-integer grid makes zero divisors common.
         point.push_back(static_cast<double>(rng.uniform_int(-12, 12)) / 4.0);
       }
-      expect_equivalent(*sk.body(), compiled, point, holes, print_sketch(sk));
+      expect_lanes_equivalent(*sk.body(), tape, point, pair, print_sketch(sk));
     }
   }
 }
@@ -346,8 +445,8 @@ INSTANTIATE_TEST_SUITE_P(Random, CompiledFuzz, ::testing::Range(0, 50));
 //
 // The Sketch constructor typechecks, but eval_numeric/eval_bool are defined
 // on bare Exprs and throw when an ill-typed node is *reached*. The tape must
-// raise the identical error at the identical points — and stay silent when
-// the bad node sits in an untaken branch.
+// poison a lane with the identical error at the identical points — and stay
+// silent when the bad node sits in an untaken branch.
 
 class IllTypedGen : public ExprGen {
  public:
@@ -398,7 +497,7 @@ class IllTypedGen : public ExprGen {
 };
 
 // 50 params x 4 trees x 30 probes = 6,000 additional triples exercising the
-// error paths.
+// error paths, in pair search's lane layout.
 class IllTypedFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(IllTypedFuzz, ErrorPathsMatchTreeInterpreter) {
@@ -407,87 +506,27 @@ TEST_P(IllTypedFuzz, ErrorPathsMatchTreeInterpreter) {
   for (int round = 0; round < 4; ++round) {
     IllTypedGen gen(rng, kMetrics, kHoles);
     const ExprPtr body = gen.numeric_maybe_bad(4);
-    const CompiledSketch compiled(*body, kMetrics, kHoles);
+    const BatchTape tape(*body, kMetrics, kHoles);
     for (int probe = 0; probe < 30; ++probe) {
       const std::vector<double> point{
           static_cast<double>(rng.uniform_int(-8, 8)) / 2.0,
           static_cast<double>(rng.uniform_int(-8, 8)) / 2.0};
-      const std::vector<double> holes{
-          static_cast<double>(rng.uniform_int(0, 2)),
-          static_cast<double>(rng.uniform_int(-4, 4)) / 2.0};
-      expect_equivalent(*body, compiled, point, holes, "ill-typed fuzz");
+      std::vector<std::vector<double>> pair;
+      for (int c = 0; c < 2; ++c) {
+        pair.push_back({static_cast<double>(rng.uniform_int(0, 2)),
+                        static_cast<double>(rng.uniform_int(-4, 4)) / 2.0});
+      }
+      expect_lanes_equivalent(*body, tape, point, pair, "ill-typed fuzz");
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, IllTypedFuzz, ::testing::Range(0, 50));
 
-// --- Batched lanes -----------------------------------------------------------
+// --- Batched lanes: 8 distinct candidates ------------------------------------
 //
-// Per-lane differential oracle for BatchTape (docs/EVALUATOR.md): up to
-// kBatchLaneWidth candidates evaluated under EVERY supported lane ISA, each
-// real lane required to reproduce the tree interpreter's outcome for its
-// candidate exactly — bitwise value or the identical EvalError message, with
-// raising lanes poisoning only themselves.
-
-// Restores the dispatched lane kernel when a test that forces ISAs exits.
-struct IsaRestore {
-  LaneIsa saved = active_lane_isa();
-  ~IsaRestore() { set_active_lane_isa(saved); }
-};
-
-std::vector<LaneIsa> supported_isas() {
-  std::vector<LaneIsa> isas{LaneIsa::kScalar};
-  if (lane_isa_supported(LaneIsa::kAvx2)) isas.push_back(LaneIsa::kAvx2);
-  return isas;
-}
-
-void expect_lanes_equivalent(const Expr& body, const BatchTape& tape,
-                             std::span<const double> metrics,
-                             const std::vector<std::vector<double>>& lanes,
-                             const std::string& context) {
-  constexpr std::size_t W = BatchTape::kLaneWidth;
-  ASSERT_FALSE(lanes.empty());
-  ASSERT_LE(lanes.size(), W);
-  const std::size_t n_holes = tape.hole_count();
-  // SoA staging with the documented pad rule: spare lanes copy the last real
-  // candidate and their outputs are ignored.
-  std::vector<double> soa(n_holes * W);
-  for (std::size_t l = 0; l < W; ++l) {
-    const auto& src = lanes[std::min(l, lanes.size() - 1)];
-    ASSERT_EQ(src.size(), n_holes) << context;
-    for (std::size_t h = 0; h < n_holes; ++h) soa[h * W + l] = src[h];
-  }
-
-  IsaRestore restore;
-  for (const LaneIsa isa : supported_isas()) {
-    ASSERT_TRUE(set_active_lane_isa(isa));
-    std::array<double, W> out{};
-    std::array<LaneError, W> err{};
-    tape.eval_lanes(metrics, soa, out.data(), err.data());
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
-      const std::string where = context + " [isa " + lane_isa_name(isa) +
-                                ", lane " + std::to_string(l) + "]";
-      bool tree_threw = false;
-      std::string tree_err;
-      double tree_val = 0;
-      try {
-        tree_val = eval_numeric(body, metrics, lanes[l]);
-      } catch (const EvalError& e) {
-        tree_threw = true;
-        tree_err = e.what();
-      }
-      if (tree_threw) {
-        ASSERT_NE(err[l], LaneError::kNone) << where;
-        EXPECT_EQ(std::string(lane_error_message(err[l])), tree_err) << where;
-      } else {
-        ASSERT_EQ(err[l], LaneError::kNone) << where;
-        EXPECT_TRUE(bit_equal(out[l], tree_val))
-            << where << "\n tree: " << tree_val << "\n lane: " << out[l];
-      }
-    }
-  }
-}
+// Sync's and bisection scoring's shape: up to kBatchLaneWidth distinct
+// candidates per pass, raising lanes poisoning only themselves.
 
 TEST(BatchTape, MixedLaneDivZeroPoisonsOnlyItsLane) {
   // 1 / h: lanes whose hole is zero must poison with the division-by-zero

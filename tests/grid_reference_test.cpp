@@ -1,4 +1,4 @@
-// Survivor-set reference for GridFinder::sync.
+// Brute-force references for GridFinder.
 //
 // GridFinder has one sync engine: the lane tape over fixed-range shards
 // (docs/EVALUATOR.md). These tests hold it to the plainest statement of the
@@ -17,8 +17,16 @@
 // a sketch whose candidates raise (division by zero — the only evaluation
 // error a type-checked sketch can hit). It checks survivor assignments, hole
 // values, linear indices, and every memoized vertex value that is set.
+//
+// Pair search and bisection scoring run on the same lane tape, and the
+// PairSearch* / Bisection* tests hold them to the tree interpreter too: every
+// returned pair really distinguishes its two candidates by the margin, both
+// candidates are survivors, the question sequence does not depend on the
+// lane ISA or the thread count, and kBisection scores every witness exactly
+// as a plain sketch::eval_with_values scorer does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -376,6 +384,283 @@ TEST(GridFinderReference, IncrementalSyncRaisesLikeTheReference) {
   check_raising(graph, {}, "incremental", &empty);
   check_raising(graph, rejecting({3, 12}), "incremental, neither viable",
                 &empty);
+}
+
+// --- Pair search and bisection scoring ---------------------------------------
+
+/// The answer a user with hole values `target` gives to `pair`, recorded in
+/// `graph` the way the synthesizer records it.
+void answer(pref::PreferenceGraph& graph, const sketch::Sketch& sk,
+            const std::vector<double>& target, const DistinguishingPair& pair) {
+  const pref::VertexId u = graph.intern(pair.preferred_by_a);
+  const pref::VertexId v = graph.intern(pair.preferred_by_b);
+  const double fu = sketch::eval_with_values(sk, target, graph.scenario(u).metrics);
+  const double fv = sketch::eval_with_values(sk, target, graph.scenario(v).metrics);
+  if (std::abs(fu - fv) <= kTieTolerance) {
+    graph.add_tie(u, v);
+  } else if (fu > fv) {
+    graph.add_preference(u, v);
+  } else {
+    graph.add_preference(v, u);
+  }
+}
+
+bool is_survivor(const GridFinder& finder, const sketch::HoleAssignment& a) {
+  return std::any_of(finder.survivors().begin(), finder.survivors().end(),
+                     [&](const Survivor& s) { return s.assignment == a; });
+}
+
+/// Runs up to `iterations` rounds of find_distinguishing (two pairs asked
+/// per round) against a user with hole values `target`, re-checking every
+/// returned pair with the tree interpreter, and returns the result sequence.
+std::vector<FinderResult> drive_pair_search(const sketch::Sketch& sk,
+                                            const std::vector<double>& target,
+                                            const GridFinderConfig& config,
+                                            int iterations,
+                                            const std::string& what) {
+  const double margin = config.base.distinguish_margin;
+  GridFinder finder(sk, config);
+  pref::PreferenceGraph graph;
+  std::vector<FinderResult> results;
+  for (int it = 0; it < iterations; ++it) {
+    FinderResult res = finder.find_distinguishing(graph, /*num_pairs=*/2);
+    const std::string where = what + ", iteration " + std::to_string(it);
+    if (res.status == FinderStatus::kFound) {
+      EXPECT_TRUE(is_survivor(finder, res.candidate_a)) << where;
+      EXPECT_TRUE(is_survivor(finder, res.candidate_b)) << where;
+      EXPECT_FALSE(res.pairs.empty()) << where;
+      const std::vector<double> ha = sk.hole_values(res.candidate_a);
+      const std::vector<double> hb = sk.hole_values(res.candidate_b);
+      for (const DistinguishingPair& p : res.pairs) {
+        const auto f = [&](const std::vector<double>& holes,
+                           const pref::Scenario& s) {
+          return sketch::eval_with_values(sk, holes, s.metrics);
+        };
+        EXPECT_GE(f(ha, p.preferred_by_a), f(ha, p.preferred_by_b) + margin)
+            << where << ": a does not prefer its scenario by the margin";
+        EXPECT_GE(f(hb, p.preferred_by_b), f(hb, p.preferred_by_a) + margin)
+            << where << ": b does not prefer its scenario by the margin";
+        answer(graph, sk, target, p);
+      }
+    }
+    const bool found = res.status == FinderStatus::kFound;
+    results.push_back(std::move(res));
+    if (!found) break;
+  }
+  return results;
+}
+
+void expect_same_sequence(const std::vector<FinderResult>& want,
+                          const std::vector<FinderResult>& got,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const std::string where = what + ", iteration " + std::to_string(i);
+    ASSERT_EQ(got[i].status, want[i].status) << where;
+    ASSERT_EQ(got[i].candidate_a, want[i].candidate_a) << where;
+    ASSERT_EQ(got[i].candidate_b, want[i].candidate_b) << where;
+    ASSERT_EQ(got[i].pairs.size(), want[i].pairs.size()) << where;
+    for (std::size_t j = 0; j < want[i].pairs.size(); ++j) {
+      ASSERT_EQ(got[i].pairs[j].preferred_by_a.metrics,
+                want[i].pairs[j].preferred_by_a.metrics)
+          << where << ", pair " << j;
+      ASSERT_EQ(got[i].pairs[j].preferred_by_b.metrics,
+                want[i].pairs[j].preferred_by_b.metrics)
+          << where << ", pair " << j;
+    }
+  }
+}
+
+/// Pair search on `sk` under every supported lane ISA: each run's pairs are
+/// re-checked against the tree interpreter, and all runs ask the identical
+/// sequence.
+void check_pair_search(const sketch::Sketch& sk,
+                       const std::vector<double>& target, std::uint64_t seed) {
+  GridFinderConfig config;
+  config.threads = 1;
+  config.seed = seed;
+  std::vector<FinderResult> first;
+  for (const sketch::LaneIsa isa : supported_isas()) {
+    IsaOverride force(isa);
+    const std::string what = sk.name() + " " + sketch::lane_isa_name(isa);
+    const std::vector<FinderResult> got =
+        drive_pair_search(sk, target, config, /*iterations=*/8, what);
+    ASSERT_GE(got.size(), 2u) << what;
+    ASSERT_EQ(got.front().status, FinderStatus::kFound) << what;
+    if (first.empty()) {
+      first = got;
+    } else {
+      expect_same_sequence(first, got, what);
+    }
+  }
+}
+
+TEST(GridFinderReference, PairSearchSwan) {
+  const sketch::Sketch& sk = sketch::swan_sketch();
+  check_pair_search(sk, sk.hole_values(sketch::swan_target()), 21);
+}
+
+TEST(GridFinderReference, PairSearchAbrQoe) {
+  const sketch::Sketch& sk = sketch::abr_qoe_sketch();
+  check_pair_search(sk, middle_values(sk), 22);
+}
+
+TEST(GridFinderReference, PairSearchHomenet) {
+  const sketch::Sketch& sk = sketch::homenet_sketch();
+  check_pair_search(sk, middle_values(sk), 23);
+}
+
+TEST(GridFinderReference, PairSearchRaisesOnADivisionByZero) {
+  // Three survivors: (a, b) = (2, 10), (3, 10), (4, 10). (3, 10) divides by
+  // zero at m = 5, the metric's midpoint, which pair search's boundary pass
+  // always evaluates; the other two rank every scenario alike, so every
+  // schedule reaches a pair with the raising candidate. A candidate that
+  // raises during pair search raises out of find_distinguishing.
+  Viability viability;
+  viability.concrete = [](std::span<const double> holes) {
+    return holes[1] == 10 && holes[0] >= 2 && holes[0] <= 4;
+  };
+  const pref::PreferenceGraph empty;
+  for (const sketch::LaneIsa isa : supported_isas()) {
+    IsaOverride force(isa);
+    for (const int threads : {1, 4}) {
+      const std::string where = std::string(sketch::lane_isa_name(isa)) +
+                                " x" + std::to_string(threads);
+      GridFinder finder = make_finder(raising_sketch(), threads, viability);
+      std::optional<std::string> error;
+      try {
+        finder.find_distinguishing(empty, 1);
+      } catch (const sketch::EvalError& err) {
+        error = err.what();
+      }
+      EXPECT_EQ(finder.version_space_size(), 3u) << where;
+      EXPECT_EQ(error, std::optional<std::string>("division by zero")) << where;
+    }
+  }
+}
+
+struct ReferenceSplit {
+  long prefer_1 = 0;  // survivors scoring preferred_by_a strictly higher
+  long prefer_2 = 0;  // survivors scoring preferred_by_b strictly higher
+  long ties = 0;
+  long score() const { return std::min(prefer_1, prefer_2); }
+};
+
+ReferenceSplit reference_split(const GridFinder& finder,
+                               const sketch::Sketch& sk,
+                               const DistinguishingPair& pair) {
+  ReferenceSplit split;
+  for (const Survivor& s : finder.survivors()) {
+    const double f1 = sketch::eval_with_values(sk, s.hole_values,
+                                               pair.preferred_by_a.metrics);
+    const double f2 = sketch::eval_with_values(sk, s.hole_values,
+                                               pair.preferred_by_b.metrics);
+    if (f1 > f2) ++split.prefer_1;
+    else if (f2 > f1) ++split.prefer_2;
+    else ++split.ties;
+  }
+  return split;
+}
+
+TEST(GridFinderReference, BisectionScoresMatchTheReference) {
+  const sketch::Sketch& sk = sketch::swan_sketch();
+  const std::vector<double> target = sk.hole_values(sketch::swan_target());
+  util::Rng rng(31);
+  pref::PreferenceGraph graph;
+  grow(graph, sk, target, 3, rng);
+
+  // Witnesses: the first-found pair of a few seeds, random scenario pairs,
+  // and zero-throughput pairs (which many survivors score alike), each also
+  // reversed so both answers get to be the weaker one.
+  std::vector<DistinguishingPair> pairs;
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    GridFinderConfig config;
+    config.threads = 1;
+    config.seed = seed;
+    GridFinder finder(sk, config);
+    const FinderResult res = finder.find_distinguishing(graph, 1);
+    ASSERT_EQ(res.status, FinderStatus::kFound);
+    pairs.push_back(res.pairs.front());
+  }
+  for (int i = 0; i < 8; ++i) {
+    DistinguishingPair p;
+    for (const sketch::MetricSpec& m : sk.metrics()) {
+      p.preferred_by_a.metrics.push_back(rng.uniform_real(m.lo, m.hi));
+      p.preferred_by_b.metrics.push_back(rng.uniform_real(m.lo, m.hi));
+    }
+    pairs.push_back(std::move(p));
+  }
+  for (const double latency : {10.0, 40.0, 90.0}) {
+    pairs.push_back(DistinguishingPair{pref::Scenario{{0.0, latency}, ""},
+                                       pref::Scenario{{0.0, 50.0}, ""}});
+  }
+  for (std::size_t i = 0, n = pairs.size(); i < n; ++i) {
+    pairs.push_back(DistinguishingPair{pairs[i].preferred_by_b,
+                                       pairs[i].preferred_by_a});
+  }
+
+  GridFinder reference_finder = make_finder(sk, 1);
+  reference_finder.sync(graph);
+  // A tail group narrower than the lane width, several pool chunks, and a
+  // witness with ties and a lopsided split keep the comparison sharp.
+  ASSERT_NE(reference_finder.version_space_size() % sketch::kBatchLaneWidth,
+            0u);
+  ASSERT_GT(reference_finder.version_space_size(), 64u * 4);
+  std::vector<long> want;
+  bool tie_sensitive = false;
+  for (const DistinguishingPair& p : pairs) {
+    const ReferenceSplit split = reference_split(reference_finder, sk, p);
+    want.push_back(split.score());
+    tie_sensitive |= split.ties > 0 && split.prefer_2 < split.prefer_1;
+  }
+  ASSERT_TRUE(tie_sensitive);
+  ASSERT_NE(*std::max_element(want.begin(), want.end()),
+            *std::min_element(want.begin(), want.end()));
+
+  for (const sketch::LaneIsa isa : supported_isas()) {
+    IsaOverride force(isa);
+    for (const int threads : {1, 4}) {
+      GridFinder finder = make_finder(sk, threads);
+      finder.sync(graph);
+      EXPECT_EQ(finder.bisection_scores(pairs), want)
+          << sketch::lane_isa_name(isa) << " x" << threads;
+    }
+  }
+
+  // End to end: kBisection asks the witness with the highest score among
+  // those it examined, and it examines the first-found witness of the same
+  // seed first, so its pick scores at least as high.
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    GridFinderConfig config;
+    config.seed = seed;
+    config.threads = 1;
+    GridFinder first_found(sk, config);
+    config.strategy = QueryStrategy::kBisection;
+    GridFinder bisection(sk, config);
+    const FinderResult ff = first_found.find_distinguishing(graph, 1);
+    const FinderResult bi = bisection.find_distinguishing(graph, 1);
+    ASSERT_EQ(bi.status, FinderStatus::kFound);
+    EXPECT_GE(reference_split(reference_finder, sk, bi.pairs.front()).score(),
+              reference_split(reference_finder, sk, ff.pairs.front()).score())
+        << "seed " << seed;
+  }
+}
+
+TEST(GridFinderReference, BisectionQuestionsDoNotDependOnThreads) {
+  const sketch::Sketch& sk = sketch::swan_sketch();
+  const std::vector<double> target = sk.hole_values(sketch::swan_target());
+  GridFinderConfig config;
+  config.strategy = QueryStrategy::kBisection;
+  config.seed = 41;
+  config.threads = 1;
+  const std::vector<FinderResult> serial =
+      drive_pair_search(sk, target, config, /*iterations=*/6, "bisection x1");
+  ASSERT_GE(serial.size(), 3u);
+  config.threads = 4;
+  expect_same_sequence(
+      serial,
+      drive_pair_search(sk, target, config, /*iterations=*/6, "bisection x4"),
+      "bisection x4");
 }
 
 }  // namespace

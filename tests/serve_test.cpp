@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "oracle/oracle.h"
+#include "serve/line_client.h"
+#include "serve/line_server.h"
 #include "serve/protocol.h"
 #include "serve/session_host.h"
 #include "sketch/eval.h"
@@ -23,6 +25,7 @@
 #include "sketch/printer.h"
 #include "synth/synthesizer.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace compsynth::serve {
 namespace {
@@ -706,6 +709,33 @@ TEST(ServeHost, KillResumeAcrossHosts) {
     EXPECT_EQ(logged_sequence(root.path, id),
               logged_sequence(ref_root.path, id));
   }
+}
+
+TEST(LineServerTcp, RoundTripsDoNotStall) {
+  // Request/response over loopback TCP, one at a time, as the dist
+  // coordinator and compsynth_serve clients use it. A response that leaves
+  // in two sends (body, then newline) without TCP_NODELAY waits for the
+  // peer's delayed ACK, about 40 ms per round trip — 20 round trips then take
+  // 800 ms or more. Without the stall each takes well under a millisecond.
+  LineServer server(LineServerConfig{"tcp:127.0.0.1:0"},
+                    [](const std::string& line, LineControl*) {
+                      return "echo " + line;
+                    });
+  server.start();
+  {
+    LineClientConfig cc;
+    cc.endpoint = server.endpoint();
+    cc.io_timeout_s = 10;
+    LineClient client(cc);
+    util::Stopwatch watch;
+    for (int i = 0; i < 20; ++i) {
+      const std::string body = "ping " + std::to_string(i);
+      ASSERT_EQ(client.request(body), "echo " + body);
+    }
+    EXPECT_LT(watch.elapsed_seconds(), 0.4);
+  }
+  server.stop();
+  server.wait();
 }
 
 }  // namespace
