@@ -141,8 +141,8 @@ GridFinder make_finder(int threads) {
 std::vector<sketch::HoleAssignment> assignments_of(const GridFinder& finder) {
   std::vector<sketch::HoleAssignment> out;
   out.reserve(finder.survivors().size());
-  for (const solver::Survivor& s : finder.survivors()) {
-    out.push_back(s.assignment);
+  for (const std::int64_t linear : finder.survivors()) {
+    out.push_back(finder.assignment_at(linear));
   }
   return out;
 }

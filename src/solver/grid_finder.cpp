@@ -4,8 +4,6 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <cmath>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -25,8 +23,6 @@ constexpr std::int64_t kMaxEnumerableCandidates = 4'000'000;
 // than it saves; run inline.
 constexpr std::int64_t kMinParallelCandidates = 2048;
 
-constexpr double kNotComputed = std::numeric_limits<double>::quiet_NaN();
-
 constexpr std::size_t W = sketch::kBatchLaneWidth;
 
 /// Fills lanes n.. of an SoA hole buffer (hole h, lane l at h*W+l) with lane
@@ -41,15 +37,48 @@ void pad_lanes(std::vector<double>& holes_soa, std::size_t n) {
   }
 }
 
-/// Per-vertex lane results of one kBatchLaneWidth-candidate group, filled
-/// lazily by the caller's `ensure(v)`: vertex v, lane l at v*W+l, and bit l
-/// of err_bits[v] set when lane l errored on v.
+/// Per-vertex lane results of one kBatchLaneWidth-candidate group, shared by
+/// the full enumeration and the incremental filter. The caller stages the
+/// group's hole values into holes_soa (hole h, lane l at h*W+l) and calls
+/// begin(n) with its real lane count; ensure(v) then evaluates vertex v once
+/// for the whole group: lane l at vals[v*W+l], and bit l of err_bits[v] set
+/// when real lane l errored on v.
 struct VertexLanes {
-  explicit VertexLanes(std::size_t n_vertices)
-      : vals(n_vertices * W), errs(n_vertices * W), err_bits(n_vertices, 0) {}
+  VertexLanes(const sketch::BatchTape& tape, const pref::PreferenceGraph& graph,
+              std::size_t n_holes, long long& lane_evals)
+      : tape(tape),
+        graph(graph),
+        lane_evals(lane_evals),
+        holes_soa(n_holes * W),
+        vals(graph.vertex_count() * W),
+        errs(graph.vertex_count() * W),
+        err_bits(graph.vertex_count(), 0),
+        done(graph.vertex_count(), 0) {}
+  void begin(std::size_t real_lanes) {
+    n = real_lanes;
+    std::fill(done.begin(), done.end(), char{0});
+  }
+  void ensure(pref::VertexId v) {
+    if (done[v]) return;
+    done[v] = 1;
+    tape.eval_lanes(graph.scenario(v).metrics, holes_soa, &vals[v * W],
+                    &errs[v * W]);
+    unsigned bits = 0;
+    for (std::size_t l = 0; l < n; ++l) {
+      if (errs[v * W + l] != sketch::LaneError::kNone) bits |= 1u << l;
+    }
+    err_bits[v] = static_cast<unsigned char>(bits);
+    lane_evals += static_cast<long long>(W);
+  }
+  const sketch::BatchTape& tape;
+  const pref::PreferenceGraph& graph;
+  long long& lane_evals;
+  std::size_t n = 0;
+  std::vector<double> holes_soa;
   std::vector<double> vals;
   std::vector<sketch::LaneError> errs;
   std::vector<unsigned char> err_bits;
+  std::vector<char> done;
 };
 
 /// Checks the lanes in `alive_bits` against edges[first_edge..] and then
@@ -62,15 +91,12 @@ struct VertexLanes {
 /// on NaN, so a NaN kills the lane as `!(fb > fw)` would;
 /// lane_abs_diff_gt_bits is false on NaN, so a NaN tie difference never
 /// exceeds the bound and the lane survives.
-template <typename Ensure>
-unsigned check_lanes(const pref::PreferenceGraph& graph, std::size_t first_edge,
-                     std::size_t first_tie, double tie_bound,
-                     unsigned alive_bits, const VertexLanes& vl,
-                     std::array<sketch::LaneError, W>& lane_err,
-                     Ensure&& ensure) {
+unsigned check_lanes(std::size_t first_edge, std::size_t first_tie,
+                     double tie_bound, unsigned alive_bits, VertexLanes& vl,
+                     std::array<sketch::LaneError, W>& lane_err) {
   const auto constraint = [&](pref::VertexId u, pref::VertexId v) {
-    ensure(u);
-    ensure(v);
+    vl.ensure(u);
+    vl.ensure(v);
     const unsigned err_mask =
         static_cast<unsigned>(vl.err_bits[u] | vl.err_bits[v]) & alive_bits;
     for (unsigned bits = err_mask; bits != 0; bits &= bits - 1) {
@@ -80,14 +106,14 @@ unsigned check_lanes(const pref::PreferenceGraph& graph, std::size_t first_edge,
     }
     alive_bits &= ~err_mask;
   };
-  const auto& edges = graph.edges();
+  const auto& edges = vl.graph.edges();
   for (std::size_t i = first_edge; i < edges.size() && alive_bits != 0; ++i) {
     const pref::Edge& e = edges[i];
     constraint(e.better, e.worse);
     alive_bits &=
         sketch::lane_gt_bits(&vl.vals[e.better * W], &vl.vals[e.worse * W]);
   }
-  const auto& ties = graph.ties();
+  const auto& ties = vl.graph.ties();
   for (std::size_t i = first_tie; i < ties.size() && alive_bits != 0; ++i) {
     const auto& t = ties[i];
     constraint(t.first, t.second);
@@ -95,6 +121,24 @@ unsigned check_lanes(const pref::PreferenceGraph& graph, std::size_t first_edge,
         &vl.vals[t.first * W], &vl.vals[t.second * W], tie_bound);
   }
   return alive_bits;
+}
+
+/// Appends lo + j for every set bit j of a hex bitmap over [lo, lo + n): bit
+/// j%8 of byte j/8, each byte two lowercase hex digits, high nibble first.
+/// Returns false at the first non-hex digit it reads. The one decoder of the
+/// per-shard records and of the v1 whole-space bitmap.
+bool decode_bitmap(const std::string& hex, std::int64_t lo, std::int64_t n,
+                   std::vector<std::int64_t>& out) {
+  for (std::int64_t j = 0; j < n; ++j) {
+    const char c =
+        hex[static_cast<std::size_t>(j / 8) * 2 + (j % 8 < 4 ? 1 : 0)];
+    int nib = -1;
+    if (c >= '0' && c <= '9') nib = c - '0';
+    if (c >= 'a' && c <= 'f') nib = c - 'a' + 10;
+    if (nib < 0) return false;
+    if ((nib >> (j % 4)) & 1) out.push_back(lo + j);
+  }
+  return true;
 }
 
 }  // namespace
@@ -152,11 +196,12 @@ std::int64_t GridFinder::shard_span(std::int64_t total) {
 
 void GridFinder::stage_survivors(std::size_t base, std::size_t n,
                                  std::vector<double>& holes_soa) const {
-  const std::size_t n_holes = sketch_.holes().size();
+  const auto& holes = sketch_.holes();
   for (std::size_t l = 0; l < n; ++l) {
-    const Survivor& s = survivors_[base + l];
-    for (std::size_t h = 0; h < n_holes; ++h) {
-      holes_soa[h * W + l] = s.hole_values[h];
+    std::int64_t linear = survivors_[base + l];
+    for (std::size_t h = 0; h < holes.size(); ++h) {
+      holes_soa[h * W + l] = holes[h].value_at(linear % holes[h].count);
+      linear /= holes[h].count;
     }
   }
   pad_lanes(holes_soa, n);
@@ -164,9 +209,8 @@ void GridFinder::stage_survivors(std::size_t base, std::size_t n,
 
 void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
                                        const pref::PreferenceGraph& graph,
-                                       std::vector<Survivor>& out,
+                                       std::vector<std::int64_t>& out,
                                        BatchCounters& counters) const {
-  const std::size_t n_vertices = graph.vertex_count();
   const auto& holes = sketch_.holes();
   const std::size_t n_holes = holes.size();
   const double tie_bound = config_.base.tie_tolerance + 1e-9;
@@ -175,11 +219,8 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
   // assignment_at).
   sketch::HoleAssignment cursor = assignment_at(lo);
 
-  std::vector<std::int64_t> idx(W * n_holes);    // lane-major hole indices
-  std::vector<double> holes_soa(n_holes * W);    // hole h, lane l at h*W+l
-  std::vector<double> lane_values(n_holes);      // AoS view for viability
-  VertexLanes vl(n_vertices);
-  std::vector<char> vdone(n_vertices, 0);
+  VertexLanes vl(batch_, graph, n_holes, counters.lane_evals);
+  std::vector<double> lane_values(n_holes);  // AoS view for viability
   std::array<sketch::LaneError, W> lane_err{};
 
   for (std::int64_t base = lo; base < hi; base += W) {
@@ -187,17 +228,16 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
         static_cast<std::size_t>(std::min<std::int64_t>(W, hi - base));
     ++counters.groups;
 
-    // Stage the group: decode + advance the odometer per lane, compute hole
-    // values, run the viability gate. Spare lanes (a tail group narrower
-    // than W) copy the last real candidate so every lane holds in-domain
-    // values; they start dead and their outputs are ignored.
+    // Stage the group: hole values per lane from the odometer, then the
+    // viability gate. Spare lanes (a tail group narrower than W) copy the
+    // last real candidate so every lane holds in-domain values; they start
+    // dead and their outputs are ignored.
     unsigned alive_bits = 0;  // bit l = lane l still satisfies everything
     for (std::size_t l = 0; l < n; ++l) {
       for (std::size_t h = 0; h < n_holes; ++h) {
-        idx[l * n_holes + h] = cursor.index[h];
         const double v = holes[h].value_at(cursor.index[h]);
         lane_values[h] = v;
-        holes_soa[h * W + l] = v;
+        vl.holes_soa[h * W + l] = v;
       }
       if (!viability_.concrete || viability_.concrete(lane_values)) {
         alive_bits |= 1u << l;
@@ -209,24 +249,10 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
         ++pos;
       }
     }
-    pad_lanes(holes_soa, n);
+    pad_lanes(vl.holes_soa, n);
+    vl.begin(n);
     lane_err.fill(sketch::LaneError::kNone);
-    std::fill(vdone.begin(), vdone.end(), char{0});
-
-    const auto ensure = [&](pref::VertexId v) {
-      if (vdone[v]) return;
-      vdone[v] = 1;
-      batch_.eval_lanes(graph.scenario(v).metrics, holes_soa,
-                        &vl.vals[v * W], &vl.errs[v * W]);
-      unsigned bits = 0;
-      for (std::size_t l = 0; l < n; ++l) {
-        if (vl.errs[v * W + l] != sketch::LaneError::kNone) bits |= 1u << l;
-      }
-      vl.err_bits[v] = static_cast<unsigned char>(bits);
-      counters.lane_evals += static_cast<long long>(W);
-    };
-    alive_bits = check_lanes(graph, 0, 0, tie_bound, alive_bits, vl, lane_err,
-                             ensure);
+    alive_bits = check_lanes(0, 0, tie_bound, alive_bits, vl, lane_err);
 
     // Drain the group in candidate order: survivors below an erroring lane
     // are appended before its EvalError is re-thrown, exactly as a
@@ -235,24 +261,9 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
       if (lane_err[l] != sketch::LaneError::kNone) {
         sketch::throw_lane_error(lane_err[l]);
       }
-      if (((alive_bits >> l) & 1u) == 0) continue;
-      Survivor s;
-      s.linear = base + static_cast<std::int64_t>(l);
-      s.assignment.index.assign(
-          idx.begin() + static_cast<std::ptrdiff_t>(l * n_holes),
-          idx.begin() + static_cast<std::ptrdiff_t>((l + 1) * n_holes));
-      s.hole_values.resize(n_holes);
-      for (std::size_t h = 0; h < n_holes; ++h) {
-        s.hole_values[h] = holes_soa[h * W + l];
+      if ((alive_bits >> l) & 1u) {
+        out.push_back(base + static_cast<std::int64_t>(l));
       }
-      // An alive lane was alive through every constraint check, so every
-      // evaluated vertex had its error flag inspected for this lane: all
-      // its values are clean and safe to memoize.
-      s.vertex_values.assign(n_vertices, kNotComputed);
-      for (std::size_t v = 0; v < n_vertices; ++v) {
-        if (vdone[v]) s.vertex_values[v] = vl.vals[v * W + l];
-      }
-      out.push_back(std::move(s));
     }
   }
 }
@@ -260,84 +271,26 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
 void GridFinder::filter_range_batch(std::size_t lo, std::size_t hi,
                                     const pref::PreferenceGraph& graph,
                                     std::vector<char>& keep,
-                                    BatchCounters& counters) {
-  const std::size_t n_vertices = graph.vertex_count();
+                                    BatchCounters& counters) const {
   const double tie_bound = config_.base.tie_tolerance + 1e-9;
-
-  std::vector<double> holes_soa(sketch_.holes().size() * W);
-  VertexLanes vl(n_vertices);
-  std::vector<char> vdone(n_vertices, 0);
-  std::array<double, W> fresh_vals{};
-  std::array<sketch::LaneError, W> fresh_errs{};
+  VertexLanes vl(batch_, graph, sketch_.holes().size(), counters.lane_evals);
   std::array<sketch::LaneError, W> lane_err{};
 
   for (std::size_t base = lo; base < hi; base += W) {
     const std::size_t n = std::min(W, hi - base);
     ++counters.groups;
-    unsigned alive_bits =
-        static_cast<unsigned>((1u << n) - 1);  // real lanes start alive
-    stage_survivors(base, n, holes_soa);
+    stage_survivors(base, n, vl.holes_soa);
+    vl.begin(n);
     lane_err.fill(sketch::LaneError::kNone);
-    std::fill(vdone.begin(), vdone.end(), char{0});
-
-    // Memo-aware vertex evaluation: a lane with a cached (non-NaN) value for
-    // `v` reuses it and cannot error; the tape runs only when at least one
-    // lane lacks the memo. Evaluation is
-    // deterministic, so a memoized lane's recomputed value would be
-    // bit-identical anyway — using the memo just skips the work.
-    const auto ensure = [&](pref::VertexId v) {
-      if (vdone[v]) return;
-      vdone[v] = 1;
-      double* vals = &vl.vals[v * W];
-      sketch::LaneError* errs = &vl.errs[v * W];
-      bool any_fresh = false;
-      for (std::size_t l = 0; l < n; ++l) {
-        const Survivor& s = survivors_[base + l];
-        if (v < s.vertex_values.size() && !std::isnan(s.vertex_values[v])) {
-          vals[l] = s.vertex_values[v];
-          errs[l] = sketch::LaneError::kNone;
-        } else {
-          any_fresh = true;
-        }
-      }
-      if (!any_fresh) {
-        vl.err_bits[v] = 0;  // memoized values cannot error
-        return;
-      }
-      batch_.eval_lanes(graph.scenario(v).metrics, holes_soa,
-                        fresh_vals.data(), fresh_errs.data());
-      counters.lane_evals += static_cast<long long>(W);
-      unsigned bits = 0;
-      for (std::size_t l = 0; l < n; ++l) {
-        const Survivor& s = survivors_[base + l];
-        if (v < s.vertex_values.size() && !std::isnan(s.vertex_values[v])) {
-          continue;  // memo already copied above
-        }
-        vals[l] = fresh_vals[l];
-        errs[l] = fresh_errs[l];
-        if (errs[l] != sketch::LaneError::kNone) bits |= 1u << l;
-      }
-      vl.err_bits[v] = static_cast<unsigned char>(bits);
-    };
-    alive_bits = check_lanes(graph, edges_seen_, ties_seen_, tie_bound,
-                             alive_bits, vl, lane_err, ensure);
+    const unsigned alive_bits =
+        check_lanes(edges_seen_, ties_seen_, tie_bound,
+                    static_cast<unsigned>((1u << n) - 1), vl, lane_err);
 
     for (std::size_t l = 0; l < n; ++l) {
       if (lane_err[l] != sketch::LaneError::kNone) {
         sketch::throw_lane_error(lane_err[l]);
       }
-      if (((alive_bits >> l) & 1u) == 0) {
-        keep[base + l] = 0;
-        continue;
-      }
-      keep[base + l] = 1;
-      Survivor& s = survivors_[base + l];
-      if (s.vertex_values.size() < n_vertices) {
-        s.vertex_values.resize(n_vertices, kNotComputed);
-      }
-      for (std::size_t v = 0; v < n_vertices; ++v) {
-        if (vdone[v]) s.vertex_values[v] = vl.vals[v * W + l];
-      }
+      keep[base + l] = static_cast<char>((alive_bits >> l) & 1u);
     }
   }
 }
@@ -370,10 +323,8 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
     // whether the scan runs serially or across a pool. Shards share no
     // mutable state: each appends to its own part vector, merged here in
     // shard order, which reproduces the sequential survivor order.
-    const std::int64_t total = sketch_.candidate_space_size();
-    const std::int64_t span_len = shard_span(total);
-    const auto n_shards =
-        static_cast<std::size_t>((total + span_len - 1) / span_len);
+    const std::vector<ShardRange> ranges = shard_ranges();
+    const std::size_t n_shards = ranges.size();
     last_sync_shards_ = n_shards;
     // Distribution seam: a configured backend gets first crack at the
     // fixed-range shards (full rebuilds only — they are pure functions of
@@ -382,27 +333,26 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
     // through to the local scan below; a remote sync can change where the
     // work runs but never whether it completes.
     if (config_.shard_backend != nullptr && !viability_.concrete) {
-      distributed = rebuild_remote(graph, n_shards, span_len, total);
+      distributed = rebuild_remote(graph, ranges);
     }
     if (distributed) {
       last_sync_threads_ = 1;
     } else {
-      std::vector<std::vector<Survivor>> parts(n_shards);
+      std::vector<std::vector<std::int64_t>> parts(n_shards);
       std::vector<BatchCounters> tallies(n_shards);
       if (obs::active(obs_)) shard_secs.assign(n_shards, 0);
       const auto run_shard = [&](std::size_t k) {
-        const std::int64_t a = static_cast<std::int64_t>(k) * span_len;
-        const std::int64_t b = std::min<std::int64_t>(total, a + span_len);
+        const ShardRange& r = ranges[k];
         if (shard_secs.empty()) {
-          enumerate_range_batch(a, b, graph, parts[k], tallies[k]);
+          enumerate_range_batch(r.lo, r.hi, graph, parts[k], tallies[k]);
         } else {
           util::Stopwatch shard_watch;
-          enumerate_range_batch(a, b, graph, parts[k], tallies[k]);
+          enumerate_range_batch(r.lo, r.hi, graph, parts[k], tallies[k]);
           shard_secs[k] = shard_watch.elapsed_seconds();
         }
       };
       if (pool == nullptr || n_shards <= 1 ||
-          total < kMinParallelCandidates) {
+          sketch_.candidate_space_size() < kMinParallelCandidates) {
         last_sync_threads_ = 1;
         for (std::size_t k = 0; k < n_shards; ++k) run_shard(k);
       } else {
@@ -414,8 +364,8 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
       std::size_t found = 0;
       for (const auto& p : parts) found += p.size();
       survivors_.reserve(found);
-      for (auto& p : parts) {
-        for (Survivor& s : p) survivors_.push_back(std::move(s));
+      for (const auto& p : parts) {
+        survivors_.insert(survivors_.end(), p.begin(), p.end());
       }
       for (const BatchCounters& t : tallies) {
         batch_tally.lane_evals += t.lane_evals;
@@ -424,33 +374,27 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
     }
     initialized_ = true;
   } else {
-    // Incremental filter: only the new edges/ties are checked, and each
-    // survivor's memoized vertex values mean only newly interned scenarios
-    // are evaluated at all.
+    // Incremental filter: only the new edges/ties are checked.
     std::vector<char> keep(survivors_.size(), 1);
-    // Work estimate: each survivor re-checks only the new edges/ties (plus
-    // one freshly interned vertex evaluation at most). Late-loop syncs see a
-    // handful of survivors x one new edge — dispatching pool chunks for that
-    // costs more than the filter itself, so small workloads run on the
-    // caller.
+    // Work estimate: each survivor re-checks only the new edges/ties.
+    // Late-loop syncs see a handful of survivors x one new edge —
+    // dispatching pool chunks for that costs more than the filter itself, so
+    // small workloads run on the caller.
     const std::size_t filter_work =
         survivors_.size() *
         (graph.edges().size() - edges_seen_ + graph.ties().size() -
          ties_seen_ + 1);
     constexpr std::size_t kMinParallelFilterWork = 8192;
-    // survivors_ stays sorted by linear index, so each fixed-range shard
-    // owns a contiguous position range: find the boundaries by shard id
-    // (linear / span). Shards mutate only their own survivors' memos and
+    // survivors_ stays sorted by linear index, so each non-empty fixed-range
+    // shard owns a contiguous position range. Shards write only their own
     // keep slots — no shared mutable state until the compaction below.
-    const std::int64_t span_len = shard_span(sketch_.candidate_space_size());
     std::vector<std::size_t> bounds{0};
-    for (std::size_t i = 1; i < survivors_.size(); ++i) {
-      if (survivors_[i].linear / span_len !=
-          survivors_[i - 1].linear / span_len) {
-        bounds.push_back(i);
-      }
+    for (const ShardRange& r : shard_ranges()) {
+      const auto end = static_cast<std::size_t>(
+          std::lower_bound(survivors_.begin(), survivors_.end(), r.hi) -
+          survivors_.begin());
+      if (end != bounds.back()) bounds.push_back(end);
     }
-    bounds.push_back(survivors_.size());
     const std::size_t n_ranges = bounds.size() - 1;
     std::vector<BatchCounters> tallies(n_ranges);
     if (obs::active(obs_)) shard_secs.assign(n_ranges, 0);
@@ -480,9 +424,7 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
     }
     std::size_t out = 0;
     for (std::size_t i = 0; i < survivors_.size(); ++i) {
-      if (!keep[i]) continue;
-      if (out != i) survivors_[out] = std::move(survivors_[i]);
-      ++out;
+      if (keep[i]) survivors_[out++] = survivors_[i];
     }
     survivors_.resize(out);
   }
@@ -542,10 +484,12 @@ std::vector<double> GridFinder::boundary_values(
   return out;
 }
 
-std::optional<DistinguishingPair> GridFinder::distinguish(const Survivor& a,
-                                                          const Survivor& b) {
+std::optional<DistinguishingPair> GridFinder::distinguish(std::int64_t a,
+                                                          std::int64_t b) {
   const double margin = config_.base.distinguish_margin;
   const std::size_t n_metrics = sketch_.metrics().size();
+  const std::vector<double> a_holes = sketch_.hole_values(assignment_at(a));
+  const std::vector<double> b_holes = sketch_.hole_values(assignment_at(b));
 
   // Boundary candidates per metric: hole values of either candidate (where
   // piecewise objectives flip regions), nudged to both sides, plus range
@@ -553,8 +497,8 @@ std::optional<DistinguishingPair> GridFinder::distinguish(const Survivor& a,
   std::vector<std::vector<double>> boundaries(n_metrics);
   std::size_t cross_size = 1;
   for (std::size_t m = 0; m < n_metrics; ++m) {
-    boundaries[m] = boundary_values(a.hole_values, m);
-    const std::vector<double> more = boundary_values(b.hole_values, m);
+    boundaries[m] = boundary_values(a_holes, m);
+    const std::vector<double> more = boundary_values(b_holes, m);
     boundaries[m].insert(boundaries[m].end(), more.begin(), more.end());
     const sketch::MetricSpec& spec = sketch_.metrics()[m];
     boundaries[m].push_back((spec.lo + spec.hi) / 2);
@@ -580,25 +524,25 @@ std::optional<DistinguishingPair> GridFinder::distinguish(const Survivor& a,
   const std::size_t n_holes = sketch_.holes().size();
   std::vector<double> pair_soa(n_holes * W);
   for (std::size_t h = 0; h < n_holes; ++h) {
-    pair_soa[h * W] = a.hole_values[h];
-    pair_soa[h * W + 1] = b.hole_values[h];
+    pair_soa[h * W] = a_holes[h];
+    pair_soa[h * W + 1] = b_holes[h];
   }
   pad_lanes(pair_soa, 2);
   struct PairValues {
     double fa, fb;
     sketch::LaneError ea, eb;
   };
-  const auto eval_pair = [&](const pref::Scenario& s) {
+  const auto eval_pair = [&](std::span<const double> metrics) {
     std::array<double, W> out{};
     std::array<sketch::LaneError, W> err{};
-    batch_.eval_lanes(s.metrics, pair_soa, out.data(), err.data());
+    batch_.eval_lanes(metrics, pair_soa, out.data(), err.data());
     return PairValues{out[0], out[1], err[0], err[1]};
   };
 
   auto check = [&](const pref::Scenario& s1, const pref::Scenario& s2)
       -> std::optional<DistinguishingPair> {
-    const auto [fa1, fb1, ea1, eb1] = eval_pair(s1);
-    const auto [fa2, fb2, ea2, eb2] = eval_pair(s2);
+    const auto [fa1, fb1, ea1, eb1] = eval_pair(s1.metrics);
+    const auto [fa2, fb2, ea2, eb2] = eval_pair(s2.metrics);
     // Raise in one-candidate order: a at s1, a at s2, b at s1, b at s2.
     for (const sketch::LaneError e : {ea1, ea2, eb1, eb2}) {
       if (e != sketch::LaneError::kNone) sketch::throw_lane_error(e);
@@ -615,18 +559,21 @@ std::optional<DistinguishingPair> GridFinder::distinguish(const Survivor& a,
   // Deterministic pass: for objectives that are piecewise products of the
   // metrics (the SWAN family), any ranking disagreement is witnessed at the
   // cross product of boundary values. Enumerate it when small enough.
+  // The in-domain points are the rows of one row-major buffer (point i,
+  // metric m at i*n_metrics+m); Scenarios are built only for the returned
+  // pair.
   if (cross_size <= 1024) {
-    std::vector<pref::Scenario> grid_points;
-    grid_points.reserve(cross_size);
+    std::vector<double> points;
+    points.reserve(cross_size * n_metrics);
     std::vector<std::size_t> idx(n_metrics, 0);
     for (;;) {
-      pref::Scenario s;
-      s.metrics.reserve(n_metrics);
+      const std::size_t row = points.size();
       for (std::size_t m = 0; m < n_metrics; ++m) {
-        s.metrics.push_back(boundaries[m][idx[m]]);
+        points.push_back(boundaries[m][idx[m]]);
       }
-      if (domain_contains(sketch_, domain_, s.metrics)) {
-        grid_points.push_back(std::move(s));
+      if (!domain_contains(sketch_, domain_,
+                           std::span<const double>(points).subspan(row))) {
+        points.resize(row);
       }
       std::size_t pos = 0;
       while (pos < n_metrics && ++idx[pos] == boundaries[pos].size()) {
@@ -637,11 +584,18 @@ std::optional<DistinguishingPair> GridFinder::distinguish(const Survivor& a,
     // Cache both candidates' values so each pair test is two comparisons.
     // Errors raise in one-candidate order: a's first error over the points,
     // then b's.
-    std::vector<double> fa(grid_points.size()), fb(grid_points.size());
+    const std::size_t n_points = points.size() / n_metrics;
+    const auto point = [&](std::size_t i) {
+      return std::span<const double>(points).subspan(i * n_metrics, n_metrics);
+    };
+    const auto scenario = [&](std::size_t i) {
+      return pref::Scenario{{point(i).begin(), point(i).end()}, ""};
+    };
+    std::vector<double> fa(n_points), fb(n_points);
     sketch::LaneError first_ea = sketch::LaneError::kNone;
     sketch::LaneError first_eb = sketch::LaneError::kNone;
-    for (std::size_t i = 0; i < grid_points.size(); ++i) {
-      const auto [va, vb, ea, eb] = eval_pair(grid_points[i]);
+    for (std::size_t i = 0; i < n_points; ++i) {
+      const auto [va, vb, ea, eb] = eval_pair(point(i));
       fa[i] = va;
       fb[i] = vb;
       if (first_ea == sketch::LaneError::kNone) first_ea = ea;
@@ -652,14 +606,14 @@ std::optional<DistinguishingPair> GridFinder::distinguish(const Survivor& a,
     }
     // Randomize the scan order so repeated calls surface different pairs
     // (the synthesizer wants fresh scenarios each iteration).
-    std::vector<std::size_t> order(grid_points.size());
+    std::vector<std::size_t> order(n_points);
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     rng_.shuffle(order);
     for (const std::size_t i : order) {
       for (const std::size_t j : order) {
         if (i == j) continue;  // a scenario can never distinguish from itself
         if (fa[i] >= fa[j] + margin && fb[j] >= fb[i] + margin) {
-          return DistinguishingPair{grid_points[i], grid_points[j]};
+          return DistinguishingPair{scenario(i), scenario(j)};
         }
       }
     }
@@ -667,9 +621,10 @@ std::optional<DistinguishingPair> GridFinder::distinguish(const Survivor& a,
 
   // Randomized fallback for sketch families whose disagreements are not
   // boundary-witnessed (or whose boundary cross product is too large).
-  auto sample_scenario = [&] {
-    pref::Scenario s;
-    s.metrics.reserve(n_metrics);
+  // The two samples reuse their buffers; only a hit copies them out.
+  pref::Scenario s1, s2;
+  const auto sample_scenario = [&](pref::Scenario& s) {
+    s.metrics.clear();
     for (std::size_t m = 0; m < n_metrics; ++m) {
       const sketch::MetricSpec& spec = sketch_.metrics()[m];
       if (rng_.bernoulli(0.5)) {
@@ -678,11 +633,10 @@ std::optional<DistinguishingPair> GridFinder::distinguish(const Survivor& a,
         s.metrics.push_back(boundaries[m][rng_.index(boundaries[m].size())]);
       }
     }
-    return s;
   };
   for (int i = 0; i < config_.scenario_samples; ++i) {
-    const pref::Scenario s1 = sample_scenario();
-    const pref::Scenario s2 = sample_scenario();
+    sample_scenario(s1);
+    sample_scenario(s2);
     if (domain_.constraint != nullptr &&
         (!domain_contains(sketch_, domain_, s1.metrics) ||
          !domain_contains(sketch_, domain_, s2.metrics))) {
@@ -726,7 +680,7 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
     note("unique_ranking", 0, 0, 0);
     FinderResult res;
     res.status = FinderStatus::kUniqueRanking;
-    res.candidate_a = survivors_.front().assignment;
+    res.candidate_a = assignment_at(survivors_.front());
     return res;
   }
 
@@ -774,7 +728,7 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
     note("unique_ranking", schedule.size(), 0, 0);
     FinderResult res;
     res.status = FinderStatus::kUniqueRanking;
-    res.candidate_a = survivors_.front().assignment;
+    res.candidate_a = assignment_at(survivors_.front());
     return res;
   }
 
@@ -787,8 +741,8 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
   FinderResult res;
   res.status = FinderStatus::kFound;
   const auto [chosen_a, chosen_b] = owners[chosen];
-  res.candidate_a = survivors_[chosen_a].assignment;
-  res.candidate_b = survivors_[chosen_b].assignment;
+  res.candidate_a = assignment_at(survivors_[chosen_a]);
+  res.candidate_b = assignment_at(survivors_[chosen_b]);
   res.pairs.push_back(std::move(witnesses[chosen]));
 
   // Additional pairs (Fig. 4 protocol) come from the same candidate pair.
@@ -812,42 +766,45 @@ std::vector<long> GridFinder::bisection_scores(
     std::span<const DistinguishingPair> pairs) const {
   // Guaranteed elimination of an answer = survivors inconsistent with it;
   // the worst case over the two strict answers is the witness's value.
-  // Survivors are scored kBatchLaneWidth per pass, staged as the
-  // incremental filter stages them, and the chunked counts are plain integer
-  // sums, so sharding keeps the score exact.
-  util::ThreadPool* pool = this->pool();
-  std::vector<long> scores;
-  scores.reserve(pairs.size());
-  for (const DistinguishingPair& p : pairs) {
-    std::atomic<long> prefer_1{0}, prefer_2{0};
-    auto score = [&](std::size_t lo, std::size_t hi) {
-      std::vector<double> holes_soa(sketch_.holes().size() * W);
-      std::array<double, W> f1{}, f2{};
-      std::array<sketch::LaneError, W> e1{}, e2{};
-      long local_1 = 0, local_2 = 0;
-      for (std::size_t base = lo; base < hi; base += W) {
-        const std::size_t n = std::min(W, hi - base);
-        stage_survivors(base, n, holes_soa);
-        batch_.eval_lanes(p.preferred_by_a.metrics, holes_soa, f1.data(),
-                          e1.data());
-        batch_.eval_lanes(p.preferred_by_b.metrics, holes_soa, f2.data(),
-                          e2.data());
+  // Each group of kBatchLaneWidth survivors is staged once, as the
+  // incremental filter stages it, and scored against every witness; the
+  // chunked counts are plain integer sums, so sharding keeps the scores
+  // exact.
+  const std::size_t n_pairs = pairs.size();
+  // prefer[2i] / prefer[2i+1]: survivors scoring witness i's preferred_by_a
+  // / preferred_by_b strictly higher.
+  std::vector<std::atomic<long>> prefer(2 * n_pairs);
+  auto score = [&](std::size_t lo, std::size_t hi) {
+    std::vector<double> holes_soa(sketch_.holes().size() * W);
+    std::vector<long> local(2 * n_pairs, 0);
+    std::array<double, W> f1{}, f2{};
+    std::array<sketch::LaneError, W> e1{}, e2{};
+    for (std::size_t base = lo; base < hi; base += W) {
+      const std::size_t n = std::min(W, hi - base);
+      stage_survivors(base, n, holes_soa);
+      for (std::size_t i = 0; i < n_pairs; ++i) {
+        batch_.eval_lanes(pairs[i].preferred_by_a.metrics, holes_soa,
+                          f1.data(), e1.data());
+        batch_.eval_lanes(pairs[i].preferred_by_b.metrics, holes_soa,
+                          f2.data(), e2.data());
         for (std::size_t l = 0; l < n; ++l) {
           if (e1[l] != sketch::LaneError::kNone) sketch::throw_lane_error(e1[l]);
           if (e2[l] != sketch::LaneError::kNone) sketch::throw_lane_error(e2[l]);
-          if (f1[l] > f2[l]) ++local_1;
-          else if (f2[l] > f1[l]) ++local_2;
+          if (f1[l] > f2[l]) ++local[2 * i];
+          else if (f2[l] > f1[l]) ++local[2 * i + 1];
         }
       }
-      prefer_1 += local_1;
-      prefer_2 += local_2;
-    };
-    if (pool == nullptr) {
-      score(0, survivors_.size());
-    } else {
-      pool->parallel_for(0, survivors_.size(), score, /*min_chunk=*/64);
     }
-    scores.push_back(std::min(prefer_1.load(), prefer_2.load()));
+    for (std::size_t k = 0; k < local.size(); ++k) prefer[k] += local[k];
+  };
+  if (util::ThreadPool* pool = this->pool()) {
+    pool->parallel_for(0, survivors_.size(), score, /*min_chunk=*/64);
+  } else {
+    score(0, survivors_.size());
+  }
+  std::vector<long> scores(n_pairs);
+  for (std::size_t i = 0; i < n_pairs; ++i) {
+    scores[i] = std::min(prefer[2 * i].load(), prefer[2 * i + 1].load());
   }
   return scores;
 }
@@ -856,7 +813,7 @@ std::optional<sketch::HoleAssignment> GridFinder::find_consistent(
     const pref::PreferenceGraph& graph) {
   sync(graph);
   if (survivors_.empty()) return std::nullopt;
-  return survivors_.front().assignment;
+  return assignment_at(survivors_.front());
 }
 
 namespace {
@@ -873,39 +830,25 @@ constexpr int kGridStateVersion = 2;
 }  // namespace
 
 std::string GridFinder::save_state() const {
+  // Per-shard slices of the sorted survivor list, rendered through the
+  // shared record encoder (encode_shard_blob — the same lines the dist
+  // workers produce).
+  const std::vector<ShardRange> ranges = shard_ranges();
   const std::int64_t total = sketch_.candidate_space_size();
-  const std::int64_t span_len = shard_span(total);
-  const auto n_shards =
-      static_cast<std::size_t>((total + span_len - 1) / span_len);
-  std::vector<std::int64_t> stride(sketch_.holes().size(), 1);
-  for (std::size_t h = 1; h < stride.size(); ++h) {
-    stride[h] = stride[h - 1] * sketch_.holes()[h - 1].count;
-  }
-  // Per-shard survivor lists by linear index, rendered through the shared
-  // record encoder (encode_shard_blob — the same lines the dist workers
-  // produce). The linear index is recomputed from the assignment (not taken
-  // from Survivor::linear) so serialization never depends on that cache
-  // being fresh.
-  std::vector<std::vector<std::int64_t>> linears(n_shards);
-  for (const Survivor& s : survivors_) {
-    std::int64_t linear = 0;
-    for (std::size_t h = 0; h < stride.size(); ++h) {
-      linear += s.assignment.index[h] * stride[h];
-    }
-    linears[static_cast<std::size_t>(linear / span_len)].push_back(linear);
-  }
   std::ostringstream os;
   os << kGridStateTag << ' ' << kGridStateVersion << '\n'
      << "rng " << rng_.save_state() << '\n'
      << "seen " << (initialized_ ? 1 : 0) << ' ' << edges_seen_ << ' '
      << ties_seen_ << '\n'
-     << "shards " << n_shards << ' ' << span_len << ' ' << total << ' '
-     << survivors_.size() << '\n';
-  for (std::size_t k = 0; k < n_shards; ++k) {
-    const std::int64_t lo = static_cast<std::int64_t>(k) * span_len;
-    const std::int64_t hi = std::min<std::int64_t>(total, lo + span_len);
-    std::sort(linears[k].begin(), linears[k].end());
-    os << encode_shard_blob(k, lo, hi, linears[k]) << '\n';
+     << "shards " << ranges.size() << ' ' << shard_span(total) << ' ' << total
+     << ' ' << survivors_.size() << '\n';
+  auto first = survivors_.begin();
+  for (const ShardRange& r : ranges) {
+    const auto last = std::lower_bound(first, survivors_.end(), r.hi);
+    os << encode_shard_blob(r.index, r.lo, r.hi,
+                            std::vector<std::int64_t>(first, last))
+       << '\n';
+    first = last;
   }
   return os.str();
 }
@@ -961,18 +904,9 @@ GridFinder::ParsedShardBlob GridFinder::parse_shard_blob(
     bad(hex.size() < 2 * bytes ? "bitmap truncated mid-record"
                                : "bitmap longer than the shard range");
   }
-  const auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-  };
   blob.linears.reserve(count);
-  for (std::int64_t j = 0; j < blob.hi - blob.lo; ++j) {
-    const char c =
-        hex[static_cast<std::size_t>(j / 8) * 2 + (j % 8 < 4 ? 1 : 0)];
-    const int nib = nibble(c);
-    if (nib < 0) bad("bitmap is not lowercase hex");
-    if ((nib >> (j % 4)) & 1) blob.linears.push_back(blob.lo + j);
+  if (!decode_bitmap(hex, blob.lo, blob.hi - blob.lo, blob.linears)) {
+    bad("bitmap is not lowercase hex");
   }
   if (blob.linears.size() != count) {
     bad("survivor count disagrees with the bitmap");
@@ -1000,36 +934,14 @@ std::string GridFinder::sync_shard_blob(const pref::PreferenceGraph& graph,
   if (lo < 0 || hi <= lo || hi > sketch_.candidate_space_size()) {
     throw std::invalid_argument("sync_shard_blob: range outside the grid");
   }
-  std::vector<Survivor> found;
-  BatchCounters tally;
-  enumerate_range_batch(lo, hi, graph, found, tally);
   std::vector<std::int64_t> linears;
-  linears.reserve(found.size());
-  for (const Survivor& s : found) linears.push_back(s.linear);
+  BatchCounters tally;
+  enumerate_range_batch(lo, hi, graph, linears, tally);
   return encode_shard_blob(index, lo, hi, linears);
 }
 
-Survivor GridFinder::materialize_survivor(std::int64_t linear) const {
-  const auto& holes = sketch_.holes();
-  Survivor s;
-  s.linear = linear;
-  s.assignment = assignment_at(linear);
-  s.hole_values.resize(holes.size());
-  for (std::size_t h = 0; h < holes.size(); ++h) {
-    s.hole_values[h] = holes[h].value_at(s.assignment.index[h]);
-  }
-  return s;
-}
-
 bool GridFinder::rebuild_remote(const pref::PreferenceGraph& graph,
-                                std::size_t n_shards, std::int64_t span_len,
-                                std::int64_t total) {
-  std::vector<ShardRange> ranges(n_shards);
-  for (std::size_t k = 0; k < n_shards; ++k) {
-    ranges[k].index = k;
-    ranges[k].lo = static_cast<std::int64_t>(k) * span_len;
-    ranges[k].hi = std::min<std::int64_t>(total, ranges[k].lo + span_len);
-  }
+                                const std::vector<ShardRange>& ranges) {
   std::optional<std::vector<std::string>> records;
   try {
     records = config_.shard_backend->sync_shards(graph, ranges);
@@ -1039,20 +951,18 @@ bool GridFinder::rebuild_remote(const pref::PreferenceGraph& graph,
               ex.what());
     return false;
   }
-  if (!records || records->size() != n_shards) return false;
+  if (!records || records->size() != ranges.size()) return false;
   // Decode into a scratch vector first: a torn record must leave survivors_
   // empty for the local fallback, never half-merged.
-  std::vector<Survivor> merged;
+  std::vector<std::int64_t> merged;
   try {
-    for (std::size_t k = 0; k < n_shards; ++k) {
+    for (std::size_t k = 0; k < ranges.size(); ++k) {
       const ParsedShardBlob blob = parse_shard_blob((*records)[k]);
       if (blob.index != ranges[k].index || blob.lo != ranges[k].lo ||
           blob.hi != ranges[k].hi) {
         throw std::invalid_argument("shard record: range mismatch");
       }
-      for (const std::int64_t linear : blob.linears) {
-        merged.push_back(materialize_survivor(linear));
-      }
+      merged.insert(merged.end(), blob.linears.begin(), blob.linears.end());
     }
   } catch (const std::exception& ex) {
     util::log(util::LogLevel::kWarn,
@@ -1086,18 +996,9 @@ void GridFinder::restore_state(const std::string& state) {
     bad_grid_state("malformed seen section");
   }
 
-  const auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-  };
-  // Decode into a fresh survivor vector first so a throw leaves `this`
-  // untouched; hole values are re-materialized from the grid and the vertex
-  // memoization restarts empty (the next incremental filter fills it).
-  std::vector<Survivor> restored;
-  const auto materialize = [&](std::int64_t linear) {
-    restored.push_back(materialize_survivor(linear));
-  };
+  // Decode into a fresh survivor list first so a throw leaves `this`
+  // untouched.
+  std::vector<std::int64_t> restored;
 
   std::size_t survivor_count = 0;
   if (version == 1) {
@@ -1118,12 +1019,8 @@ void GridFinder::restore_state(const std::string& state) {
       bad_grid_state("survivor count exceeds the candidate space");
     }
     restored.reserve(survivor_count);
-    for (std::int64_t i = 0; i < total; ++i) {
-      const char c =
-          hex[static_cast<std::size_t>(i / 8) * 2 + (i % 8 < 4 ? 1 : 0)];
-      const int nib = nibble(c);
-      if (nib < 0) bad_grid_state("bitmap is not lowercase hex");
-      if ((nib >> (i % 4)) & 1) materialize(i);
+    if (!decode_bitmap(hex, 0, total, restored)) {
+      bad_grid_state("bitmap is not lowercase hex");
     }
   } else {
     // v2: one bitmap per shard. The `shard` lines are self-describing
@@ -1168,7 +1065,8 @@ void GridFinder::restore_state(const std::string& state) {
         bad_grid_state("shards do not tile the candidate space");
       }
       next_lo = blob.hi;
-      for (const std::int64_t linear : blob.linears) materialize(linear);
+      restored.insert(restored.end(), blob.linears.begin(),
+                      blob.linears.end());
     }
     if (next_lo != total) {
       bad_grid_state("shards do not tile the candidate space");

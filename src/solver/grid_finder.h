@@ -6,18 +6,19 @@
 // (continuous) metric box plus a structured sweep near the candidates'
 // decision boundaries.
 //
-// The engine is built for bulk scoring: sync evaluates kBatchLaneWidth
-// candidates per pass of the lane tape (sketch::BatchTape, SIMD where the
-// host supports it — docs/EVALUATOR.md), the initial grid enumeration and
-// the incremental filter run in fixed-range shards across a thread pool
-// (util/thread_pool.h), each survivor's hole values are materialized once,
-// and survivors memoize their objective value at every interned graph vertex
-// so re-filtering after new answers touches only the new edges. Pair search
-// and bisection scoring run on the same lane tape: a candidate pair shares
-// one pass per scenario (lane 0 = a, the other lanes = b), and bisection
-// scores 8 survivors per pass. tests/grid_reference_test.cpp checks sync,
-// pair search and bisection scoring against brute-force sketch::eval
-// references.
+// The version space is one sorted list of linear candidate indices — the
+// same list the snapshot and the dist wire encode as per-shard bitmaps — so
+// nothing converts between memory, snapshot and wire. Sync evaluates
+// kBatchLaneWidth candidates per pass of the lane tape (sketch::BatchTape,
+// SIMD where the host supports it — docs/EVALUATOR.md), decoding each lane's
+// hole values from its index as the group is staged; the initial grid
+// enumeration and the incremental filter run in fixed-range shards across a
+// thread pool (util/thread_pool.h), and the incremental filter checks only
+// the new edges/ties. Pair search and bisection scoring run on the same lane
+// tape: a candidate pair shares one pass per scenario (lane 0 = a, the other
+// lanes = b), and bisection scores 8 survivors per pass.
+// tests/grid_reference_test.cpp checks sync, pair search and bisection
+// scoring against brute-force sketch::eval references.
 //
 // Compared to Z3Finder:
 //   + no SMT dependency, trivially debuggable, very fast per query;
@@ -78,25 +79,8 @@ struct GridFinderConfig {
   /// falls back to the local scan, so a configured backend can only change
   /// where the work runs, never whether the sync completes or what it
   /// produces (docs/DISTRIBUTED.md §Equivalence). Incremental filters
-  /// always run locally (they mutate survivor memos in place).
+  /// always run locally: they filter the survivor list the finder holds.
   ShardSyncBackend* shard_backend = nullptr;
-};
-
-/// One version-space member plus everything the engine caches for it.
-struct Survivor {
-  sketch::HoleAssignment assignment;
-  /// assignment mapped through the hole grids, computed exactly once.
-  std::vector<double> hole_values;
-  /// Objective value at each interned graph vertex, filled lazily (NaN =
-  /// not computed yet). Vertices are immutable once interned, so entries
-  /// never need invalidation; incremental filtering only evaluates vertices
-  /// first referenced by new edges/ties.
-  std::vector<double> vertex_values;
-  /// Linear candidate index over the hole grid (index 0 fastest-varying,
-  /// see GridFinder::assignment_at). survivors_ is always sorted ascending
-  /// by this, so fixed-range shards are contiguous subranges and the
-  /// serialized per-shard bitmaps partition the survivor set.
-  std::int64_t linear = -1;
 };
 
 class GridFinder final : public CandidateFinder {
@@ -116,9 +100,14 @@ class GridFinder final : public CandidateFinder {
   /// tests can drive/measure it directly.
   void sync(const pref::PreferenceGraph& graph);
 
-  /// Survivors consistent with the most recently seen graph state.
+  /// Survivors consistent with the most recently seen graph state, as
+  /// ascending linear candidate indices (decode one with assignment_at).
   std::size_t version_space_size() const { return survivors_.size(); }
-  const std::vector<Survivor>& survivors() const { return survivors_; }
+  const std::vector<std::int64_t>& survivors() const { return survivors_; }
+
+  /// Decodes a linear candidate index into a hole assignment (index 0 is
+  /// the fastest-varying digit, matching odometer order).
+  sketch::HoleAssignment assignment_at(std::int64_t linear) const;
 
   /// Executor threads / shards the most recent sync() actually used (1 when
   /// the work was too small to shard and ran serially — see the work-size
@@ -136,10 +125,9 @@ class GridFinder final : public CandidateFinder {
   /// (format v2; self-describing `shard <k> <lo> <hi>` ranges so a future
   /// multi-worker split can emit one shard per worker with no format
   /// change — docs/EVALUATOR.md §Shard state). v1 single-bitmap blobs from
-  /// older snapshots still restore. Survivor hole values are
-  /// re-materialized from the grid on restore and the per-vertex objective
-  /// memoization is rebuilt lazily (deterministic), so a restored finder
-  /// continues the identical query sequence.
+  /// older snapshots still restore. The bitmaps encode the in-memory
+  /// survivor list directly, so a restored finder holds the identical list
+  /// and continues the identical query sequence.
   std::string save_state() const override;
   void restore_state(const std::string& state) override;
 
@@ -191,9 +179,6 @@ class GridFinder final : public CandidateFinder {
       std::span<const DistinguishingPair> pairs) const;
 
  private:
-  /// Decodes a linear candidate index into a hole assignment (index 0 is
-  /// the fastest-varying digit, matching odometer order).
-  sketch::HoleAssignment assignment_at(std::int64_t linear) const;
   /// Per-shard evaluation tallies, summed into the grid_sync trace event.
   struct BatchCounters {
     long long lane_evals = 0;  // lanes pushed through BatchTape::eval_lanes
@@ -213,37 +198,34 @@ class GridFinder final : public CandidateFinder {
   /// interpreter's EvalError.
   void enumerate_range_batch(std::int64_t lo, std::int64_t hi,
                              const pref::PreferenceGraph& graph,
-                             std::vector<Survivor>& out,
+                             std::vector<std::int64_t>& out,
                              BatchCounters& counters) const;
-  /// Incremental filter of survivors_[lo, hi) (one shard's
-  /// contiguous position range) against the new edges/ties: writes keep
-  /// flags and refreshes kept survivors' vertex memos. Mutates only this
-  /// range's survivors and keep slots, so shards run in parallel without
-  /// shared mutable state.
+  /// Incremental filter of survivors_[lo, hi) (one shard's contiguous
+  /// position range) against the new edges/ties: writes the range's keep
+  /// flags and nothing else, so shards run in parallel without shared
+  /// mutable state.
   void filter_range_batch(std::size_t lo, std::size_t hi,
                           const pref::PreferenceGraph& graph,
-                          std::vector<char>& keep, BatchCounters& counters);
+                          std::vector<char>& keep,
+                          BatchCounters& counters) const;
   /// Remote full rebuild through config_.shard_backend: dispatches the
   /// fixed-range shards, decodes + merges the returned records into
   /// survivors_ in shard order. Returns false (leaving survivors_ empty,
   /// exactly as the local path expects it) when the backend declines or any
   /// record fails validation — the caller then runs the local scan.
   bool rebuild_remote(const pref::PreferenceGraph& graph,
-                      std::size_t n_shards, std::int64_t span_len,
-                      std::int64_t total);
-  /// Stages survivors_[base, base+n) as lanes 0..n-1 of `holes_soa` and pads
-  /// the rest — the group shape of the incremental filter and bisection
-  /// scoring.
+                      const std::vector<ShardRange>& ranges);
+  /// Stages survivors_[base, base+n) as lanes 0..n-1 of `holes_soa`, each
+  /// lane's hole values decoded from its linear index, and pads the rest —
+  /// the group shape of the incremental filter and bisection scoring.
   void stage_survivors(std::size_t base, std::size_t n,
                        std::vector<double>& holes_soa) const;
-  /// Rebuilds a Survivor (assignment + hole values, empty vertex memos —
-  /// the next incremental filter refills the ones it needs) from its linear
-  /// index.
-  Survivor materialize_survivor(std::int64_t linear) const;
   std::vector<double> boundary_values(std::span<const double> hole_values,
                                       std::size_t metric) const;
-  std::optional<DistinguishingPair> distinguish(const Survivor& a,
-                                                const Survivor& b);
+  /// Looks for a scenario pair that candidates `a` and `b` (linear indices)
+  /// rank in opposite orders by at least distinguish_margin.
+  std::optional<DistinguishingPair> distinguish(std::int64_t a,
+                                                std::int64_t b);
   /// The pool to shard work over, or nullptr when configured sequential.
   util::ThreadPool* pool() const;
 
@@ -260,7 +242,7 @@ class GridFinder final : public CandidateFinder {
   // every member write below happens on the caller's thread either before
   // the shards are submitted or after parallel_for's completion barrier —
   // the pool's own synchronization publishes them.
-  std::vector<Survivor> survivors_;
+  std::vector<std::int64_t> survivors_;  // ascending linear indices
   bool initialized_ = false;
   std::size_t edges_seen_ = 0;
   std::size_t ties_seen_ = 0;

@@ -15,8 +15,9 @@
 // (one full lane group plus a tail); every lane ISA the host supports; 1 and
 // 4 threads; full and incremental syncs; a concrete Viability callback; and
 // a sketch whose candidates raise (division by zero — the only evaluation
-// error a type-checked sketch can hit). It checks survivor assignments, hole
-// values, linear indices, and every memoized vertex value that is set.
+// error a type-checked sketch can hit). It checks survivor linear indices
+// and their decoded assignments, and it checks an incremental sync that
+// follows a save_state / restore_state round trip.
 //
 // Pair search and bisection scoring run on the same lane tape, and the
 // PairSearch* / Bisection* tests hold them to the tree interpreter too: every
@@ -105,25 +106,15 @@ Reference reference_sync(const sketch::Sketch& sk,
 }
 
 void expect_matches(const GridFinder& finder, const Reference& ref,
-                    const sketch::Sketch& sk,
-                    const pref::PreferenceGraph& graph,
                     const std::string& what) {
   ASSERT_FALSE(ref.error.has_value()) << what << ": " << *ref.error;
-  const std::vector<Survivor>& got = finder.survivors();
+  const std::vector<std::int64_t>& got = finder.survivors();
   ASSERT_EQ(got.size(), ref.survivors.size()) << what;
   for (std::size_t i = 0; i < got.size(); ++i) {
     const ReferenceSurvivor& want = ref.survivors[i];
-    ASSERT_EQ(got[i].assignment, want.assignment) << what << ", survivor " << i;
-    ASSERT_EQ(got[i].hole_values, want.hole_values)
+    ASSERT_EQ(got[i], want.linear) << what << ", survivor " << i;
+    ASSERT_EQ(finder.assignment_at(got[i]), want.assignment)
         << what << ", survivor " << i;
-    ASSERT_EQ(got[i].linear, want.linear) << what << ", survivor " << i;
-    for (std::size_t v = 0; v < got[i].vertex_values.size(); ++v) {
-      const double memo = got[i].vertex_values[v];
-      if (std::isnan(memo)) continue;  // not computed
-      ASSERT_EQ(memo, sketch::eval_with_values(sk, want.hole_values,
-                                               graph.scenario(v).metrics))
-          << what << ", survivor " << i << ", vertex " << v;
-    }
   }
 }
 
@@ -186,11 +177,14 @@ GridFinder make_finder(const sketch::Sketch& sk, int threads,
 /// Syncs a `first`-scenario graph (full rebuild), grows it by `more`
 /// scenarios and syncs again (incremental filter), then rebuilds from
 /// scratch on the grown graph — under every supported ISA at 1 and 4
-/// threads, each result against the reference.
+/// threads, each result against the reference. With `via_restore`, the
+/// incremental filter runs in a fresh finder restored from the first
+/// finder's save_state.
 void check_against_reference(const sketch::Sketch& sk,
                              const std::vector<double>& target, int first,
                              int more, std::uint64_t seed,
-                             const Viability& viability = {}) {
+                             const Viability& viability = {},
+                             bool via_restore = false) {
   util::Rng rng(seed);
   pref::PreferenceGraph graph;
   grow(graph, sk, target, first, rng);
@@ -210,12 +204,18 @@ void check_against_reference(const sketch::Sketch& sk,
                                " x" + std::to_string(threads);
       GridFinder finder = make_finder(sk, threads, viability);
       finder.sync(graph);
-      expect_matches(finder, ref, sk, graph, what + " full");
-      finder.sync(grown);
-      expect_matches(finder, grown_ref, sk, grown, what + " incremental");
+      expect_matches(finder, ref, what + " full");
+      GridFinder restored = make_finder(sk, threads, viability);
+      if (via_restore) {
+        restored.restore_state(finder.save_state());
+        expect_matches(restored, ref, what + " restored");
+      }
+      GridFinder& incremental = via_restore ? restored : finder;
+      incremental.sync(grown);
+      expect_matches(incremental, grown_ref, what + " incremental");
       GridFinder fresh = make_finder(sk, threads, viability);
       fresh.sync(grown);
-      expect_matches(fresh, grown_ref, sk, grown, what + " full, grown");
+      expect_matches(fresh, grown_ref, what + " full, grown");
     }
   }
 }
@@ -239,6 +239,20 @@ TEST(GridFinderReference, AbrQoe) {
 TEST(GridFinderReference, Homenet) {
   const sketch::Sketch& sk = sketch::homenet_sketch();
   check_against_reference(sk, middle_values(sk), 2, 4, 14);
+}
+
+TEST(GridFinderReference, IncrementalSyncAfterRestoreMatchesReference) {
+  // The incremental filter of a restored finder starts from the survivor
+  // list and sync cursors decoded from the snapshot alone.
+  const sketch::Sketch& swan = sketch::swan_sketch();
+  check_against_reference(swan, swan.hole_values(sketch::swan_target()), 6, 4,
+                          77, {}, /*via_restore=*/true);
+  const sketch::Sketch& abr = sketch::abr_qoe_sketch();
+  check_against_reference(abr, middle_values(abr), 5, 3, 13, {},
+                          /*via_restore=*/true);
+  const sketch::Sketch& homenet = sketch::homenet_sketch();
+  check_against_reference(homenet, middle_values(homenet), 2, 4, 14, {},
+                          /*via_restore=*/true);
 }
 
 TEST(GridFinderReference, TailGroupNarrowerThanLaneWidth) {
@@ -340,7 +354,7 @@ void check_raising(const pref::PreferenceGraph& graph,
       }
       EXPECT_EQ(error, ref.error) << where;
       if (!ref.error.has_value()) {
-        expect_matches(finder, ref, sk, graph, where);
+        expect_matches(finder, ref, where);
       }
     }
   }
@@ -406,8 +420,9 @@ void answer(pref::PreferenceGraph& graph, const sketch::Sketch& sk,
 }
 
 bool is_survivor(const GridFinder& finder, const sketch::HoleAssignment& a) {
-  return std::any_of(finder.survivors().begin(), finder.survivors().end(),
-                     [&](const Survivor& s) { return s.assignment == a; });
+  return std::any_of(
+      finder.survivors().begin(), finder.survivors().end(),
+      [&](std::int64_t linear) { return finder.assignment_at(linear) == a; });
 }
 
 /// Runs up to `iterations` rounds of find_distinguishing (two pairs asked
@@ -550,11 +565,13 @@ ReferenceSplit reference_split(const GridFinder& finder,
                                const sketch::Sketch& sk,
                                const DistinguishingPair& pair) {
   ReferenceSplit split;
-  for (const Survivor& s : finder.survivors()) {
-    const double f1 = sketch::eval_with_values(sk, s.hole_values,
-                                               pair.preferred_by_a.metrics);
-    const double f2 = sketch::eval_with_values(sk, s.hole_values,
-                                               pair.preferred_by_b.metrics);
+  for (const std::int64_t linear : finder.survivors()) {
+    const std::vector<double> holes =
+        sk.hole_values(finder.assignment_at(linear));
+    const double f1 =
+        sketch::eval_with_values(sk, holes, pair.preferred_by_a.metrics);
+    const double f2 =
+        sketch::eval_with_values(sk, holes, pair.preferred_by_b.metrics);
     if (f1 > f2) ++split.prefer_1;
     else if (f2 > f1) ++split.prefer_2;
     else ++split.ties;

@@ -301,7 +301,9 @@ pref::PreferenceGraph state_test_graph(const sketch::Sketch& sk) {
 
 std::vector<sketch::HoleAssignment> grid_assignments(const GridFinder& f) {
   std::vector<sketch::HoleAssignment> out;
-  for (const Survivor& s : f.survivors()) out.push_back(s.assignment);
+  for (const std::int64_t linear : f.survivors()) {
+    out.push_back(f.assignment_at(linear));
+  }
   return out;
 }
 
@@ -347,10 +349,11 @@ TEST(GridFinderState, V1BlobsStillRestore) {
   }
   std::vector<unsigned char> bytes(static_cast<std::size_t>((total + 7) / 8),
                                    0);
-  for (const Survivor& s : a.survivors()) {
+  for (const std::int64_t survivor : a.survivors()) {
+    const sketch::HoleAssignment assignment = a.assignment_at(survivor);
     std::int64_t linear = 0;
     for (std::size_t h = 0; h < stride.size(); ++h) {
-      linear += s.assignment.index[h] * stride[h];
+      linear += assignment.index[h] * stride[h];
     }
     bytes[static_cast<std::size_t>(linear / 8)] |=
         static_cast<unsigned char>(1 << (linear % 8));

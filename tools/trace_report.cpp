@@ -84,7 +84,7 @@ struct RunReport {
   std::map<std::string, long long> oracle;
   long long pref_edges = 0;
   long long pref_cycles = 0;
-  // Survivor count of the most recent grid_sync, attached to the next
+  // The survivor count of the most recent grid_sync, attached to the next
   // iteration event (the sync happens inside that iteration's solver call).
   std::optional<long long> pending_survivors;
   // The synthesizer's static-analysis lint summary ("analysis", kind=lint).
