@@ -239,7 +239,9 @@ double time_full_sync_distributed(
   return best;
 }
 
-// Raw evaluator throughput over (candidate, scenario) pairs, evals/second.
+// Raw evaluator throughput over (candidate, scenario) pairs, evals/second:
+// each row is the best of `reps` timings of `passes` sweeps, like the sync
+// rows' best-of-reps (one timing swings ~2x between runs).
 struct EvalThroughput {
   double tree = 0;
   double lanes_scalar = 0;
@@ -247,7 +249,7 @@ struct EvalThroughput {
 };
 
 EvalThroughput measure_eval_throughput(int n_candidates, int n_scenarios,
-                                       int reps) {
+                                       int passes, int reps) {
   const sketch::Sketch& sk = sketch::swan_sketch();
   const sketch::BatchTape batch(sk);
   util::Rng rng(4242);
@@ -263,11 +265,19 @@ EvalThroughput measure_eval_throughput(int n_candidates, int n_scenarios,
   for (double& v : flat) v = rng.uniform_real(0, 10);
 
   const double total_evals =
-      static_cast<double>(n_candidates) * n_scenarios * reps;
+      static_cast<double>(n_candidates) * n_scenarios * passes;
   double sink = 0;  // defeats dead-code elimination
+  const auto best_of_reps = [&](auto&& sweep) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int r = 0; r < reps; ++r) {
+      util::Stopwatch watch;
+      for (int p = 0; p < passes; ++p) sweep();
+      best = std::min(best, watch.elapsed_seconds());
+    }
+    return best;
+  };
 
-  util::Stopwatch tree_watch;
-  for (int r = 0; r < reps; ++r) {
+  const double tree_seconds = best_of_reps([&] {
     for (const auto& holes : candidates) {
       for (int s = 0; s < n_scenarios; ++s) {
         sink += sketch::eval_with_values(
@@ -276,8 +286,7 @@ EvalThroughput measure_eval_throughput(int n_candidates, int n_scenarios,
                 static_cast<std::size_t>(s) * width, width));
       }
     }
-  }
-  const double tree_seconds = tree_watch.elapsed_seconds();
+  });
 
   // Lane tape: candidates transposed into kBatchLaneWidth-wide SoA groups
   // (the tail group pads with the last candidate, its lanes discarded from
@@ -298,8 +307,7 @@ EvalThroughput measure_eval_throughput(int n_candidates, int n_scenarios,
   sketch::LaneError lane_err[W];
   const auto time_lanes = [&](sketch::LaneIsa isa) -> double {
     if (!sketch::set_active_lane_isa(isa)) return 0;
-    util::Stopwatch lane_watch;
-    for (int r = 0; r < reps; ++r) {
+    return best_of_reps([&] {
       for (const auto& soa : groups_soa) {
         for (int s = 0; s < n_scenarios; ++s) {
           batch.eval_lanes(
@@ -309,8 +317,7 @@ EvalThroughput measure_eval_throughput(int n_candidates, int n_scenarios,
           sink += lane_out[0];
         }
       }
-    }
-    return lane_watch.elapsed_seconds();
+    });
   };
   const sketch::LaneIsa detected = sketch::active_lane_isa();
   const double lanes_scalar_seconds = time_lanes(sketch::LaneIsa::kScalar);
@@ -437,7 +444,7 @@ int run(bool smoke, const std::string& out_path) {
 
   // --- Raw evaluator throughput --------------------------------------------
   const EvalThroughput throughput = measure_eval_throughput(
-      /*n_candidates=*/64, /*n_scenarios=*/512, /*reps=*/8);
+      /*n_candidates=*/64, /*n_scenarios=*/512, /*passes=*/8, reps);
   std::cout << "eval throughput tree " << throughput.tree / 1e6
             << " Me/s, lanes(scalar) " << throughput.lanes_scalar / 1e6
             << " Me/s, lanes(" << lane_isa << ") "

@@ -48,10 +48,11 @@ inline constexpr int kTraceSchemaVersion = 1;
 /// 1.2: durable sessions + fault tolerance — "fault", "retry",
 ///      "checkpoint", "checkpoint_write" events; run_start's "resumed_at";
 ///      z3_query's "attempt".
-/// 1.3: solver acceleration — "solver_cache", "interval_precheck",
-///      "z3_incremental", "portfolio" events; grid_sync's "threads" key;
-///      counters solver.cache_{hits,misses,stores}, solver.precheck_hits,
-///      z3.incremental_{reuses,builds}, portfolio.{races,grid_wins,z3_wins}.
+/// 1.3: solver acceleration — "solver_cache", "z3_incremental",
+///      "portfolio" events and the interval pre-check's event; grid_sync's
+///      "threads" key; counters solver.cache_{hits,misses,stores},
+///      z3.incremental_{reuses,builds}, portfolio.{races,grid_wins,z3_wins}
+///      and the pre-check's hit counter.
 /// 1.4: synthesis service — "serve_request", "session_swap",
 ///      "session_rehydrate" events; counters serve.{requests,errors,
 ///      sessions_created,swaps,rehydrations,advances}, gauge
@@ -72,7 +73,10 @@ inline constexpr int kTraceSchemaVersion = 1;
 /// 1.8: sequential portfolio — removes "portfolio" events, the counters
 ///      portfolio.{races,grid_wins,z3_wins}, the portfolio.seconds
 ///      histogram and pair_search's status=cancelled.
-inline constexpr int kTraceSchemaMinorVersion = 8;
+/// 1.9: one Z3 query path — removes the interval pre-check's event and hit
+///      counter (docs/OBSERVABILITY.md names both); "z3_incremental" now
+///      fires on every Z3 query.
+inline constexpr int kTraceSchemaMinorVersion = 9;
 
 /// One field value: integer, double, string or bool.
 struct FieldValue {

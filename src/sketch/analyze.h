@@ -12,8 +12,8 @@
 // outward ulp padding. The
 // soundness contract — every concrete evaluation at a point inside the box
 // lands in the returned interval (or is flagged) — is property-tested in
-// tests/analyze_test.cpp and is what makes the Z3 bounds and interval
-// pre-checks safe (docs/ANALYSIS.md has the full argument).
+// tests/analyze_test.cpp and is what makes the Z3 objective bounds safe
+// (docs/ANALYSIS.md has the full argument).
 //
 // On top of the interpreter, analyze() runs a lint pass producing the
 // structured diagnostics of sketch/diagnostics.h: division hazards, NaN /

@@ -47,19 +47,6 @@ struct FinderConfig {
   /// Per-query soft timeout for SMT-backed finders (0 = none).
   unsigned timeout_ms = 120000;
 
-  /// Keep the SMT sketch+G encoding alive across queries (push/pop),
-  /// asserting only the preference graph's new constraints each round
-  /// instead of rebuilding the context. Transparent to verdicts and models
-  /// (docs/SOLVER.md §Incremental); off = rebuild from scratch per query.
-  /// GridFinder ignores this (its version space is inherently incremental).
-  bool incremental = true;
-
-  /// Discharge provably-UNSAT queries with the static analyzer's interval
-  /// bounds before invoking the solver (docs/SOLVER.md §Pre-checks).
-  /// Automatically inert when the sketch's analysis cannot certify clean
-  /// finite bounds. GridFinder ignores this (it scans every candidate).
-  bool interval_precheck = true;
-
   /// Retry policy for transient back-end failures (an injected or real
   /// solver hiccup): the query is re-issued with backoff up to max_attempts
   /// times, each fault/retry surfaced as trace events and solver metrics.

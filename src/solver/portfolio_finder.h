@@ -28,8 +28,8 @@ namespace compsynth::solver {
 
 class PortfolioFinder final : public CandidateFinder {
  public:
-  /// `grid` configures the grid leg; `grid.base` (margins, timeout, retry,
-  /// incremental, interval_precheck) doubles as the Z3 leg's FinderConfig
+  /// `grid` configures the grid leg; `grid.base` (margins, timeout, retry)
+  /// doubles as the Z3 leg's FinderConfig
   /// so the two legs always agree on the query semantics.
   explicit PortfolioFinder(sketch::Sketch sketch, GridFinderConfig grid = {},
                            Viability viability = {}, ScenarioDomain domain = {});

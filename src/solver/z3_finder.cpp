@@ -2,8 +2,6 @@
 
 #include <z3++.h>
 
-#include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -40,8 +38,8 @@ void set_timeout(z3::context& ctx, z3::solver& s, unsigned timeout_ms) {
 // A tactic-built solver re-runs the tactic over its current assertion list
 // on every check, so its verdict AND model are a pure function of that
 // list: push/pop history never leaks into the answer, only the surviving
-// assertions do. This is what makes the incremental path transparent
-// (docs/SOLVER.md §Incremental).
+// assertions do. This is what makes a grown encoding answer exactly as a
+// freshly built one (docs/SOLVER.md §The encoding).
 z3::solver make_solver(z3::context& ctx, unsigned timeout_ms) {
   z3::solver s = z3::tactic(ctx, "qfnra-nlsat").mk_solver();
   set_timeout(ctx, s, timeout_ms);
@@ -53,35 +51,36 @@ bool same_constraint(const pref::Edge& a, const pref::Edge& b) {
   return a.better == b.better && a.worse == b.worse;
 }
 
-// Interval pre-check guard band: interval corners are computed in double
-// arithmetic while Z3 reasons over exact rationals, so an enclosure bound
-// can sit a few ulps inside the true real-arithmetic extremum. A refutation
-// is only claimed when the gap clears this absolute+relative slack, so a
-// pre-check can never fire on a query Z3 would have found satisfiable.
-double precheck_slack(const sketch::Interval& a, const sketch::Interval& b) {
-  const double scale = std::max({1.0, std::fabs(a.lo), std::fabs(a.hi),
-                                 std::fabs(b.lo), std::fabs(b.hi)});
-  return 1e-9 * scale;
-}
+// A query's per-call scope for viability model-blocking: popped on every
+// exit so the persistent encoding only ever holds the canonical assertions.
+class CallScope {
+ public:
+  explicit CallScope(z3::solver& s) : s_(s) { s_.push(); }
+  ~CallScope() { s_.pop(1); }
+  CallScope(const CallScope&) = delete;
+  CallScope& operator=(const CallScope&) = delete;
 
-bool interval_clean(const sketch::Interval& i) {
-  return !i.maybe_nan && !i.maybe_error && i.finite();
-}
+ private:
+  z3::solver& s_;
+};
 
 }  // namespace
 
-// --- Incremental encodings ------------------------------------------------
+// --- The encoding ---------------------------------------------------------
 //
-// One encoding = one long-lived Z3 context holding the sketch+G formula.
-// Both the incremental path (encoding reused across queries) and the
-// from-scratch path (config.incremental off, or a rebuild after the graph
-// shrank) run exactly this code, so the assertion sequence — and with a
-// tactic solver therefore the verdict and model — is identical either way.
+// One encoding = one long-lived Z3 context holding the sketch+G formula for
+// one query shape: the distinguishing query with `num_pairs` scenario pairs
+// over two candidates (hole variables a_, b_), or the consistency query
+// (num_pairs 0) over one candidate (hole variables h_). It is kept across
+// queries and grown with push/pop; a graph that is not an append-only
+// extension of what was asserted discards it and builds a fresh one, which
+// runs exactly this code in one pass.
 //
 // Canonical order (docs/SOLVER.md §Canonical assertion order):
 //   level 0  prelude: hole domains, per-pair scenario vars + domain +
 //            margin + objective bounds, pair-separation constraints;
-//            then every graph edge in arrival order (a's constraint, b's);
+//            then every graph edge in arrival order (one constraint per
+//            candidate, a's before b's);
 //   level 1  all tie constraints (re-asserted in full whenever G grows);
 //   level 2  per-call viability model-blocking (popped before returning).
 //
@@ -92,28 +91,42 @@ bool interval_clean(const sketch::Interval& i) {
 //
 // Objective terms at graph vertices are memoized in vertex-id order — the
 // term-creation order is then identical whether the encoding was built in
-// one pass or grown across many calls, keeping the two paths' ASTs equal.
+// one pass or grown across many calls, so both hold the same ASTs.
 
-struct Z3Finder::DistEncoding {
+struct Z3Finder::Encoding {
   z3::context ctx;
   z3::solver solver;
-  const int num_pairs;
-  std::vector<z3::expr> ha, hb;
-  std::vector<std::vector<z3::expr>> s1_vars, s2_vars;
-  std::vector<z3::expr> va, vb;  // objective terms per interned vertex
+  /// Hole variables, one set per candidate: {a, b} for the distinguishing
+  /// query, {h} for the consistency query.
+  std::vector<std::vector<z3::expr>> holes;
+  std::vector<std::vector<z3::expr>> s1_vars, s2_vars;  // one per pair
+  /// Objective terms per interned vertex, one column per candidate.
+  std::vector<std::vector<z3::expr>> values;
   std::vector<pref::Edge> edges_asserted;
   std::vector<std::pair<pref::VertexId, pref::VertexId>> ties_asserted;
   bool tie_level_open = false;
 
-  DistEncoding(const sketch::Sketch& sk, const FinderConfig& config,
-               const ScenarioDomain& domain,
-               const std::optional<sketch::Interval>& bounds, int pairs)
-      : solver(make_solver(ctx, config.timeout_ms)), num_pairs(pairs) {
-    ha = make_hole_vars(ctx, sk, "a_");
-    hb = make_hole_vars(ctx, sk, "b_");
-    solver.add(hole_domain_constraint(ctx, sk, ha));
-    solver.add(hole_domain_constraint(ctx, sk, hb));
+  Encoding(const sketch::Sketch& sk, const FinderConfig& config,
+           const ScenarioDomain& domain,
+           const std::optional<sketch::Interval>& bounds, int num_pairs)
+      : solver(make_solver(ctx, config.timeout_ms)) {
+    for (const char* prefix :
+         num_pairs > 0 ? std::vector<const char*>{"a_", "b_"}
+                       : std::vector<const char*>{"h_"}) {
+      holes.push_back(make_hole_vars(ctx, sk, prefix));
+    }
+    values.resize(holes.size());
+    for (const std::vector<z3::expr>& h : holes) {
+      solver.add(hole_domain_constraint(ctx, sk, h));
+    }
+    if (num_pairs > 0) add_pairs(sk, config, domain, bounds, num_pairs);
+  }
 
+  /// The distinguishing query's prelude after the hole domains: scenario
+  /// variables, margin and objective bounds per pair, then pair separation.
+  void add_pairs(const sketch::Sketch& sk, const FinderConfig& config,
+                 const ScenarioDomain& domain,
+                 const std::optional<sketch::Interval>& bounds, int num_pairs) {
     // Fresh scenario variables for each requested distinguishing pair.
     const z3::expr margin = real_of_double(ctx, config.distinguish_margin);
     for (int p = 0; p < num_pairs; ++p) {
@@ -135,6 +148,8 @@ struct Z3Finder::DistEncoding {
       s1_vars.push_back(make_scenario_vars("s1"));
       s2_vars.push_back(make_scenario_vars("s2"));
 
+      const std::vector<z3::expr>& ha = holes[0];
+      const std::vector<z3::expr>& hb = holes[1];
       const z3::expr fa1 = encode_numeric(ctx, *sk.body(), s1_vars.back(), ha);
       const z3::expr fa2 = encode_numeric(ctx, *sk.body(), s2_vars.back(), ha);
       const z3::expr fb1 = encode_numeric(ctx, *sk.body(), s1_vars.back(), hb);
@@ -175,11 +190,12 @@ struct Z3Finder::DistEncoding {
 
   void intern_vertices(const sketch::Sketch& sk,
                        const pref::PreferenceGraph& graph) {
-    for (pref::VertexId v = va.size(); v < graph.vertex_count(); ++v) {
+    for (pref::VertexId v = values[0].size(); v < graph.vertex_count(); ++v) {
       const std::vector<z3::expr> metrics =
           encode_scenario(ctx, graph.scenario(v).metrics);
-      va.push_back(encode_numeric(ctx, *sk.body(), metrics, ha));
-      vb.push_back(encode_numeric(ctx, *sk.body(), metrics, hb));
+      for (std::size_t c = 0; c < holes.size(); ++c) {
+        values[c].push_back(encode_numeric(ctx, *sk.body(), metrics, holes[c]));
+      }
     }
   }
 
@@ -209,8 +225,9 @@ struct Z3Finder::DistEncoding {
     if (tie_level_open) solver.pop(1);  // drop every tie; re-asserted below
     for (std::size_t i = edges_asserted.size(); i < edges.size(); ++i) {
       const pref::Edge& e = edges[i];
-      solver.add(va[e.better] > va[e.worse]);
-      solver.add(vb[e.better] > vb[e.worse]);
+      for (const std::vector<z3::expr>& f : values) {
+        solver.add(f[e.better] > f[e.worse]);
+      }
       edges_asserted.push_back(e);
     }
     solver.push();
@@ -220,74 +237,10 @@ struct Z3Finder::DistEncoding {
     // truth.
     const z3::expr bound = real_of_double(ctx, config.tie_tolerance + 1e-9);
     for (const auto& [u, v] : ties) {
-      solver.add(va[u] - va[v] <= bound);
-      solver.add(va[v] - va[u] <= bound);
-      solver.add(vb[u] - vb[v] <= bound);
-      solver.add(vb[v] - vb[u] <= bound);
-    }
-    ties_asserted = ties;
-    return true;
-  }
-};
-
-// Single-candidate analogue of DistEncoding, for find_consistent: hole
-// domain at level 0 plus graph edges, ties at level 1, viability blocks at
-// level 2. Same canonical order, same rebuild rule.
-struct Z3Finder::ConsEncoding {
-  z3::context ctx;
-  z3::solver solver;
-  std::vector<z3::expr> holes;
-  std::vector<z3::expr> values;  // objective terms per interned vertex
-  std::vector<pref::Edge> edges_asserted;
-  std::vector<std::pair<pref::VertexId, pref::VertexId>> ties_asserted;
-  bool tie_level_open = false;
-
-  ConsEncoding(const sketch::Sketch& sk, const FinderConfig& config)
-      : solver(make_solver(ctx, config.timeout_ms)) {
-    holes = make_hole_vars(ctx, sk, "h_");
-    solver.add(hole_domain_constraint(ctx, sk, holes));
-  }
-
-  void intern_vertices(const sketch::Sketch& sk,
-                       const pref::PreferenceGraph& graph) {
-    for (pref::VertexId v = values.size(); v < graph.vertex_count(); ++v) {
-      const std::vector<z3::expr> metrics =
-          encode_scenario(ctx, graph.scenario(v).metrics);
-      values.push_back(encode_numeric(ctx, *sk.body(), metrics, holes));
-    }
-  }
-
-  bool sync(const sketch::Sketch& sk, const FinderConfig& config,
-            const pref::PreferenceGraph& graph) {
-    const auto& edges = graph.edges();
-    const auto& ties = graph.ties();
-    if (edges.size() < edges_asserted.size() ||
-        ties.size() < ties_asserted.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < edges_asserted.size(); ++i) {
-      if (!same_constraint(edges[i], edges_asserted[i])) return false;
-    }
-    for (std::size_t i = 0; i < ties_asserted.size(); ++i) {
-      if (ties[i] != ties_asserted[i]) return false;
-    }
-    const bool grew = edges.size() > edges_asserted.size() ||
-                      ties.size() > ties_asserted.size();
-    if (!grew && tie_level_open) return true;
-
-    intern_vertices(sk, graph);
-    if (tie_level_open) solver.pop(1);
-    for (std::size_t i = edges_asserted.size(); i < edges.size(); ++i) {
-      const pref::Edge& e = edges[i];
-      solver.add(values[e.better] > values[e.worse]);
-      edges_asserted.push_back(e);
-    }
-    solver.push();
-    tie_level_open = true;
-    const z3::expr bound = real_of_double(ctx, config.tie_tolerance + 1e-9);
-    for (const auto& [u, v] : ties) {
-      solver.add(values[u] - values[v] <= bound);
-      solver.add(values[v] - values[u] <= bound);
+      for (const std::vector<z3::expr>& f : values) {
+        solver.add(f[u] - f[v] <= bound);
+        solver.add(f[v] - f[u] <= bound);
+      }
     }
     ties_asserted = ties;
     return true;
@@ -315,7 +268,6 @@ Z3Finder::Z3Finder(sketch::Sketch sketch, FinderConfig config, Viability viabili
   // over the whole input space can be asserted on every encoded objective
   // term. The bound is implied by the existing range/grid constraints, so
   // verdicts (sat/unsat) are unchanged; it only narrows the real search.
-  // The same enclosure gates and powers the interval pre-checks.
   const sketch::AnalysisResult analysis = sketch::analyze(sketch_);
   if (analysis.well_typed && !analysis.output.maybe_nan &&
       !analysis.output.maybe_error && analysis.output.finite()) {
@@ -337,9 +289,7 @@ void Z3Finder::observe_graph(const pref::PreferenceGraph& graph) {
     match = interned_metrics_[v] == graph.scenario(v).metrics;
   }
   if (!match) {
-    dist_encodings_.clear();
-    cons_encoding_.reset();
-    vertex_intervals_.clear();
+    encodings_.clear();
     interned_metrics_.clear();
   }
   for (std::size_t v = interned_metrics_.size(); v < graph.vertex_count();
@@ -353,7 +303,7 @@ void Z3Finder::observe_graph(const pref::PreferenceGraph& graph) {
 // Retry an `unknown` (timeout / resource-out) with the default portfolio
 // solver, which sometimes succeeds where a single tactic stalls. The
 // fallback is a scratch solver over a copy of the assertions — the
-// persistent incremental solver is never replaced; the model (if any) is
+// persistent encoding's solver is never replaced; the model (if any) is
 // extracted from whichever solver produced it before it goes away.
 Z3Finder::CheckOutcome Z3Finder::check_with_fallback(z3::context& ctx,
                                                      z3::solver& s) {
@@ -428,65 +378,6 @@ Z3Finder::CheckOutcome Z3Finder::timed_check(z3::context& ctx, z3::solver& s,
   }
 }
 
-// --- Interval pre-checks --------------------------------------------------
-
-bool Z3Finder::precheck_enabled() const {
-  return config_.interval_precheck && objective_bounds_.has_value();
-}
-
-const sketch::Interval& Z3Finder::vertex_interval(
-    const pref::PreferenceGraph& graph, pref::VertexId v) {
-  while (vertex_intervals_.size() <= v) {
-    const pref::VertexId next = vertex_intervals_.size();
-    sketch::Box box = sketch::full_box(sketch_);
-    const std::vector<double>& metrics = graph.scenario(next).metrics;
-    for (std::size_t m = 0; m < box.metrics.size() && m < metrics.size(); ++m) {
-      box.metrics[m] = sketch::Interval::point(metrics[m]);
-    }
-    vertex_intervals_.push_back(sketch::eval_interval(*sketch_.body(), box));
-  }
-  return vertex_intervals_[v];
-}
-
-bool Z3Finder::precheck_refutes_graph(const pref::PreferenceGraph& graph,
-                                      const char* kind) {
-  for (const pref::Edge& e : graph.edges()) {
-    const sketch::Interval better = vertex_interval(graph, e.better);
-    const sketch::Interval worse = vertex_interval(graph, e.worse);
-    if (!interval_clean(better) || !interval_clean(worse)) continue;
-    // Every candidate satisfies f(better) <= f(worse) with room to spare:
-    // the strict edge constraint is unsatisfiable over the whole grid.
-    if (better.hi < worse.lo - precheck_slack(better, worse)) {
-      note_precheck(kind, "edge_refuted");
-      return true;
-    }
-  }
-  const double tie_bound = config_.tie_tolerance + 1e-9;
-  for (const auto& [u, v] : graph.ties()) {
-    const sketch::Interval iu = vertex_interval(graph, u);
-    const sketch::Interval iv = vertex_interval(graph, v);
-    if (!interval_clean(iu) || !interval_clean(iv)) continue;
-    const sketch::Interval d = sketch::interval_sub(iu, iv);
-    // Every candidate separates the tied pair by more than the tolerance.
-    if (d.lo > tie_bound + precheck_slack(iu, iv) ||
-        d.hi < -(tie_bound + precheck_slack(iu, iv))) {
-      note_precheck(kind, "tie_refuted");
-      return true;
-    }
-  }
-  return false;
-}
-
-void Z3Finder::note_precheck(const char* kind, const char* verdict) const {
-  if (!obs::active(obs_)) return;
-  obs_->count("solver.precheck_hits");
-  if (obs_->tracing()) {
-    obs::TraceEvent e("interval_precheck");
-    e.str("kind", kind).str("verdict", verdict);
-    obs_->emit(e);
-  }
-}
-
 // --- Queries --------------------------------------------------------------
 
 FinderResult Z3Finder::resolve_unsat(const pref::PreferenceGraph& graph,
@@ -504,68 +395,38 @@ FinderResult Z3Finder::resolve_unsat(const pref::PreferenceGraph& graph,
   return res;
 }
 
+Z3Finder::Encoding& Z3Finder::encoding_for(const pref::PreferenceGraph& graph,
+                                           int num_pairs) {
+  observe_graph(graph);
+  std::unique_ptr<Encoding>& slot = encodings_[num_pairs];
+  if (slot != nullptr && !slot->sync(sketch_, config_, graph)) slot.reset();
+  const bool reuse = slot != nullptr;
+  if (!reuse) {
+    slot = std::make_unique<Encoding>(sketch_, config_, domain_,
+                                      objective_bounds_, num_pairs);
+    slot->sync(sketch_, config_, graph);
+  }
+  if (obs::active(obs_)) {
+    obs_->count(reuse ? "z3.incremental_reuses" : "z3.incremental_builds");
+    if (obs_->tracing()) {
+      obs::TraceEvent e("z3_incremental");
+      e.str("kind", num_pairs > 0 ? "distinguishing" : "consistent")
+          .str("op", reuse ? "reuse" : "build")
+          .integer("edges", static_cast<long>(graph.edges().size()))
+          .integer("ties", static_cast<long>(graph.ties().size()));
+      obs_->emit(e);
+    }
+  }
+  return *slot;
+}
+
 FinderResult Z3Finder::find_distinguishing(const pref::PreferenceGraph& graph,
                                            int num_pairs) {
   if (num_pairs < 1) throw std::invalid_argument("find_distinguishing: num_pairs < 1");
-  observe_graph(graph);
-
-  if (precheck_enabled()) {
-    // A refuted edge/tie dooms this query AND find_consistent, so the whole
-    // UNSAT epilogue is answered without the solver.
-    if (precheck_refutes_graph(graph, "distinguishing")) {
-      FinderResult res;
-      res.status = FinderStatus::kNoCandidate;
-      return res;
-    }
-    // The margin constraint needs the objective enclosure to span at least
-    // distinguish_margin; the enclosure is asserted on every objective term,
-    // so a narrower one makes the encoded query UNSAT by construction.
-    if (objective_bounds_->hi - objective_bounds_->lo <
-        config_.distinguish_margin) {
-      note_precheck("distinguishing", "margin_width");
-      return resolve_unsat(graph, num_pairs);
-    }
-  }
-
-  DistEncoding* enc = nullptr;
-  std::unique_ptr<DistEncoding> scratch;
-  if (config_.incremental) {
-    std::unique_ptr<DistEncoding>& slot = dist_encodings_[num_pairs];
-    if (slot != nullptr && !slot->sync(sketch_, config_, graph)) slot.reset();
-    const char* op = slot != nullptr ? "reuse" : "build";
-    if (slot == nullptr) {
-      slot = std::make_unique<DistEncoding>(sketch_, config_, domain_,
-                                            objective_bounds_, num_pairs);
-      slot->sync(sketch_, config_, graph);
-    }
-    if (obs::active(obs_)) {
-      obs_->count(op[0] == 'r' ? "z3.incremental_reuses"
-                               : "z3.incremental_builds");
-      if (obs_->tracing()) {
-        obs::TraceEvent e("z3_incremental");
-        e.str("kind", "distinguishing").str("op", op)
-            .integer("edges", static_cast<long>(graph.edges().size()))
-            .integer("ties", static_cast<long>(graph.ties().size()));
-        obs_->emit(e);
-      }
-    }
-    enc = slot.get();
-  } else {
-    scratch = std::make_unique<DistEncoding>(sketch_, config_, domain_,
-                                             objective_bounds_, num_pairs);
-    scratch->sync(sketch_, config_, graph);
-    enc = scratch.get();
-  }
-
-  z3::solver& solver = enc->solver;
-  z3::context& ctx = enc->ctx;
-  // Per-call scope for viability model-blocking: popped on every exit so the
-  // persistent encoding only ever holds the canonical assertions.
-  solver.push();
-  struct PopGuard {
-    z3::solver& s;
-    ~PopGuard() { s.pop(1); }
-  } pop_guard{solver};
+  Encoding& enc = encoding_for(graph, num_pairs);
+  z3::solver& solver = enc.solver;
+  z3::context& ctx = enc.ctx;
+  const CallScope scope(solver);
 
   for (int attempt = 0; attempt < kMaxViabilityBlocks; ++attempt) {
     ++query_count_;
@@ -589,8 +450,8 @@ FinderResult Z3Finder::find_distinguishing(const pref::PreferenceGraph& graph,
     };
     FinderResult res;
     res.status = FinderStatus::kFound;
-    res.candidate_a = extract_assignment(enc->ha);
-    res.candidate_b = extract_assignment(enc->hb);
+    res.candidate_a = extract_assignment(enc.holes[0]);
+    res.candidate_b = extract_assignment(enc.holes[1]);
 
     if (viability_.concrete) {
       const std::vector<double> va = sketch_.hole_values(res.candidate_a);
@@ -606,11 +467,11 @@ FinderResult Z3Finder::find_distinguishing(const pref::PreferenceGraph& graph,
         block = block || !same;
       };
       if (!viability_.concrete(va)) {
-        block_assignment(enc->ha, va);
+        block_assignment(enc.holes[0], va);
         blocked = true;
       }
       if (!viability_.concrete(vb)) {
-        block_assignment(enc->hb, vb);
+        block_assignment(enc.holes[1], vb);
         blocked = true;
       }
       if (blocked) {
@@ -621,10 +482,10 @@ FinderResult Z3Finder::find_distinguishing(const pref::PreferenceGraph& graph,
 
     for (int p = 0; p < num_pairs; ++p) {
       DistinguishingPair pair;
-      for (const z3::expr& v : enc->s1_vars[p]) {
+      for (const z3::expr& v : enc.s1_vars[p]) {
         pair.preferred_by_a.metrics.push_back(value_of(model, v));
       }
-      for (const z3::expr& v : enc->s2_vars[p]) {
+      for (const z3::expr& v : enc.s2_vars[p]) {
         pair.preferred_by_b.metrics.push_back(value_of(model, v));
       }
       res.pairs.push_back(std::move(pair));
@@ -637,49 +498,11 @@ FinderResult Z3Finder::find_distinguishing(const pref::PreferenceGraph& graph,
 
 std::optional<sketch::HoleAssignment> Z3Finder::find_consistent(
     const pref::PreferenceGraph& graph) {
-  observe_graph(graph);
-
-  if (precheck_enabled() && precheck_refutes_graph(graph, "consistent")) {
-    return std::nullopt;
-  }
-
-  ConsEncoding* enc = nullptr;
-  std::unique_ptr<ConsEncoding> scratch;
-  if (config_.incremental) {
-    if (cons_encoding_ != nullptr &&
-        !cons_encoding_->sync(sketch_, config_, graph)) {
-      cons_encoding_.reset();
-    }
-    const char* op = cons_encoding_ != nullptr ? "reuse" : "build";
-    if (cons_encoding_ == nullptr) {
-      cons_encoding_ = std::make_unique<ConsEncoding>(sketch_, config_);
-      cons_encoding_->sync(sketch_, config_, graph);
-    }
-    if (obs::active(obs_)) {
-      obs_->count(op[0] == 'r' ? "z3.incremental_reuses"
-                               : "z3.incremental_builds");
-      if (obs_->tracing()) {
-        obs::TraceEvent e("z3_incremental");
-        e.str("kind", "consistent").str("op", op)
-            .integer("edges", static_cast<long>(graph.edges().size()))
-            .integer("ties", static_cast<long>(graph.ties().size()));
-        obs_->emit(e);
-      }
-    }
-    enc = cons_encoding_.get();
-  } else {
-    scratch = std::make_unique<ConsEncoding>(sketch_, config_);
-    scratch->sync(sketch_, config_, graph);
-    enc = scratch.get();
-  }
-
-  z3::solver& solver = enc->solver;
-  z3::context& ctx = enc->ctx;
-  solver.push();
-  struct PopGuard {
-    z3::solver& s;
-    ~PopGuard() { s.pop(1); }
-  } pop_guard{solver};
+  Encoding& enc = encoding_for(graph, 0);
+  const std::vector<z3::expr>& holes = enc.holes[0];
+  z3::solver& solver = enc.solver;
+  z3::context& ctx = enc.ctx;
+  const CallScope scope(solver);
 
   for (int attempt = 0; attempt < kMaxViabilityBlocks; ++attempt) {
     ++query_count_;
@@ -688,17 +511,17 @@ std::optional<sketch::HoleAssignment> Z3Finder::find_consistent(
     if (out.result != z3::sat) return std::nullopt;
     const z3::model& model = *out.model;
     sketch::HoleAssignment a;
-    for (std::size_t i = 0; i < enc->holes.size(); ++i) {
+    for (std::size_t i = 0; i < holes.size(); ++i) {
       a.index.push_back(
-          sketch_.holes()[i].nearest_index(value_of(model, enc->holes[i])));
+          sketch_.holes()[i].nearest_index(value_of(model, holes[i])));
     }
     if (!viability_.concrete || viability_.concrete(sketch_.hole_values(a))) {
       return a;
     }
     z3::expr same = ctx.bool_val(true);
     const std::vector<double> vals = sketch_.hole_values(a);
-    for (std::size_t i = 0; i < enc->holes.size(); ++i) {
-      same = same && (enc->holes[i] == real_of_double(ctx, vals[i]));
+    for (std::size_t i = 0; i < holes.size(); ++i) {
+      same = same && (holes[i] == real_of_double(ctx, vals[i]));
     }
     solver.add(!same);
   }

@@ -12,11 +12,10 @@
 // so UNSAT exactly means "all viable G-consistent candidates induce the same
 // margin-separated ranking" and synthesis can stop.
 //
-// Acceleration layer (docs/SOLVER.md): two mechanisms, each transparent to
-// the verdict/model sequence —
-//   1. interval pre-checks that discharge provably-UNSAT queries without Z3;
-//   2. incremental encodings kept alive across iterations via push/pop,
-//      asserting only the preference graph's new constraints each round.
+// Every query goes to Z3 (docs/SOLVER.md §The encoding). One encoding per
+// query shape stays alive across iterations via push/pop and asserts only
+// the preference graph's new constraints each round; a graph that is not an
+// append-only extension rebuilds it, with the identical assertion list.
 #pragma once
 
 #include <iosfwd>
@@ -51,8 +50,8 @@ class Z3Finder final : public CandidateFinder {
   std::optional<sketch::HoleAssignment> find_consistent(
       const pref::PreferenceGraph& graph) override;
 
-  /// Number of solver checks issued so far (for benchmarking/diagnostics).
-  /// Interval pre-check discharges do not count — no check was issued.
+  /// Number of solver checks issued so far (for benchmarking/diagnostics),
+  /// viability re-checks and the UNSAT epilogue's follow-up queries included.
   long query_count() const { return query_count_; }
 
   /// Streams every emitted query as SMT-LIB2 text to `log` (nullptr
@@ -74,16 +73,15 @@ class Z3Finder final : public CandidateFinder {
   /// Durable-session persistence: the query counter plus the attached fault
   /// injector's decision stream (when any), so a resumed run keeps stable
   /// query indices in traces and replays the identical fault sequence. The
-  /// incremental encodings are deliberately not part of the state: they are
+  /// encodings are deliberately not part of the state: they are
   /// rebuilt from the graph on the next query, and the canonical assertion
   /// order guarantees the rebuilt solver answers identically.
   std::string save_state() const override;
   void restore_state(const std::string& state) override;
 
-  // Incremental sketch+G encodings (defined in z3_finder.cpp; public so the
+  // The sketch+G encoding (defined in z3_finder.cpp; public so the
   // implementation structs can be out-of-line without friend gymnastics).
-  struct DistEncoding;
-  struct ConsEncoding;
+  struct Encoding;
   struct CheckOutcome;
 
  private:
@@ -98,49 +96,37 @@ class Z3Finder final : public CandidateFinder {
   CheckOutcome check_with_fallback(z3::context& ctx, z3::solver& s);
   void log_query(z3::solver& solver, const char* kind);
 
-  // --- Interval pre-checks (docs/SOLVER.md §Pre-checks) ------------------
-  bool precheck_enabled() const;
-  /// True when some edge or tie of `graph` is interval-refuted over the full
-  /// hole grid — no candidate can satisfy it, so the query (and
-  /// find_consistent) would come back UNSAT.
-  bool precheck_refutes_graph(const pref::PreferenceGraph& graph,
-                              const char* kind);
-  const sketch::Interval& vertex_interval(const pref::PreferenceGraph& graph,
-                                          pref::VertexId v);
-  void note_precheck(const char* kind, const char* verdict) const;
+  /// The live encoding for `num_pairs` (0 = the consistency query), synced
+  /// to `graph` or rebuilt when `graph` does not extend what it asserted;
+  /// emits the z3_incremental reuse/build event.
+  Encoding& encoding_for(const pref::PreferenceGraph& graph, int num_pairs);
 
   /// Guards every memoized structure against a caller switching to an
   /// unrelated graph mid-lifetime: if a previously seen vertex id now names
-  /// a different scenario, encodings and interval memos are invalidated.
+  /// a different scenario, the encodings are invalidated.
   void observe_graph(const pref::PreferenceGraph& graph);
 
   sketch::Sketch sketch_;
   FinderConfig config_;
   Viability viability_;
   ScenarioDomain domain_;
-  /// Interval precheck from the static analyzer (computed once in the
-  /// ctor): a proven enclosure of the objective over the full metric box x
+  /// Interval enclosure from the static analyzer (computed once in the
+  /// ctor): a proven bound on the objective over the full metric box x
   /// hole grid. Asserted as redundant-but-sound bounds on every encoded
   /// objective term, which narrows nlsat's search without changing any
-  /// verdict; also gates the pre-checks. Absent when the analysis cannot
-  /// certify a clean finite bound (possible NaN / EvalError / unbounded
-  /// output).
+  /// verdict. Absent when the analysis cannot certify a clean finite bound
+  /// (possible NaN / EvalError / unbounded output).
   std::optional<sketch::Interval> objective_bounds_;
   long query_count_ = 0;
   std::ostream* query_log_ = nullptr;
   std::shared_ptr<util::FaultInjector> injector_;
-  /// Objective enclosure per interned graph vertex (point metric box x full
-  /// hole grid), memoized — vertices are immutable once interned.
-  std::vector<sketch::Interval> vertex_intervals_;
-  /// Metric vectors of the vertices the memos were built against
+  /// Metric vectors of the vertices the encodings were built against
   /// (observe_graph's staleness check).
   std::vector<std::vector<double>> interned_metrics_;
 
-  /// Live incremental encodings, one distinguishing encoding per num_pairs
-  /// value plus one consistency encoding. Empty when config_.incremental is
-  /// off (a scratch encoding is built and dropped per query instead).
-  std::map<int, std::unique_ptr<DistEncoding>> dist_encodings_;
-  std::unique_ptr<ConsEncoding> cons_encoding_;
+  /// Live encodings keyed by num_pairs: one distinguishing encoding per
+  /// requested pair count, plus the consistency encoding at key 0.
+  std::map<int, std::unique_ptr<Encoding>> encodings_;
 };
 
 }  // namespace compsynth::solver

@@ -1,9 +1,9 @@
 // Differential tests for the solver acceleration layer (docs/SOLVER.md).
 //
-// Every Z3 acceleration — incremental push/pop encodings, interval
-// pre-checks — must be *transparent*: the same seed produces the identical
-// oracle query sequence and the identical learned objective with the
-// feature on or off, across the SWAN, ABR-QoE and homenet sketches. The
+// The Z3 back-end's persistent push/pop encoding must be *transparent*: the
+// same seed produces the identical oracle query sequence and the identical
+// learned objective as a reference that encodes every query from scratch,
+// across the SWAN, ABR-QoE and homenet sketches. The
 // portfolio asks the plain grid back-end's questions until the grid's first
 // unique-ranking verdict, asks the identical sequence on every run, and
 // converges to an objective ranking-equivalent to the target.
@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -26,6 +27,7 @@
 #include "session/snapshot.h"
 #include "sketch/library.h"
 #include "solver/equivalence.h"
+#include "solver/z3_finder.h"
 #include "synth/synthesizer.h"
 
 namespace compsynth {
@@ -108,7 +110,29 @@ Workload homenet_workload() {
   return {sk, target, 77};
 }
 
-enum class Backend { kZ3, kGrid, kPortfolio };
+// The reference Z3 back-end: a fresh Z3Finder for every call, so each query
+// is encoded from scratch in one pass and no push/pop history exists.
+class FreshZ3Finder final : public solver::CandidateFinder {
+ public:
+  FreshZ3Finder(const sketch::Sketch& sketch, solver::FinderConfig config)
+      : sketch_(sketch), config_(config) {}
+
+  solver::FinderResult find_distinguishing(const pref::PreferenceGraph& graph,
+                                           int num_pairs) override {
+    return solver::Z3Finder(sketch_, config_)
+        .find_distinguishing(graph, num_pairs);
+  }
+  std::optional<sketch::HoleAssignment> find_consistent(
+      const pref::PreferenceGraph& graph) override {
+    return solver::Z3Finder(sketch_, config_).find_consistent(graph);
+  }
+
+ private:
+  sketch::Sketch sketch_;
+  solver::FinderConfig config_;
+};
+
+enum class Backend { kZ3, kFreshZ3, kGrid, kPortfolio };
 
 struct RunOut {
   synth::SynthesisResult result;
@@ -127,6 +151,11 @@ RunOut run_once(const Workload& w, Backend backend,
   LoggingOracle user(w.sketch, w.target, config.finder.tie_tolerance);
   synth::Synthesizer s =
       backend == Backend::kZ3 ? synth::make_z3_synthesizer(w.sketch, config)
+      : backend == Backend::kFreshZ3
+          ? synth::Synthesizer(
+                w.sketch,
+                std::make_unique<FreshZ3Finder>(w.sketch, config.finder),
+                config)
       : backend == Backend::kGrid
           ? synth::make_grid_synthesizer(w.sketch, config)
           : synth::make_portfolio_synthesizer(w.sketch, config);
@@ -147,35 +176,15 @@ void expect_same_run(const RunOut& expected, const RunOut& got,
   EXPECT_EQ(got.log, expected.log) << what;
 }
 
-// Each Z3 acceleration, alone and combined, must reproduce the baseline's
-// oracle query sequence and objective exactly. Runs are truncated — sequence
-// identity over a fixed iteration budget is the property, convergence is
-// covered elsewhere (bench_solver, smoke tests).
+// The push/pop encoding must reproduce the fresh-per-call reference's
+// oracle query sequence and objective exactly. Runs are truncated —
+// sequence identity over a fixed iteration budget is the property,
+// convergence is covered elsewhere (bench_solver, smoke tests).
 void check_z3_accelerations(const Workload& w, int max_iterations) {
-  synth::SynthesisConfig baseline_config = base_config(w, max_iterations);
-  baseline_config.finder.incremental = false;
-  baseline_config.finder.interval_precheck = false;
-  const RunOut baseline = run_once(w, Backend::kZ3, baseline_config);
-  ASSERT_FALSE(baseline.log.empty());
-
-  {
-    synth::SynthesisConfig config = base_config(w, max_iterations);
-    config.finder.incremental = true;
-    config.finder.interval_precheck = false;
-    expect_same_run(baseline, run_once(w, Backend::kZ3, config),
-                    "incremental");
-  }
-  {
-    synth::SynthesisConfig config = base_config(w, max_iterations);
-    config.finder.incremental = false;
-    config.finder.interval_precheck = true;
-    expect_same_run(baseline, run_once(w, Backend::kZ3, config), "precheck");
-  }
-  {
-    synth::SynthesisConfig config = base_config(w, max_iterations);
-    expect_same_run(baseline, run_once(w, Backend::kZ3, config),
-                    "incremental + precheck");
-  }
+  const synth::SynthesisConfig config = base_config(w, max_iterations);
+  const RunOut reference = run_once(w, Backend::kFreshZ3, config);
+  ASSERT_FALSE(reference.log.empty());
+  expect_same_run(reference, run_once(w, Backend::kZ3, config), "push/pop");
 }
 
 TEST(AccelDifferential, SwanZ3AccelerationsPreserveSequence) {

@@ -1,7 +1,7 @@
 // Tests for the sketch static analyzer (sketch/analyze.h): transfer
 // functions, reachable-arm computation, usage maps, lint diagnostics, and
-// the property-based soundness check that underwrites the Z3 interval
-// pre-checks and objective bounds — every concrete evaluation at a point
+// the property-based soundness check that underwrites the Z3 objective
+// bounds — every concrete evaluation at a point
 // inside a box must land in the interval computed for that box (or be
 // covered by a poison flag).
 
@@ -398,7 +398,7 @@ TEST(Soundness, RandomExpressionsOverRandomBoxes) {
     const ExprPtr e = gen.numeric(5);
 
     // A random box: sub-ranges of plausible metric spans plus the full hole
-    // grids (what the Z3 pre-checks evaluate) on even trials, random hole
+    // grids (what the Z3 objective bounds cover) on even trials, random hole
     // sub-ranges on odd trials.
     Box box;
     for (std::size_t m = 0; m < kMetrics; ++m) {

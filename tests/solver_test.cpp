@@ -5,6 +5,7 @@
 
 #include <z3++.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -12,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/run_context.h"
 #include "pref/graph.h"
 #include "sketch/eval.h"
 #include "sketch/library.h"
@@ -230,6 +233,94 @@ TEST(Z3Finder, ViabilityBlocksExcludedCandidates) {
   const auto consistent = finder.find_consistent(g);
   ASSERT_TRUE(consistent.has_value());
   EXPECT_GE(sk.hole_values(*consistent)[3], 1.0);
+}
+
+// --- Rebuild rule -------------------------------------------------------------
+
+// Interns `scenarios` in the SWAN target's preference order (best first) and
+// records the chain edges between them, in `chain` order, with increasing
+// weights (the first edge is the lightest).
+pref::PreferenceGraph target_chain(std::vector<Scenario> scenarios,
+                                   const std::vector<std::size_t>& chain) {
+  const auto& sk = sketch::swan_sketch();
+  const auto value = [&](const Scenario& s) {
+    return sketch::eval(sk, sketch::swan_target(), s.metrics);
+  };
+  std::sort(scenarios.begin(), scenarios.end(),
+            [&](const Scenario& a, const Scenario& b) { return value(a) > value(b); });
+  pref::PreferenceGraph g;
+  for (const Scenario& s : scenarios) g.intern(s);
+  double weight = 1;
+  for (const std::size_t from : chain) {
+    EXPECT_GT(value(scenarios[from]), value(scenarios[from + 1]));
+    g.add_preference(from, from + 1, weight++);
+  }
+  return g;
+}
+
+// `grown` answered queries on an earlier graph that `graph` does not extend,
+// so each query must rebuild its encoding (one z3.incremental_builds each)
+// and answer exactly as a finder that never saw the earlier graph.
+void expect_rebuilds_like_fresh(Z3Finder& grown, obs::MetricsRegistry& metrics,
+                                const pref::PreferenceGraph& graph) {
+  Z3Finder fresh(sketch::swan_sketch(), tight_config());
+  const auto builds = [&] {
+    return metrics.counter("z3.incremental_builds").value();
+  };
+  for (const int num_pairs : {1, 2}) {
+    const long before = builds();
+    const FinderResult got = grown.find_distinguishing(graph, num_pairs);
+    EXPECT_EQ(builds(), before + 1) << num_pairs << " pair(s)";
+    const FinderResult want = fresh.find_distinguishing(graph, num_pairs);
+    ASSERT_EQ(want.status, FinderStatus::kFound) << num_pairs << " pair(s)";
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.candidate_a.index, want.candidate_a.index);
+    EXPECT_EQ(got.candidate_b.index, want.candidate_b.index);
+    ASSERT_EQ(got.pairs.size(), want.pairs.size());
+    for (std::size_t p = 0; p < want.pairs.size(); ++p) {
+      EXPECT_EQ(got.pairs[p].preferred_by_a.metrics,
+                want.pairs[p].preferred_by_a.metrics);
+      EXPECT_EQ(got.pairs[p].preferred_by_b.metrics,
+                want.pairs[p].preferred_by_b.metrics);
+    }
+  }
+  const long before = builds();
+  const auto got = grown.find_consistent(graph);
+  EXPECT_EQ(builds(), before + 1);
+  const auto want = fresh.find_consistent(graph);
+  ASSERT_TRUE(want.has_value());
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->index, want->index);
+}
+
+TEST(Z3Finder, NonExtendingGraphsRebuildAndAnswerLikeAFreshFinder) {
+  obs::MetricsRegistry metrics;
+  obs::RunContext ctx;
+  ctx.metrics = &metrics;
+  Z3Finder grown(sketch::swan_sketch(), tight_config());
+  grown.set_run_context(&ctx);
+
+  // Grow all three encodings (1 pair, 2 pairs, consistency) on a chain.
+  pref::PreferenceGraph g = target_chain(
+      {sc(2, 10), sc(5, 10), sc(1, 150), sc(8, 50), sc(3, 100)}, {0, 1, 2});
+  ASSERT_EQ(grown.find_distinguishing(g, 1).status, FinderStatus::kFound);
+  ASSERT_EQ(grown.find_distinguishing(g, 2).status, FinderStatus::kFound);
+  ASSERT_TRUE(grown.find_consistent(g).has_value());
+
+  // drop_lightest_edge removes the first edge; one more edge keeps the edge
+  // count, so only the element-wise prefix check can see the change.
+  ASSERT_TRUE(g.drop_lightest_edge().has_value());
+  g.add_preference(3, 4, 10);
+  expect_rebuilds_like_fresh(grown, metrics, g);
+
+  // An unrelated graph whose edges extend the ones just asserted (same
+  // vertex ids) but whose vertex 0 is a different scenario: only the
+  // observe_graph check can see that the interned terms are stale.
+  const pref::PreferenceGraph other = target_chain(
+      {sc(6, 20), sc(1, 5), sc(4, 120), sc(7, 180), sc(0.5, 30)},
+      {1, 2, 3, 0});
+  ASSERT_NE(other.scenario(0).metrics, g.scenario(0).metrics);
+  expect_rebuilds_like_fresh(grown, metrics, other);
 }
 
 TEST(GridFinder, MatchesZ3OnContradiction) {

@@ -37,9 +37,11 @@ if(NOT first_line MATCHES "\"v\":1")
   message(FATAL_ERROR "trace line missing schema version: ${first_line}")
 endif()
 
-# A trace written before schema 1.8 may carry "portfolio" events; the
-# report tallies them as unknown instead of dropping them.
+# A trace written before schema 1.8 may carry "portfolio" events, and one
+# written before 1.9 the interval pre-check's events; the report tallies
+# them as unknown instead of dropping them.
 file(APPEND "${TRACE}" "{\"v\":1,\"ts\":0.5,\"run\":\"swan\",\"ev\":\"portfolio\",\"winner\":\"grid\",\"secs\":0.001}\n")
+file(APPEND "${TRACE}" "{\"v\":1,\"ts\":0.6,\"run\":\"swan\",\"ev\":\"interval_precheck\",\"kind\":\"distinguishing\",\"verdict\":\"edge_refuted\"}\n")
 
 execute_process(
   COMMAND "${REPORT}" "${TRACE}" -o "${REPORT_MD}"
@@ -59,7 +61,8 @@ foreach(needle
     "### Oracle answers"
     "### Iterations"
     "### Unknown events"
-    "| portfolio | 1 |")
+    "| portfolio | 1 |"
+    "| interval_precheck | 1 |")
   string(FIND "${report_text}" "${needle}" found_at)
   if(found_at EQUAL -1)
     message(FATAL_ERROR "report missing '${needle}':\n${report_text}")

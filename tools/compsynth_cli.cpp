@@ -18,9 +18,6 @@
 //                       docs/DISTRIBUTED.md). Turns --backend z3 into grid.
 //                       Worker failure falls back to the local scan, so
 //                       results are identical with or without workers.
-//   --no-incremental    rebuild the Z3 encoding from scratch every query
-//                       instead of extending it via push/pop (debugging /
-//                       A-B timing; verdicts are identical either way)
 //   --pairs <k>         scenario pairs ranked per iteration (default 1)
 //   --initial <n>       initial random scenarios (default 5)
 //   --max-iters <n>     interaction budget (default 500)
@@ -34,7 +31,8 @@
 //   --quiet             suppress the per-iteration transcript
 //
 // Exit status: 0 on convergence, 2 when the answers contradict the sketch,
-// 3 on iteration budget exhaustion, 4 on solver give-up, 1 on usage errors.
+// 3 on iteration budget exhaustion, 4 on solver give-up, 1 on usage errors
+// (including a numeric option whose value is not an in-range number).
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -52,6 +50,8 @@
 #include "sketch/parser.h"
 #include "sketch/printer.h"
 #include "synth/synthesizer.h"
+
+#include "flag_value.h"
 
 namespace {
 
@@ -73,8 +73,7 @@ struct Options {
 void usage(std::ostream& os) {
   os << "usage: compsynth_cli <sketch-file> [--target <expr>]\n"
         "       [--backend z3|grid|portfolio] [--workers ep1,ep2,...]\n"
-        "       [--no-incremental] [--pairs k]\n"
-        "       [--initial n] [--max-iters n] [--seed n] [--resume file]\n"
+        "       [--pairs k] [--initial n] [--max-iters n] [--seed n] [--resume file]\n"
         "       [--save file] [--trace file] [--metrics] [--quiet]\n";
 }
 
@@ -86,6 +85,11 @@ std::optional<Options> parse_args(int argc, char** argv) {
       return std::nullopt;
     }
     return std::string(argv[++i]);
+  };
+  auto number = [&](int& i, auto& slot) {
+    const std::string flag = argv[i];
+    const auto v = need_value(i);
+    return v && tools::parse_flag_value(flag, *v, slot);
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -121,20 +125,14 @@ std::optional<Options> parse_args(int argc, char** argv) {
         std::cerr << "--workers requires at least one endpoint\n";
         return std::nullopt;
       }
-    } else if (arg == "--no-incremental") {
-      opt.config.finder.incremental = false;
     } else if (arg == "--pairs") {
-      if (auto v = need_value(i)) opt.config.pairs_per_iteration = std::stoi(*v);
-      else return std::nullopt;
+      if (!number(i, opt.config.pairs_per_iteration)) return std::nullopt;
     } else if (arg == "--initial") {
-      if (auto v = need_value(i)) opt.config.initial_scenarios = std::stoi(*v);
-      else return std::nullopt;
+      if (!number(i, opt.config.initial_scenarios)) return std::nullopt;
     } else if (arg == "--max-iters") {
-      if (auto v = need_value(i)) opt.config.max_iterations = std::stoi(*v);
-      else return std::nullopt;
+      if (!number(i, opt.config.max_iterations)) return std::nullopt;
     } else if (arg == "--seed") {
-      if (auto v = need_value(i)) opt.config.seed = std::stoull(*v);
-      else return std::nullopt;
+      if (!number(i, opt.config.seed)) return std::nullopt;
     } else if (arg == "--resume") {
       if (auto v = need_value(i)) opt.resume_path = *v; else return std::nullopt;
     } else if (arg == "--save") {

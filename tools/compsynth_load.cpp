@@ -66,6 +66,8 @@
 #include "util/rng.h"
 #include "util/timer.h"
 
+#include "flag_value.h"
+
 namespace {
 
 using namespace compsynth;
@@ -141,11 +143,9 @@ std::optional<Options> parse_args(int argc, char** argv) {
       if (i + 1 >= argc) return std::nullopt;
       return std::string(argv[++i]);
     };
-    auto next_int = [&](int& slot) {
-      auto v = next();
-      if (!v) return false;
-      slot = std::stoi(*v);
-      return true;
+    auto next_number = [&](auto& slot) {
+      const auto v = next();
+      return v && tools::parse_flag_value(arg, *v, slot);
     };
     if (arg == "--connect") {
       auto v = next();
@@ -156,17 +156,15 @@ std::optional<Options> parse_args(int argc, char** argv) {
       if (!v) return std::nullopt;
       opt.sketch_file = *v;
     } else if (arg == "--sessions") {
-      if (!next_int(opt.sessions)) return std::nullopt;
+      if (!next_number(opt.sessions)) return std::nullopt;
     } else if (arg == "--threads") {
-      if (!next_int(opt.threads)) return std::nullopt;
+      if (!next_number(opt.threads)) return std::nullopt;
     } else if (arg == "--prefix") {
       auto v = next();
       if (!v) return std::nullopt;
       opt.prefix = *v;
     } else if (arg == "--seed-base") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      opt.seed_base = std::stoull(*v);
+      if (!next_number(opt.seed_base)) return std::nullopt;
     } else if (arg == "--sketch-name") {
       auto v = next();
       if (!v) return std::nullopt;
@@ -176,17 +174,17 @@ std::optional<Options> parse_args(int argc, char** argv) {
       if (!v) return std::nullopt;
       opt.backend = *v;
     } else if (arg == "--initial") {
-      if (!next_int(opt.initial)) return std::nullopt;
+      if (!next_number(opt.initial)) return std::nullopt;
     } else if (arg == "--pairs") {
-      if (!next_int(opt.pairs)) return std::nullopt;
+      if (!next_number(opt.pairs)) return std::nullopt;
     } else if (arg == "--max-iters") {
-      if (!next_int(opt.max_iters)) return std::nullopt;
+      if (!next_number(opt.max_iters)) return std::nullopt;
     } else if (arg == "--wait-ms") {
-      if (!next_int(opt.wait_ms)) return std::nullopt;
+      if (!next_number(opt.wait_ms)) return std::nullopt;
     } else if (arg == "--evict-every") {
-      if (!next_int(opt.evict_every)) return std::nullopt;
+      if (!next_number(opt.evict_every)) return std::nullopt;
     } else if (arg == "--stop-after-answers") {
-      if (!next_int(opt.stop_after_answers)) return std::nullopt;
+      if (!next_number(opt.stop_after_answers)) return std::nullopt;
     } else if (arg == "--continue") {
       opt.continue_mode = true;
     } else if (arg == "--shutdown") {

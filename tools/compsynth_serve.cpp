@@ -52,6 +52,8 @@
 #include "util/fault.h"
 #include "util/thread_pool.h"
 
+#include "flag_value.h"
+
 namespace {
 
 using namespace compsynth;
@@ -89,6 +91,10 @@ std::optional<Options> parse_args(int argc, char** argv) {
       if (i + 1 >= argc) return std::nullopt;
       return std::string(argv[++i]);
     };
+    auto next_number = [&](auto& slot) {
+      const auto v = next();
+      return v && tools::parse_flag_value(arg, *v, slot);
+    };
     if (arg == "--listen") {
       auto v = next();
       if (!v) return std::nullopt;
@@ -102,33 +108,19 @@ std::optional<Options> parse_args(int argc, char** argv) {
       if (!v) return std::nullopt;
       opt.sketch_paths.push_back(*v);
     } else if (arg == "--max-active") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      opt.max_active = std::stoi(*v);
+      if (!next_number(opt.max_active)) return std::nullopt;
     } else if (arg == "--keep") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      opt.keep = std::stoi(*v);
+      if (!next_number(opt.keep)) return std::nullopt;
     } else if (arg == "--every") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      opt.every = std::stoi(*v);
+      if (!next_number(opt.every)) return std::nullopt;
     } else if (arg == "--workers") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      opt.workers = std::stoi(*v);
+      if (!next_number(opt.workers)) return std::nullopt;
     } else if (arg == "--grid-threads") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      opt.grid_threads = std::stoi(*v);
+      if (!next_number(opt.grid_threads)) return std::nullopt;
     } else if (arg == "--fault-torn-write") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      opt.fault_torn_write = std::stod(*v);
+      if (!next_number(opt.fault_torn_write)) return std::nullopt;
     } else if (arg == "--fault-seed") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      opt.fault_seed = std::stoull(*v);
+      if (!next_number(opt.fault_seed)) return std::nullopt;
     } else if (arg == "--trace") {
       auto v = next();
       if (!v) return std::nullopt;

@@ -18,8 +18,6 @@
 //                              candidate finder (default: grid); recorded
 //                              in the snapshot's backend tag, so resume
 //                              must pass the same one
-//   --no-incremental           rebuild the Z3 encoding per query instead of
-//                              extending it via push/pop
 //   --dir <dir>                snapshot directory (required)
 //   --every <k>                checkpoint every k iterations (default 1)
 //   --keep <n>                 snapshots retained on disk (default 4)
@@ -43,7 +41,8 @@
 //                                should not sleep)
 //
 // Exit status: 0 converged, 2 contradictory answers, 3 iteration budget,
-// 4 solver gave up, 42 simulated crash (--stop-after), 1 usage/runtime error.
+// 4 solver gave up, 42 simulated crash (--stop-after), 1 usage/runtime error
+// (including a numeric option whose value is not an in-range number).
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -64,6 +63,8 @@
 #include "solver/z3_finder.h"
 #include "synth/synthesizer.h"
 #include "util/fault.h"
+
+#include "flag_value.h"
 
 namespace {
 
@@ -90,7 +91,7 @@ struct Options {
 void usage(std::ostream& os) {
   os << "usage: compsynth_session run|resume <sketch-file> --target <expr> "
         "--dir <dir>\n"
-        "         [--backend z3|grid|portfolio] [--no-incremental]\n"
+        "         [--backend z3|grid|portfolio]\n"
         "         [--every k] [--keep n] [--pairs k]\n"
         "         [--initial n] [--max-iters n] [--seed n] [--stop-after n]\n"
         "         [--trace file] [--metrics] [--quiet]\n"
@@ -126,6 +127,10 @@ std::optional<Options> parse_args(int argc, char** argv) {
       }
       return false;
     };
+    auto number = [&](auto& slot) {
+      const auto v = need_value(i);
+      return v && tools::parse_flag_value(arg, *v, slot);
+    };
     if (arg == "--help" || arg == "-h") return std::nullopt;
     if (arg == "--quiet") {
       opt.quiet = true;
@@ -140,42 +145,42 @@ std::optional<Options> parse_args(int argc, char** argv) {
         std::cerr << "unknown backend '" << opt.backend << "'\n";
         return std::nullopt;
       }
-    } else if (arg == "--no-incremental") {
-      opt.config.finder.incremental = false;
     } else if (arg == "--dir") {
       if (!value_for([&](const std::string& v) { opt.dir = v; })) return std::nullopt;
     } else if (arg == "--every") {
-      if (!value_for([&](const std::string& v) { opt.every = std::stoi(v); })) return std::nullopt;
+      if (!number(opt.every)) return std::nullopt;
     } else if (arg == "--keep") {
-      if (!value_for([&](const std::string& v) { opt.keep = std::stoi(v); })) return std::nullopt;
+      if (!number(opt.keep)) return std::nullopt;
     } else if (arg == "--stop-after") {
-      if (!value_for([&](const std::string& v) { opt.stop_after = std::stoi(v); })) return std::nullopt;
+      if (!number(opt.stop_after)) return std::nullopt;
     } else if (arg == "--pairs") {
-      if (!value_for([&](const std::string& v) { opt.config.pairs_per_iteration = std::stoi(v); })) return std::nullopt;
+      if (!number(opt.config.pairs_per_iteration)) return std::nullopt;
     } else if (arg == "--initial") {
-      if (!value_for([&](const std::string& v) { opt.config.initial_scenarios = std::stoi(v); })) return std::nullopt;
+      if (!number(opt.config.initial_scenarios)) return std::nullopt;
     } else if (arg == "--max-iters") {
-      if (!value_for([&](const std::string& v) { opt.config.max_iterations = std::stoi(v); })) return std::nullopt;
+      if (!number(opt.config.max_iterations)) return std::nullopt;
     } else if (arg == "--seed") {
-      if (!value_for([&](const std::string& v) { opt.config.seed = std::stoull(v); })) return std::nullopt;
+      if (!number(opt.config.seed)) return std::nullopt;
     } else if (arg == "--trace") {
       if (!value_for([&](const std::string& v) { opt.trace_path = v; })) return std::nullopt;
     } else if (arg == "--fault-oracle-timeout") {
-      if (!value_for([&](const std::string& v) { opt.faults.oracle_timeout_p = std::stod(v); })) return std::nullopt;
+      if (!number(opt.faults.oracle_timeout_p)) return std::nullopt;
     } else if (arg == "--fault-oracle-slowdown") {
-      if (!value_for([&](const std::string& v) { opt.faults.oracle_slowdown_p = std::stod(v); })) return std::nullopt;
+      if (!number(opt.faults.oracle_slowdown_p)) return std::nullopt;
     } else if (arg == "--fault-z3-failure") {
-      if (!value_for([&](const std::string& v) { opt.faults.z3_failure_p = std::stod(v); })) return std::nullopt;
+      if (!number(opt.faults.z3_failure_p)) return std::nullopt;
     } else if (arg == "--fault-z3-slowdown") {
-      if (!value_for([&](const std::string& v) { opt.faults.z3_slowdown_p = std::stod(v); })) return std::nullopt;
+      if (!number(opt.faults.z3_slowdown_p)) return std::nullopt;
     } else if (arg == "--fault-torn-write") {
-      if (!value_for([&](const std::string& v) { opt.faults.torn_write_p = std::stod(v); })) return std::nullopt;
+      if (!number(opt.faults.torn_write_p)) return std::nullopt;
     } else if (arg == "--fault-seed") {
-      if (!value_for([&](const std::string& v) { opt.faults.seed = std::stoull(v); })) return std::nullopt;
+      if (!number(opt.faults.seed)) return std::nullopt;
     } else if (arg == "--retry-attempts") {
-      if (!value_for([&](const std::string& v) { opt.retry_attempts = std::stoi(v); })) return std::nullopt;
+      int attempts = 0;
+      if (!number(attempts)) return std::nullopt;
+      opt.retry_attempts = attempts;
     } else if (arg == "--retry-backoff") {
-      if (!value_for([&](const std::string& v) { opt.retry_backoff_s = std::stod(v); })) return std::nullopt;
+      if (!number(opt.retry_backoff_s)) return std::nullopt;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown option '" << arg << "'\n";
       return std::nullopt;

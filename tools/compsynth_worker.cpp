@@ -40,6 +40,8 @@
 #include "serve/signal_drain.h"
 #include "util/fault.h"
 
+#include "flag_value.h"
+
 namespace {
 
 using namespace compsynth;
@@ -69,34 +71,26 @@ std::optional<Options> parse_args(int argc, char** argv) {
       if (i + 1 >= argc) return std::nullopt;
       return std::string(argv[++i]);
     };
+    auto next_number = [&](auto& slot) {
+      const auto v = next();
+      return v && tools::parse_flag_value(arg, *v, slot);
+    };
     if (arg == "--listen") {
       auto v = next();
       if (!v) return std::nullopt;
       opt.listen = *v;
     } else if (arg == "--fault-drop") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      opt.faults.worker_drop_p = std::stod(*v);
+      if (!next_number(opt.faults.worker_drop_p)) return std::nullopt;
     } else if (arg == "--fault-stall") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      opt.faults.worker_stall_p = std::stod(*v);
+      if (!next_number(opt.faults.worker_stall_p)) return std::nullopt;
     } else if (arg == "--fault-stall-s") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      opt.faults.worker_stall_s = std::stod(*v);
+      if (!next_number(opt.faults.worker_stall_s)) return std::nullopt;
     } else if (arg == "--fault-truncate") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      opt.faults.worker_truncate_p = std::stod(*v);
+      if (!next_number(opt.faults.worker_truncate_p)) return std::nullopt;
     } else if (arg == "--fault-crash-ack") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      opt.faults.worker_crash_after_ack_p = std::stod(*v);
+      if (!next_number(opt.faults.worker_crash_after_ack_p)) return std::nullopt;
     } else if (arg == "--fault-seed") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      opt.faults.seed = std::stoull(*v);
+      if (!next_number(opt.faults.seed)) return std::nullopt;
     } else if (arg == "--trace") {
       auto v = next();
       if (!v) return std::nullopt;

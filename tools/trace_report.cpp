@@ -89,9 +89,7 @@ struct RunReport {
   std::optional<long long> pending_survivors;
   // The synthesizer's static-analysis lint summary ("analysis", kind=lint).
   std::optional<JsonObject> lint;
-  // Solver-acceleration events (docs/SOLVER.md): interval pre-check
-  // discharges and incremental encoding reuse.
-  long long precheck_hits = 0;
+  // Z3 encoding reuse / rebuild (z3_incremental events, docs/SOLVER.md).
   long long incremental_reuses = 0;
   long long incremental_builds = 0;
   // Batched lane evaluator (schema rev 1.5): grid_sync's selected lane ISA
@@ -106,8 +104,9 @@ struct RunReport {
   long long replayed_answers = 0;
   // Event kinds this report does not understand (a newer producer's schema
   // revision, or one an older revision had and a later one removed, such as
-  // "solver_cache" and "analysis" kind=prune (1.7) or "portfolio" (1.8)):
-  // tallied and rendered rather than silently dropped.
+  // "solver_cache" and "analysis" kind=prune (1.7), "portfolio" (1.8) or
+  // the interval pre-check's event (1.9)): tallied and rendered rather than
+  // silently dropped.
   std::map<std::string, long long> unknown;
   long long events = 0;
 };
@@ -150,8 +149,6 @@ void absorb(RunReport& run, const JsonObject& obj, const std::string& ev) {
     } else {
       ++run.unknown[ev + "/" + kind];
     }
-  } else if (ev == "interval_precheck") {
-    ++run.precheck_hits;
   } else if (ev == "z3_incremental") {
     if (str_or(obj, "op", "?") == "reuse") {
       ++run.incremental_reuses;
@@ -248,20 +245,12 @@ void render_run(std::ostream& os, const RunReport& run) {
     os << " (docs/EVALUATOR.md).\n\n";
   }
 
-  // Solver acceleration: only rendered when the run exercised any of it, so
-  // plain grid-backend reports stay unchanged.
-  if (run.precheck_hits + run.incremental_reuses + run.incremental_builds > 0) {
-    os << "### Solver acceleration\n\n| accelerator | value |\n|---|---|\n";
-    if (run.precheck_hits > 0) {
-      os << "| interval pre-check discharges | " << run.precheck_hits
-         << " |\n";
-    }
-    if (run.incremental_reuses + run.incremental_builds > 0) {
-      os << "| incremental encoding reuses / builds | "
-         << run.incremental_reuses << " / " << run.incremental_builds
-         << " |\n";
-    }
-    os << "\n";
+  // Solver acceleration: only rendered when the run used Z3, so plain
+  // grid-backend reports stay unchanged.
+  if (run.incremental_reuses + run.incremental_builds > 0) {
+    os << "### Solver acceleration\n\n| accelerator | value |\n|---|---|\n"
+       << "| incremental encoding reuses / builds | " << run.incremental_reuses
+       << " / " << run.incremental_builds << " |\n\n";
   }
 
   if (!run.serve.empty() || run.swaps > 0 || run.rehydrations > 0) {
@@ -280,7 +269,7 @@ void render_run(std::ostream& os, const RunReport& run) {
   if (!run.unknown.empty()) {
     os << "### Unknown events\n\n"
        << "Event kinds this trace_report does not understand (a newer "
-          "schema revision, or one removed in 1.7 or 1.8); counted, not "
+          "schema revision, or one removed in 1.7, 1.8 or 1.9); counted, not "
           "dropped.\n\n"
        << "| event | count |\n|---|---|\n";
     for (const auto& [ev, count] : run.unknown) {
