@@ -3,8 +3,8 @@
 // sketch, Fig. 2b target, ground-truth oracle) on one back-end.
 //
 //   z3         the paper's SMT query (Z3Finder, push/pop encoding)
-//   portfolio  GridFinder first, Z3Finder where the grid can only sample a
-//              "unique ranking" verdict
+//   portfolio  GridFinder first, then a Z3 proof of its "unique ranking"
+//              verdicts on its concrete survivors
 //   grid       version-space back-end, as a reference point
 //
 // The portfolio runs twice and must ask the identical query sequence both

@@ -3,7 +3,7 @@
 # dedicated build directory and runs every concurrency-exercising test: the
 # thread pool, the sharded GridFinder sync (checked against the brute-force
 # reference at 4 threads), the acceleration differentials (Z3 accelerations
-# and the portfolio, whose legs run one after the other but whose grid leg
+# and the portfolio, whose proof runs on the caller's thread but whose grid
 # shards its sync across the pool), the synthesis service (host +
 # protocol), the seeded concurrency stress suite
 # (tests/concurrency_stress_test.cpp) and the bench smokes.

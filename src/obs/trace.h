@@ -76,7 +76,9 @@ inline constexpr int kTraceSchemaVersion = 1;
 /// 1.9: one Z3 query path — removes the interval pre-check's event and hit
 ///      counter (docs/OBSERVABILITY.md names both); "z3_incremental" now
 ///      fires on every Z3 query.
-inline constexpr int kTraceSchemaMinorVersion = 9;
+/// 1.10: the portfolio proves the grid's verdict on its survivors —
+///      z3_query's kind=proof, which carries no "index".
+inline constexpr int kTraceSchemaMinorVersion = 10;
 
 /// One field value: integer, double, string or bool.
 struct FieldValue {

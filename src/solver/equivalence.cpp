@@ -2,45 +2,36 @@
 
 #include <z3++.h>
 
-#include <string>
+#include <vector>
 
 #include "solver/z3_encoder.h"
 
 namespace compsynth::solver {
 
-std::optional<DistinguishingPair> find_ranking_difference(
-    const sketch::Sketch& sketch, const sketch::HoleAssignment& a,
-    const sketch::HoleAssignment& b, const FinderConfig& config) {
+std::optional<RankingDifference> find_ranking_difference(
+    const sketch::Sketch& sketch, std::span<const sketch::HoleAssignment> as,
+    std::span<const sketch::HoleAssignment> bs, const FinderConfig& config,
+    const ScenarioDomain& domain, const obs::RunContext* obs) {
   z3::context ctx;
-  z3::solver solver(ctx);
-  if (config.timeout_ms > 0) {
-    z3::params p(ctx);
-    p.set("timeout", config.timeout_ms);
-    solver.set(p);
-  }
+  z3::solver solver = make_solver(ctx, config.timeout_ms);
 
-  auto hole_numerals = [&](const sketch::HoleAssignment& assignment) {
-    std::vector<z3::expr> out;
-    for (const double v : sketch.hole_values(assignment)) {
-      out.push_back(real_of_double(ctx, v));
+  // One side's hole variables, equal to one of its candidates.
+  auto side_holes = [&](std::span<const sketch::HoleAssignment> set,
+                        const char* prefix) {
+    std::vector<z3::expr> vars = make_hole_vars(ctx, sketch, prefix);
+    z3::expr member = ctx.bool_val(false);
+    for (const sketch::HoleAssignment& candidate : set) {
+      member = member || holes_equal(ctx, vars, sketch.hole_values(candidate));
     }
-    return out;
-  };
-  const std::vector<z3::expr> ha = hole_numerals(a);
-  const std::vector<z3::expr> hb = hole_numerals(b);
-
-  auto make_scenario_vars = [&](const char* tag) {
-    std::vector<z3::expr> vars;
-    for (const sketch::MetricSpec& m : sketch.metrics()) {
-      z3::expr v = ctx.real_const((std::string(tag) + "_" + m.name).c_str());
-      solver.add(v >= real_of_double(ctx, m.lo));
-      solver.add(v <= real_of_double(ctx, m.hi));
-      vars.push_back(std::move(v));
-    }
+    solver.add(member);
     return vars;
   };
-  const std::vector<z3::expr> s1 = make_scenario_vars("s1");
-  const std::vector<z3::expr> s2 = make_scenario_vars("s2");
+  const std::vector<z3::expr> ha = side_holes(as, "a_");
+  const std::vector<z3::expr> hb = side_holes(bs, "b_");
+
+  const sketch::Expr* constraint = domain.constraint.get();
+  const auto s1 = make_scenario_vars(ctx, solver, sketch, constraint, "s1_");
+  const auto s2 = make_scenario_vars(ctx, solver, sketch, constraint, "s2_");
 
   // Both orientations of the disagreement are covered by the existential
   // choice of (s1, s2): swapping the pair swaps the roles of a and b.
@@ -52,27 +43,25 @@ std::optional<DistinguishingPair> find_ranking_difference(
   solver.add(fa1 >= fa2 + margin);
   solver.add(fb2 >= fb1 + margin);
 
-  z3::check_result r = solver.check();
-  if (r == z3::unknown) {
-    z3::solver nl = z3::tactic(ctx, "qfnra-nlsat").mk_solver();
-    for (const z3::expr& assertion : solver.assertions()) nl.add(assertion);
-    r = nl.check();
-    if (r == z3::sat) solver = std::move(nl);
+  const CheckOutcome out = check_query(ctx, solver, config.timeout_ms, obs, "proof");
+  if (out.result == z3::unsat) return std::nullopt;
+  if (out.result == z3::unknown) {
+    throw UndecidedQuery("find_ranking_difference: Z3 returned unknown");
   }
-  if (r != z3::sat) return std::nullopt;
 
-  const z3::model model = solver.get_model();
-  DistinguishingPair pair;
-  for (const z3::expr& v : s1) pair.preferred_by_a.metrics.push_back(value_of(model, v));
-  for (const z3::expr& v : s2) pair.preferred_by_b.metrics.push_back(value_of(model, v));
-  return pair;
+  const z3::model& model = *out.model;
+  RankingDifference diff{assignment_of(model, sketch, ha),
+                         assignment_of(model, sketch, hb), {}};
+  for (const z3::expr& v : s1) diff.pair.preferred_by_a.metrics.push_back(value_of(model, v));
+  for (const z3::expr& v : s2) diff.pair.preferred_by_b.metrics.push_back(value_of(model, v));
+  return diff;
 }
 
 bool ranking_equivalent(const sketch::Sketch& sketch,
                         const sketch::HoleAssignment& a,
                         const sketch::HoleAssignment& b,
                         const FinderConfig& config) {
-  return !find_ranking_difference(sketch, a, b, config).has_value();
+  return !find_ranking_difference(sketch, {&a, 1}, {&b, 1}, config);
 }
 
 }  // namespace compsynth::solver

@@ -1,60 +1,56 @@
-// Portfolio finder: GridFinder first, Z3Finder for the verdicts the grid
-// can only sample.
+// Portfolio finder: GridFinder first, then a Z3 proof of the grid's verdict
+// on its concrete survivors (docs/SOLVER.md §Portfolio).
 //
-// The two back-ends have complementary cost profiles: the grid's explicit
-// version space answers most mid-loop queries in microseconds but its
-// "unique ranking" verdict is approximate (a sampling budget), while Z3 is
-// authoritative but pays solver time on every query. The portfolio asks
-// the grid leg first and keeps its answer when it is exact — a
-// distinguishing pair, or an empty version space — and otherwise returns
-// the Z3 leg's answer to the same query. So the grid answers the find-a-pair
-// rounds and Z3 settles the endgame, giving grid-like latency with the
-// paper's UNSAT stopping rule (docs/SOLVER.md §Portfolio).
-//
-// Both legs run on the caller's thread, one after the other, so a run is
-// replay-deterministic: a rerun, or a resume from any checkpoint, asks the
-// identical question sequence. Up to the first query the grid answers with
-// "unique ranking", that sequence equals the plain grid back-end's.
+// The grid's answers are kept when exact: a distinguishing pair, an empty
+// version space, or a unique ranking with one survivor. A unique ranking
+// over several survivors is only a sample, so the portfolio checks the
+// survivors with find_ranking_difference (solver/equivalence.h) and asks the
+// first witness, or returns the verdict proved: the paper's stopping rule
+// (§4.2) over the grid. Everything runs on the caller's thread and the proof
+// keeps no state, so a run is replay-deterministic, and it asks the plain
+// grid back-end's questions until its proof finds a pair the grid missed.
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "solver/finder.h"
 #include "solver/grid_finder.h"
-#include "solver/z3_finder.h"
 
 namespace compsynth::solver {
 
 class PortfolioFinder final : public CandidateFinder {
  public:
-  /// `grid` configures the grid leg; `grid.base` (margins, timeout, retry)
-  /// doubles as the Z3 leg's FinderConfig
-  /// so the two legs always agree on the query semantics.
+  /// `grid.base` (margins, timeout) also sets the proof's query semantics.
   explicit PortfolioFinder(sketch::Sketch sketch, GridFinderConfig grid = {},
                            Viability viability = {}, ScenarioDomain domain = {});
 
+  /// A proof check that Z3 cannot decide reports kUnknown.
   FinderResult find_distinguishing(const pref::PreferenceGraph& graph,
                                    int num_pairs) override;
 
-  /// Always the grid leg, whose answer is exact and instant once its
-  /// version space is synced.
+  /// Always the grid, whose answer is exact.
   std::optional<sketch::HoleAssignment> find_consistent(
-      const pref::PreferenceGraph& graph) override;
+      const pref::PreferenceGraph& graph) override {
+    return grid_.find_consistent(graph);
+  }
 
-  void set_run_context(const obs::RunContext* ctx) override;
+  void set_run_context(const obs::RunContext* ctx) override {
+    CandidateFinder::set_run_context(ctx);
+    grid_.set_run_context(ctx);
+  }
 
-  /// The Z3 leg, for wiring that targets it specifically (fault injector,
-  /// query log).
-  Z3Finder& z3() { return *z3_; }
-
-  /// Durable-session persistence: both legs' states, length-prefixed.
-  std::string save_state() const override;
-  void restore_state(const std::string& state) override;
+  /// The grid's state, verbatim: the proof keeps none.
+  std::string save_state() const override { return grid_.save_state(); }
+  void restore_state(const std::string& state) override {
+    grid_.restore_state(state);
+  }
 
  private:
-  std::unique_ptr<GridFinder> grid_;
-  std::unique_ptr<Z3Finder> z3_;
+  sketch::Sketch sketch_;
+  FinderConfig config_;
+  ScenarioDomain domain_;
+  GridFinder grid_;
 };
 
 }  // namespace compsynth::solver

@@ -6,6 +6,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/run_context.h"
+#include "util/log.h"
+
 namespace compsynth::solver {
 
 namespace {
@@ -167,6 +170,40 @@ z3::expr hole_domain_constraint(z3::context& ctx, const sketch::Sketch& sketch,
   return all;
 }
 
+std::vector<z3::expr> make_scenario_vars(z3::context& ctx, z3::solver& solver,
+                                         const sketch::Sketch& sketch,
+                                         const sketch::Expr* constraint,
+                                         const std::string& prefix) {
+  std::vector<z3::expr> vars;
+  for (const sketch::MetricSpec& m : sketch.metrics()) {
+    z3::expr v = ctx.real_const((prefix + m.name).c_str());
+    solver.add(v >= real_of_double(ctx, m.lo));
+    solver.add(v <= real_of_double(ctx, m.hi));
+    vars.push_back(std::move(v));
+  }
+  if (constraint != nullptr) solver.add(encode_bool(ctx, *constraint, vars, {}));
+  return vars;
+}
+
+z3::expr holes_equal(z3::context& ctx, std::span<const z3::expr> holes,
+                     std::span<const double> values) {
+  z3::expr same = ctx.bool_val(true);
+  for (std::size_t i = 0; i < holes.size(); ++i) {
+    same = same && (holes[i] == real_of_double(ctx, values[i]));
+  }
+  return same;
+}
+
+sketch::HoleAssignment assignment_of(const z3::model& model,
+                                     const sketch::Sketch& sketch,
+                                     std::span<const z3::expr> holes) {
+  sketch::HoleAssignment a;
+  for (std::size_t i = 0; i < holes.size(); ++i) {
+    a.index.push_back(sketch.holes()[i].nearest_index(value_of(model, holes[i])));
+  }
+  return a;
+}
+
 std::vector<z3::expr> encode_scenario(z3::context& ctx,
                                       std::span<const double> metrics) {
   std::vector<z3::expr> out;
@@ -186,6 +223,60 @@ double value_of(const z3::model& model, const z3::expr& var) {
   std::string s = v.get_decimal_string(40);
   if (!s.empty() && s.back() == '?') s.pop_back();
   return std::strtod(s.c_str(), nullptr);
+}
+
+namespace {
+
+void set_timeout(z3::context& ctx, z3::solver& s, unsigned timeout_ms) {
+  if (timeout_ms == 0) return;
+  z3::params p(ctx);
+  p.set("timeout", timeout_ms);
+  s.set(p);
+}
+
+const char* check_result_name(z3::check_result r) {
+  if (r == z3::sat) return "sat";
+  if (r == z3::unsat) return "unsat";
+  return "unknown";
+}
+
+}  // namespace
+
+// nlsat is ~10x faster here than the default solver on the final uniqueness
+// proof. A tactic-built solver's verdict and model are a pure function of
+// its current assertion list, so a grown encoding answers exactly as a
+// freshly built one (docs/SOLVER.md §The encoding).
+z3::solver make_solver(z3::context& ctx, unsigned timeout_ms) {
+  z3::solver s = z3::tactic(ctx, "qfnra-nlsat").mk_solver();
+  set_timeout(ctx, s, timeout_ms);
+  return s;
+}
+
+CheckOutcome check_query(z3::context& ctx, z3::solver& s, unsigned timeout_ms,
+                         const obs::RunContext* obs, const char* kind,
+                         long index, int attempt) {
+  obs::Span span(obs, "z3_query");
+  CheckOutcome out;
+  out.result = s.check();
+  if (out.result == z3::sat) {
+    out.model = s.get_model();
+  } else if (out.result == z3::unknown) {
+    util::log(util::LogLevel::kDebug,
+              "nlsat returned unknown; retrying with default solver");
+    z3::solver fallback(ctx);
+    set_timeout(ctx, fallback, timeout_ms);
+    for (const z3::expr& a : s.assertions()) fallback.add(a);
+    out.result = fallback.check();
+    if (out.result == z3::sat) out.model = fallback.get_model();
+  }
+  if (obs != nullptr) obs->count("z3.queries");
+  if (obs::TraceEvent* e = span.event()) {
+    e->str("kind", kind);
+    if (index > 0) e->integer("index", index);
+    e->str("result", check_result_name(out.result));
+    if (attempt > 1) e->integer("attempt", attempt);
+  }
+  return out;
 }
 
 }  // namespace compsynth::solver

@@ -18,34 +18,6 @@ namespace {
 
 constexpr int kMaxViabilityBlocks = 256;
 
-const char* check_result_name(z3::check_result r) {
-  if (r == z3::sat) return "sat";
-  if (r == z3::unsat) return "unsat";
-  return "unknown";
-}
-
-void set_timeout(z3::context& ctx, z3::solver& s, unsigned timeout_ms) {
-  if (timeout_ms == 0) return;
-  z3::params p(ctx);
-  p.set("timeout", timeout_ms);
-  s.set(p);
-}
-
-// The queries we emit are pure QF_NRA, for which the nlsat tactic is a
-// complete decision procedure — and measurably faster here than the default
-// portfolio (the final uniqueness proof drops ~10x). nlsat is primary.
-//
-// A tactic-built solver re-runs the tactic over its current assertion list
-// on every check, so its verdict AND model are a pure function of that
-// list: push/pop history never leaks into the answer, only the surviving
-// assertions do. This is what makes a grown encoding answer exactly as a
-// freshly built one (docs/SOLVER.md §The encoding).
-z3::solver make_solver(z3::context& ctx, unsigned timeout_ms) {
-  z3::solver s = z3::tactic(ctx, "qfnra-nlsat").mk_solver();
-  set_timeout(ctx, s, timeout_ms);
-  return s;
-}
-
 bool same_constraint(const pref::Edge& a, const pref::Edge& b) {
   // Weight is repair metadata; only the endpoints are asserted.
   return a.better == b.better && a.worse == b.worse;
@@ -130,23 +102,11 @@ struct Z3Finder::Encoding {
     // Fresh scenario variables for each requested distinguishing pair.
     const z3::expr margin = real_of_double(ctx, config.distinguish_margin);
     for (int p = 0; p < num_pairs; ++p) {
-      auto make_scenario_vars = [&](const char* tag) {
-        std::vector<z3::expr> vars;
-        for (const sketch::MetricSpec& m : sk.metrics()) {
-          const std::string name =
-              "p" + std::to_string(p) + "_" + tag + "_" + m.name;
-          z3::expr v = ctx.real_const(name.c_str());
-          solver.add(v >= real_of_double(ctx, m.lo));
-          solver.add(v <= real_of_double(ctx, m.hi));
-          vars.push_back(std::move(v));
-        }
-        if (domain.constraint != nullptr) {
-          solver.add(encode_bool(ctx, *domain.constraint, vars, {}));
-        }
-        return vars;
-      };
-      s1_vars.push_back(make_scenario_vars("s1"));
-      s2_vars.push_back(make_scenario_vars("s2"));
+      const std::string tag = "p" + std::to_string(p) + "_";
+      s1_vars.push_back(make_scenario_vars(ctx, solver, sk,
+                                           domain.constraint.get(), tag + "s1_"));
+      s2_vars.push_back(make_scenario_vars(ctx, solver, sk,
+                                           domain.constraint.get(), tag + "s2_"));
 
       const std::vector<z3::expr>& ha = holes[0];
       const std::vector<z3::expr>& hb = holes[1];
@@ -247,11 +207,6 @@ struct Z3Finder::Encoding {
   }
 };
 
-struct Z3Finder::CheckOutcome {
-  z3::check_result result = z3::unknown;
-  std::optional<z3::model> model;  // engaged iff result == sat
-};
-
 Z3Finder::Z3Finder(sketch::Sketch sketch, FinderConfig config, Viability viability,
                    ScenarioDomain domain)
     : sketch_(std::move(sketch)),
@@ -300,54 +255,21 @@ void Z3Finder::observe_graph(const pref::PreferenceGraph& graph) {
 
 // --- Checking -------------------------------------------------------------
 
-// Retry an `unknown` (timeout / resource-out) with the default portfolio
-// solver, which sometimes succeeds where a single tactic stalls. The
-// fallback is a scratch solver over a copy of the assertions — the
-// persistent encoding's solver is never replaced; the model (if any) is
-// extracted from whichever solver produced it before it goes away.
-Z3Finder::CheckOutcome Z3Finder::check_with_fallback(z3::context& ctx,
-                                                     z3::solver& s) {
-  CheckOutcome out;
-  out.result = s.check();
-  if (out.result == z3::sat) {
-    out.model = s.get_model();
-    return out;
-  }
-  if (out.result == z3::unsat) return out;
-  util::log(util::LogLevel::kDebug,
-            "nlsat returned unknown; retrying with default solver");
-  z3::solver fallback(ctx);
-  set_timeout(ctx, fallback, config_.timeout_ms);
-  for (const z3::expr& a : s.assertions()) fallback.add(a);
-  out.result = fallback.check();
-  if (out.result == z3::sat) out.model = fallback.get_model();
-  return out;
-}
-
-// check_with_fallback wrapped in a "z3_query" span: one event + one
-// z3_query.seconds sample per solver invocation, with kind/result/index.
-// When a fault injector is attached, a check may be preceded by an injected
-// slowdown and/or replaced by an injected transient failure; failures are
-// retried with backoff per `config_.retry` ("fault"/"retry" events,
-// z3.failures / z3.retries counters) and degrade to `unknown` once the
-// budget is spent.
-Z3Finder::CheckOutcome Z3Finder::timed_check(z3::context& ctx, z3::solver& s,
-                                             const char* kind, long index) {
+// check_query under the fault injector, when one is attached: a check may
+// be preceded by an injected slowdown and/or replaced by an injected
+// transient failure; failures are retried with backoff per `config_.retry`
+// ("fault"/"retry" events, z3.failures / z3.retries counters) and degrade
+// to `unknown` once the budget is spent.
+CheckOutcome Z3Finder::timed_check(z3::context& ctx, z3::solver& s,
+                                   const char* kind, long index) {
   util::FaultInjector* injector = injector_.get();
   for (int attempt = 1;; ++attempt) {
     if (injector != nullptr && injector->z3_slowdown()) {
       util::sleep_seconds(injector->plan().z3_slowdown_s);
     }
     if (injector == nullptr || !injector->z3_failure()) {
-      obs::Span span(obs_, "z3_query");
-      CheckOutcome out = check_with_fallback(ctx, s);
-      if (obs_ != nullptr) obs_->count("z3.queries");
-      if (obs::TraceEvent* e = span.event()) {
-        e->str("kind", kind).integer("index", index).str(
-            "result", check_result_name(out.result));
-        if (attempt > 1) e->integer("attempt", attempt);
-      }
-      return out;
+      return check_query(ctx, s, config_.timeout_ms, obs_, kind, index,
+                         attempt);
     }
     if (obs::active(obs_)) {
       obs_->count("z3.failures");
@@ -441,37 +363,22 @@ FinderResult Z3Finder::find_distinguishing(const pref::PreferenceGraph& graph,
     }
 
     const z3::model& model = *out.model;
-    auto extract_assignment = [&](const std::vector<z3::expr>& vars) {
-      sketch::HoleAssignment a;
-      for (std::size_t i = 0; i < vars.size(); ++i) {
-        a.index.push_back(sketch_.holes()[i].nearest_index(value_of(model, vars[i])));
-      }
-      return a;
-    };
     FinderResult res;
     res.status = FinderStatus::kFound;
-    res.candidate_a = extract_assignment(enc.holes[0]);
-    res.candidate_b = extract_assignment(enc.holes[1]);
+    res.candidate_a = assignment_of(model, sketch_, enc.holes[0]);
+    res.candidate_b = assignment_of(model, sketch_, enc.holes[1]);
 
     if (viability_.concrete) {
       const std::vector<double> va = sketch_.hole_values(res.candidate_a);
       const std::vector<double> vb = sketch_.hole_values(res.candidate_b);
       z3::expr block = ctx.bool_val(false);
       bool blocked = false;
-      auto block_assignment = [&](const std::vector<z3::expr>& vars,
-                                  const std::vector<double>& vals) {
-        z3::expr same = ctx.bool_val(true);
-        for (std::size_t i = 0; i < vars.size(); ++i) {
-          same = same && (vars[i] == real_of_double(ctx, vals[i]));
-        }
-        block = block || !same;
-      };
       if (!viability_.concrete(va)) {
-        block_assignment(enc.holes[0], va);
+        block = block || !holes_equal(ctx, enc.holes[0], va);
         blocked = true;
       }
       if (!viability_.concrete(vb)) {
-        block_assignment(enc.holes[1], vb);
+        block = block || !holes_equal(ctx, enc.holes[1], vb);
         blocked = true;
       }
       if (blocked) {
@@ -509,21 +416,10 @@ std::optional<sketch::HoleAssignment> Z3Finder::find_consistent(
     log_query(solver, "consistent");
     const CheckOutcome out = timed_check(ctx, solver, "consistent", query_count_);
     if (out.result != z3::sat) return std::nullopt;
-    const z3::model& model = *out.model;
-    sketch::HoleAssignment a;
-    for (std::size_t i = 0; i < holes.size(); ++i) {
-      a.index.push_back(
-          sketch_.holes()[i].nearest_index(value_of(model, holes[i])));
-    }
-    if (!viability_.concrete || viability_.concrete(sketch_.hole_values(a))) {
-      return a;
-    }
-    z3::expr same = ctx.bool_val(true);
+    sketch::HoleAssignment a = assignment_of(*out.model, sketch_, holes);
     const std::vector<double> vals = sketch_.hole_values(a);
-    for (std::size_t i = 0; i < holes.size(); ++i) {
-      same = same && (holes[i] == real_of_double(ctx, vals[i]));
-    }
-    solver.add(!same);
+    if (!viability_.concrete || viability_.concrete(vals)) return a;
+    solver.add(!holes_equal(ctx, holes, vals));
   }
   util::log(util::LogLevel::kWarn, "Z3Finder: viability blocking budget exhausted");
   return std::nullopt;

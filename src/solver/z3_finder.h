@@ -35,6 +35,8 @@ class solver;
 
 namespace compsynth::solver {
 
+struct CheckOutcome;  // solver/z3_encoder.h
+
 class Z3Finder final : public CandidateFinder {
  public:
   /// Binds the finder to a sketch (copied; sketches are cheap shared-body
@@ -49,10 +51,6 @@ class Z3Finder final : public CandidateFinder {
 
   std::optional<sketch::HoleAssignment> find_consistent(
       const pref::PreferenceGraph& graph) override;
-
-  /// Number of solver checks issued so far (for benchmarking/diagnostics),
-  /// viability re-checks and the UNSAT epilogue's follow-up queries included.
-  long query_count() const { return query_count_; }
 
   /// Streams every emitted query as SMT-LIB2 text to `log` (nullptr
   /// disables). Useful for debugging encodings and replaying queries with
@@ -80,9 +78,8 @@ class Z3Finder final : public CandidateFinder {
   void restore_state(const std::string& state) override;
 
   // The sketch+G encoding (defined in z3_finder.cpp; public so the
-  // implementation structs can be out-of-line without friend gymnastics).
+  // implementation struct can be out-of-line without friend gymnastics).
   struct Encoding;
-  struct CheckOutcome;
 
  private:
   /// The shared UNSAT epilogue of the distinguishing query: multi-pair
@@ -93,7 +90,6 @@ class Z3Finder final : public CandidateFinder {
 
   CheckOutcome timed_check(z3::context& ctx, z3::solver& s, const char* kind,
                            long index);
-  CheckOutcome check_with_fallback(z3::context& ctx, z3::solver& s);
   void log_query(z3::solver& solver, const char* kind);
 
   /// The live encoding for `num_pairs` (0 = the consistency query), synced

@@ -345,7 +345,7 @@ namespace {
 
 /// The grid configuration shared by every grid-based factory, portfolio
 /// included, so a portfolio run derives the same grid seed (and asks the
-/// same questions up to its first Z3-answered query) as the plain grid
+/// same questions up to its first proved verdict) as the plain grid
 /// back-end, and honours the same threads and shard backend.
 solver::GridFinderConfig grid_config_for(const SynthesisConfig& config,
                                          solver::QueryStrategy strategy) {

@@ -212,10 +212,10 @@ Synthesizer make_bisection_synthesizer(const sketch::Sketch& sketch,
                                        solver::Viability viability = {});
 
 /// Portfolio back-end (solver/portfolio_finder.h): the grid back-end's
-/// GridFinder answers each query first, and a Z3Finder answers the queries
-/// where the grid can only sample a "unique ranking" verdict. Deterministic,
-/// and it honours grid_threads and grid_shard_backend like the grid
-/// factories.
+/// GridFinder answers each query first, and where it can only sample a
+/// "unique ranking" verdict, Z3 checks its concrete survivors pairwise for
+/// a ranking disagreement. Deterministic, and it honours grid_threads and
+/// grid_shard_backend like the grid factories.
 Synthesizer make_portfolio_synthesizer(const sketch::Sketch& sketch,
                                        SynthesisConfig config = {},
                                        solver::Viability viability = {});

@@ -3,10 +3,10 @@
 // The Z3 back-end's persistent push/pop encoding must be *transparent*: the
 // same seed produces the identical oracle query sequence and the identical
 // learned objective as a reference that encodes every query from scratch,
-// across the SWAN, ABR-QoE and homenet sketches. The
-// portfolio asks the plain grid back-end's questions until the grid's first
-// unique-ranking verdict, asks the identical sequence on every run, and
-// converges to an objective ranking-equivalent to the target.
+// across the SWAN, ABR-QoE and homenet sketches. The portfolio asks the
+// plain grid back-end's questions until its proof finds a pair the grid
+// missed, asks the identical sequence on every run, and converges to an
+// objective ranking-equivalent to the target.
 //
 // Also covers resuming from a snapshot whose @cache section still holds the
 // entries of the solver cache that older versions kept.
@@ -199,26 +199,33 @@ TEST(AccelDifferential, HomenetZ3AccelerationsPreserveSequence) {
   check_z3_accelerations(homenet_workload(), 4);
 }
 
-// The portfolio answers with its grid leg whenever the grid finds a pair,
-// and the factories derive the grid leg's pair-search seed exactly as for
-// the plain grid back-end. So up to the query where the grid first reports
-// a unique ranking (where the plain grid run converges and stops), the two
-// runs ask the same questions: the grid run's whole sequence is a prefix of
-// the portfolio's. The portfolio stops at the same iteration cap, so its
-// Z3 leg answers exactly that last query.
-void check_portfolio_follows_grid(const Workload& w) {
-  synth::SynthesisConfig config = base_config(w, 300);
-  const RunOut grid = run_once(w, Backend::kGrid, config);
-  ASSERT_EQ(grid.result.status, synth::SynthesisStatus::kConverged);
-
-  config.max_iterations = grid.result.iterations;
-  const RunOut portfolio = run_once(w, Backend::kPortfolio, config);
-  ASSERT_GE(portfolio.log.size(), grid.log.size());
-  const std::vector<std::string> prefix(
-      portfolio.log.begin(),
-      portfolio.log.begin() + static_cast<std::ptrdiff_t>(grid.log.size()));
-  EXPECT_EQ(prefix, grid.log);
-  EXPECT_EQ(portfolio.result.iterations, grid.result.iterations);
+// The portfolio keeps the grid's answer whenever the grid finds a pair or
+// is left with one survivor, and the factories derive the grid's
+// pair-search seed exactly as for the plain grid back-end. So the two runs
+// ask the same questions until the portfolio's proof finds a pair the
+// grid's sampling missed: the grid run's whole sequence is a prefix of the
+// portfolio's. The portfolio then converges to an objective
+// ranking-equivalent to the target. Returns both runs.
+std::pair<RunOut, RunOut> check_portfolio_follows_grid(const Workload& w) {
+  const synth::SynthesisConfig config = base_config(w, 300);
+  RunOut grid = run_once(w, Backend::kGrid, config);
+  RunOut portfolio = run_once(w, Backend::kPortfolio, config);
+  EXPECT_EQ(grid.result.status, synth::SynthesisStatus::kConverged);
+  EXPECT_EQ(portfolio.result.status, synth::SynthesisStatus::kConverged);
+  EXPECT_GE(portfolio.result.iterations, grid.result.iterations);
+  if (portfolio.log.size() < grid.log.size()) {
+    ADD_FAILURE() << "the portfolio asked fewer questions than the grid";
+  } else {
+    const std::vector<std::string> prefix(
+        portfolio.log.begin(),
+        portfolio.log.begin() + static_cast<std::ptrdiff_t>(grid.log.size()));
+    EXPECT_EQ(prefix, grid.log);
+  }
+  if (portfolio.result.objective.has_value()) {
+    EXPECT_TRUE(solver::ranking_equivalent(
+        w.sketch, *portfolio.result.objective, w.target, config.finder));
+  }
+  return {std::move(grid), std::move(portfolio)};
 }
 
 TEST(AccelDifferential, SwanPortfolioAsksGridQuestionsUntilUniqueRanking) {
@@ -233,9 +240,35 @@ TEST(AccelDifferential, HomenetPortfolioAsksGridQuestionsUntilUniqueRanking) {
   check_portfolio_follows_grid(homenet_workload());
 }
 
-// Both legs run one after the other on the caller's thread, so two runs ask
-// byte-identical question sequences; the Z3 leg's UNSAT verdict makes the
-// learned objective ranking-equivalent to the target, checked with Z3.
+// Coarse-SWAN targets on which the grid alone converges to an objective
+// that is not ranking-equivalent to the target: its sampled verdict missed
+// a disagreement among the survivors. The portfolio's proof finds one and
+// keeps asking.
+void check_proof_mends_grid_verdict(const Workload& w) {
+  const auto [grid, portfolio] = check_portfolio_follows_grid(w);
+  ASSERT_TRUE(grid.result.objective.has_value());
+  EXPECT_FALSE(solver::ranking_equivalent(w.sketch, *grid.result.objective,
+                                          w.target, base_config(w, 1).finder))
+      << "the grid alone now learns this target; pin another one";
+  EXPECT_GT(portfolio.log.size(), grid.log.size());
+}
+
+TEST(AccelDifferential, SwanPortfolioProofFindsPairGridMissedTarget0097) {
+  check_proof_mends_grid_verdict(
+      {sketch::swan_sketch(), sketch::HoleAssignment{{0, 0, 9, 7}},
+       322330452184ULL});
+}
+
+TEST(AccelDifferential, SwanPortfolioProofFindsPairGridMissedTarget0517) {
+  check_proof_mends_grid_verdict(
+      {sketch::swan_sketch(), sketch::HoleAssignment{{0, 5, 1, 7}},
+       422261347474ULL});
+}
+
+// The grid and the proof run one after the other on the caller's thread,
+// so two runs ask byte-identical question sequences; the proved verdict
+// makes the learned objective ranking-equivalent to the target, checked
+// with Z3.
 TEST(AccelDifferential, PortfolioIsDeterministicAndConvergesToEquivalentObjective) {
   const Workload w = swan_workload();
   synth::SynthesisConfig config = base_config(w, 300);

@@ -2,6 +2,9 @@
 // enforcement by both candidate finders and the synthesizer loop.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "oracle/ground_truth.h"
 #include "sketch/eval.h"
 #include "sketch/library.h"
@@ -87,6 +90,14 @@ class RecordingOracle final : public oracle::Oracle {
   oracle::GroundTruthOracle& inner_;
 };
 
+// The grid and the portfolio, whose proof queries must keep their
+// witnesses in the domain too.
+using Factory = synth::Synthesizer (*)(const sketch::Sketch&,
+                                       synth::SynthesisConfig, Viability);
+const std::pair<const char*, Factory> kGridFactories[] = {
+    {"grid", &synth::make_grid_synthesizer},
+    {"portfolio", &synth::make_portfolio_synthesizer}};
+
 TEST(Domain, SynthesizerOnlyAsksAboutDomainScenarios) {
   const auto& sk = sketch::swan_sketch();
   synth::SynthesisConfig config;
@@ -94,17 +105,18 @@ TEST(Domain, SynthesizerOnlyAsksAboutDomainScenarios) {
   config.scenario_domain = frontier_domain();
   config.initial_scenarios = 0;  // focus on solver-proposed scenarios
   config.max_iterations = 40;
-  synth::Synthesizer s = synth::make_grid_synthesizer(sk, config);
-  oracle::GroundTruthOracle truth(sk, sketch::swan_target(),
-                                  config.finder.tie_tolerance);
-  RecordingOracle user(truth);
-  const synth::SynthesisResult r = s.run(user);
-  ASSERT_GT(user.seen.size(), 0u);
-  for (const Scenario& sc : user.seen) {
-    EXPECT_GE(sc.metrics[1], 3 * sc.metrics[0] - 1e-9)
-        << pref::to_string(sc, sk);
+  for (const auto& [name, make] : kGridFactories) {
+    synth::Synthesizer s = make(sk, config, {});
+    oracle::GroundTruthOracle truth(sk, sketch::swan_target(),
+                                    config.finder.tie_tolerance);
+    RecordingOracle user(truth);
+    s.run(user);
+    ASSERT_GT(user.seen.size(), 0u) << name;
+    for (const Scenario& sc : user.seen) {
+      EXPECT_GE(sc.metrics[1], 3 * sc.metrics[0] - 1e-9)
+          << name << ": " << pref::to_string(sc, sk);
+    }
   }
-  (void)r;
 }
 
 TEST(Domain, ConstrainedSynthesisStillConverges) {
@@ -114,34 +126,42 @@ TEST(Domain, ConstrainedSynthesisStillConverges) {
   synth::SynthesisConfig config;
   config.seed = 13;
   config.scenario_domain = frontier_domain();
-  synth::Synthesizer s = synth::make_grid_synthesizer(sk, config);
-  oracle::GroundTruthOracle user(sk, sketch::swan_target(),
-                                 config.finder.tie_tolerance);
-  const synth::SynthesisResult r = s.run(user);
-  ASSERT_EQ(r.status, synth::SynthesisStatus::kConverged);
-  ASSERT_TRUE(r.objective.has_value());
-  // Within the domain, the learned objective agrees with the target on a
-  // sample of scenario pairs.
-  util::Rng rng(55);
   const auto target = sketch::swan_target();
-  int checked = 0;
-  while (checked < 200) {
-    const Scenario s1{{rng.uniform_real(0, 10), rng.uniform_real(0, 200)}};
-    const Scenario s2{{rng.uniform_real(0, 10), rng.uniform_real(0, 200)}};
-    if (!domain_contains(sk, config.scenario_domain, s1.metrics) ||
-        !domain_contains(sk, config.scenario_domain, s2.metrics)) {
-      continue;
+  for (const auto& [name, make] : kGridFactories) {
+    synth::Synthesizer s = make(sk, config, {});
+    oracle::GroundTruthOracle user(sk, target, config.finder.tie_tolerance);
+    const synth::SynthesisResult r = s.run(user);
+    ASSERT_EQ(r.status, synth::SynthesisStatus::kConverged) << name;
+    ASSERT_TRUE(r.objective.has_value()) << name;
+    // Within the domain, the learned objective agrees with the target on a
+    // sample of scenario pairs.
+    util::Rng rng(55);
+    int checked = 0;
+    while (checked < 200) {
+      const Scenario s1{{rng.uniform_real(0, 10), rng.uniform_real(0, 200)}};
+      const Scenario s2{{rng.uniform_real(0, 10), rng.uniform_real(0, 200)}};
+      if (!domain_contains(sk, config.scenario_domain, s1.metrics) ||
+          !domain_contains(sk, config.scenario_domain, s2.metrics)) {
+        continue;
+      }
+      ++checked;
+      const double t1 = sketch::eval(sk, target, s1.metrics);
+      const double t2 = sketch::eval(sk, target, s2.metrics);
+      const double l1 = sketch::eval(sk, *r.objective, s1.metrics);
+      const double l2 = sketch::eval(sk, *r.objective, s2.metrics);
+      if (t1 > t2 + 1e-3) {
+        EXPECT_GE(l1, l2 - 4e-4) << name << ": " << pref::to_string(s1, sk)
+                                 << " vs " << pref::to_string(s2, sk);
+      } else if (t2 > t1 + 1e-3) {
+        EXPECT_GE(l2, l1 - 4e-4) << name;
+      }
     }
-    ++checked;
-    const double t1 = sketch::eval(sk, target, s1.metrics);
-    const double t2 = sketch::eval(sk, target, s2.metrics);
-    const double l1 = sketch::eval(sk, *r.objective, s1.metrics);
-    const double l2 = sketch::eval(sk, *r.objective, s2.metrics);
-    if (t1 > t2 + 1e-3) {
-      EXPECT_GE(l1, l2 - 4e-4) << pref::to_string(s1, sk) << " vs "
-                               << pref::to_string(s2, sk);
-    } else if (t2 > t1 + 1e-3) {
-      EXPECT_GE(l2, l1 - 4e-4);
+    // The portfolio proves its verdict over the domain: no scenario pair
+    // in it separates the learned objective from the target.
+    if (std::string(name) == "portfolio") {
+      EXPECT_FALSE(find_ranking_difference(sk, {&*r.objective, 1}, {&target, 1},
+                                           config.finder,
+                                           config.scenario_domain));
     }
   }
 }

@@ -186,6 +186,15 @@ TEST(SessionDifferential, HomenetPortfolioKillResumeAtEveryIteration) {
   run_differential({sk, target, 77}, Backend::kPortfolio);
 }
 
+// On this coarse-SWAN target the portfolio's proof finds a pair the grid's
+// sampling missed (tests/accel_differential_test.cpp), so the resumes land
+// before, at and after proof queries.
+TEST(SessionDifferential, SwanPortfolioProofKillResumeAtEveryIteration) {
+  run_differential({sketch::swan_sketch(), sketch::HoleAssignment{{0, 5, 1, 7}},
+                    422261347474ULL},
+                   Backend::kPortfolio);
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot format.
 

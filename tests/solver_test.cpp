@@ -553,45 +553,47 @@ TEST(GridFinderState, RejectsAbsurdSurvivorCountsAsTypedErrors) {
 
 // --- PortfolioFinder state ----------------------------------------------------
 
-// A portfolio blob holding the state of both legs after one query.
-std::string portfolio_state_blob(const sketch::Sketch& sk) {
+// The portfolio's state is its grid's blob: it round-trips byte for byte,
+// and the restored finder asks the question the saved one would have.
+TEST(PortfolioFinderState, RoundTripsTheGridState) {
+  const auto& sk = sketch::swan_sketch();
   GridFinderConfig config;
   config.threads = 1;
-  PortfolioFinder finder(sk, config);
-  finder.find_distinguishing(state_test_graph(sk), 1);
-  return finder.save_state();
+  const pref::PreferenceGraph graph = state_test_graph(sk);
+  PortfolioFinder a(sk, config);
+  a.find_distinguishing(graph, 1);
+  const std::string blob = a.save_state();
+  EXPECT_EQ(blob.rfind("gridfinder 2\n", 0), 0u);
+
+  PortfolioFinder b(sk, config);
+  b.restore_state(blob);
+  EXPECT_EQ(b.save_state(), blob);
+  const FinderResult next_a = a.find_distinguishing(graph, 1);
+  const FinderResult next_b = b.find_distinguishing(graph, 1);
+  EXPECT_EQ(next_b.status, next_a.status);
+  EXPECT_EQ(next_b.candidate_a.index, next_a.candidate_a.index);
+  EXPECT_EQ(next_b.candidate_b.index, next_a.candidate_b.index);
 }
 
-// The grid section's length must be plain digits, and a length that makes
-// the section end past the payload must be rejected without reading there,
-// including one whose end offset wraps around SIZE_MAX.
-TEST(PortfolioFinderState, RejectsCraftedSectionLengthsAsTypedErrors) {
+// Older portfolios saved two length-prefixed sections (`portfolio 1`, then
+// `grid` and `z3`). The portfolio no longer has a Z3 leg, so such a blob is
+// rejected as a typed error rather than half-restored.
+TEST(PortfolioFinderState, RejectsTwoSectionBlobAsTypedError) {
   const auto& sk = sketch::swan_sketch();
-  const std::string blob = portfolio_state_blob(sk);
-  const std::string head = "portfolio 1\ngrid ";
-  const std::size_t eol = blob.find('\n', head.size());
-  ASSERT_NE(eol, std::string::npos);
-  const std::string length = blob.substr(head.size(), eol - head.size());
-  const auto with_length = [&](const std::string& text) {
-    return head + text + blob.substr(eol);
-  };
   GridFinderConfig config;
   config.threads = 1;
+  PortfolioFinder a(sk, config);
+  a.find_distinguishing(state_test_graph(sk), 1);
+  const std::string grid_blob = a.save_state();
+  const std::string z3_blob = "z3finder 1\nqueries 3\nfaults 0\n";
+  const std::string old_blob =
+      "portfolio 1\ngrid " + std::to_string(grid_blob.size()) + "\n" +
+      grid_blob + "\nz3 " + std::to_string(z3_blob.size()) + "\n" + z3_blob +
+      "\n";
   PortfolioFinder b(sk, config);
-  b.restore_state(with_length(length));  // the untouched blob restores
-
-  // The blob starts at the offset just past the length's newline; the
-  // length SIZE_MAX - offset makes offset + length + 1 wrap to 0.
-  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-  const std::size_t digits = std::to_string(kMax).size();
-  const std::string wrap = std::to_string(kMax - (head.size() + digits + 1));
-  ASSERT_EQ(wrap.size(), digits);
-
-  for (const std::string& bad :
-       {wrap, std::string("-1"), "+" + length, " " + length}) {
-    EXPECT_THROW(b.restore_state(with_length(bad)), std::invalid_argument)
-        << "grid section length '" << bad << "'";
-  }
+  EXPECT_THROW(b.restore_state(old_blob), std::invalid_argument);
+  EXPECT_EQ(b.save_state(), PortfolioFinder(sk, config).save_state())
+      << "a rejected blob must leave the finder untouched";
 }
 
 // --- Equivalence -----------------------------------------------------------------
@@ -606,15 +608,64 @@ TEST(Equivalence, DifferentSlopesAreDistinguishable) {
   const auto& sk = sketch::swan_sketch();
   const auto a = sketch::swan_target_with(1, 50, 1, 5);
   const auto b = sketch::swan_target_with(1, 50, 1, 2);
-  const auto witness = find_ranking_difference(sk, a, b);
+  const auto witness = find_ranking_difference(sk, {&a, 1}, {&b, 1});
   ASSERT_TRUE(witness.has_value());
   // The witness is a genuine disagreement.
-  const double fa1 = sketch::eval(sk, a, witness->preferred_by_a.metrics);
-  const double fa2 = sketch::eval(sk, a, witness->preferred_by_b.metrics);
-  const double fb1 = sketch::eval(sk, b, witness->preferred_by_a.metrics);
-  const double fb2 = sketch::eval(sk, b, witness->preferred_by_b.metrics);
+  const DistinguishingPair& p = witness->pair;
+  const double fa1 = sketch::eval(sk, a, p.preferred_by_a.metrics);
+  const double fa2 = sketch::eval(sk, a, p.preferred_by_b.metrics);
+  const double fb1 = sketch::eval(sk, b, p.preferred_by_a.metrics);
+  const double fb2 = sketch::eval(sk, b, p.preferred_by_b.metrics);
   EXPECT_GT(fa1, fa2);
   EXPECT_GT(fb2, fb1);
+}
+
+// An undecided check proves nothing: with a 1 ms budget Z3 can rarely
+// settle a pair of ABR-QoE candidates, and the query must say so rather
+// than read as "equivalent". The pair is distinguishable, so a check that
+// does finish in time must answer "not equivalent"; none may answer
+// "equivalent".
+TEST(Equivalence, UndecidedQueryThrowsAndNeverReadsAsEquivalent) {
+  const auto& sk = sketch::abr_qoe_sketch();
+  FinderConfig config;
+  config.timeout_ms = 1;
+  sketch::HoleAssignment a;
+  sketch::HoleAssignment b;
+  for (const sketch::HoleSpec& h : sk.holes()) {
+    a.index.push_back(0);
+    b.index.push_back(h.count - 1);
+  }
+  int equivalent = 0;
+  int undecided = 0;
+  for (int i = 0; i < 20; ++i) {
+    try {
+      equivalent += ranking_equivalent(sk, a, b, config) ? 1 : 0;
+    } catch (const UndecidedQuery&) {
+      ++undecided;
+    }
+  }
+  EXPECT_EQ(equivalent, 0);
+  EXPECT_GT(undecided, 0);
+}
+
+// Each side of the query may range over a candidate set; the witness names
+// one candidate of each side that really disagree on it.
+TEST(Equivalence, CandidateSetsYieldAWitnessFromEachSide) {
+  const auto& sk = sketch::swan_sketch();
+  const std::vector<sketch::HoleAssignment> slopes = {
+      sketch::swan_target_with(1, 50, 1, 5), sketch::swan_target_with(1, 50, 1, 2),
+      sketch::swan_target_with(1, 50, 1, 5)};
+  const auto diff = find_ranking_difference(sk, slopes, slopes);
+  ASSERT_TRUE(diff.has_value());
+  const auto& p = diff->pair;
+  EXPECT_GT(sketch::eval(sk, diff->a, p.preferred_by_a.metrics),
+            sketch::eval(sk, diff->a, p.preferred_by_b.metrics));
+  EXPECT_GT(sketch::eval(sk, diff->b, p.preferred_by_b.metrics),
+            sketch::eval(sk, diff->b, p.preferred_by_a.metrics));
+
+  // Copies of one candidate never disagree.
+  const std::vector<sketch::HoleAssignment> same = {slopes[0], slopes[2]};
+  EXPECT_FALSE(find_ranking_difference(sk, same, same));
 }
 
 TEST(Equivalence, ScaledObjectiveMayStillRankEquivalently) {
@@ -628,7 +679,7 @@ TEST(Equivalence, ScaledObjectiveMayStillRankEquivalently) {
   // ARE distinguishable. Just assert the checker is decisive either way.
   const auto a = sketch::swan_target_with(10, 0, 2, 2);
   const auto b = sketch::swan_target_with(10, 0, 3, 3);
-  const auto witness = find_ranking_difference(sk, a, b);
+  const auto witness = find_ranking_difference(sk, {&a, 1}, {&b, 1});
   SUCCEED() << (witness.has_value() ? "distinguishable" : "equivalent");
 }
 

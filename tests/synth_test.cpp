@@ -168,7 +168,7 @@ class CountingShardBackend final : public solver::ShardSyncBackend {
   }
 };
 
-// The portfolio's grid leg is built like the grid back-end's, so a
+// The portfolio's grid is built like the grid back-end's, so a
 // configured shard backend (compsynth_cli --workers) receives its full syncs.
 TEST(Synthesizer, PortfolioGridLegDispatchesFullSyncsToShardBackend) {
   const auto& sk = sketch::swan_sketch();

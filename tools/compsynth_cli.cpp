@@ -10,9 +10,10 @@
 //                       without it, YOU answer preference queries (1/2/=)
 //   --backend z3|grid|portfolio
 //                       candidate finder (default: z3, the paper's engine);
-//                       portfolio asks the grid first and Z3 where the grid
-//                       can only sample a verdict (docs/SOLVER.md §Portfolio)
-//   --workers E1,E2,..  distribute the grid leg's full version-space
+//                       portfolio asks the grid first, and where the grid
+//                       can only sample a verdict, Z3 proves it on the
+//                       grid's survivors (docs/SOLVER.md §Portfolio)
+//   --workers E1,E2,..  distribute the grid's full version-space
 //                       rebuilds across compsynth_worker endpoints
 //                       (unix:<path> or [tcp:]host:port, comma-separated;
 //                       docs/DISTRIBUTED.md). Turns --backend z3 into grid.

@@ -15,7 +15,9 @@
 //
 // Options (run/resume):
 //   --backend z3|grid|portfolio
-//                              candidate finder (default: grid); recorded
+//                              candidate finder (default: grid; portfolio =
+//                              grid plus a Z3 proof of its verdict on its
+//                              survivors, docs/SOLVER.md); recorded
 //                              in the snapshot's backend tag, so resume
 //                              must pass the same one
 //   --dir <dir>                snapshot directory (required)
@@ -31,8 +33,9 @@
 // Fault injection (run/resume; all probabilities default 0):
 //   --fault-oracle-timeout <p>   oracle query times out (retried w/ backoff)
 //   --fault-oracle-slowdown <p>  oracle query stalls briefly
-//   --fault-z3-failure <p>       Z3 check fails transiently (retried)
-//   --fault-z3-slowdown <p>      Z3 check stalls briefly
+//   --fault-z3-failure <p>       Z3 check fails transiently (retried;
+//                                --backend z3 only)
+//   --fault-z3-slowdown <p>      Z3 check stalls briefly (--backend z3 only)
 //   --fault-torn-write <p>       checkpoint write is torn (tests recovery)
 //   --fault-seed <n>             injector decision-stream seed
 //   --retry-attempts <n>         retry budget per query (default 8 when any
@@ -96,7 +99,7 @@ void usage(std::ostream& os) {
         "         [--initial n] [--max-iters n] [--seed n] [--stop-after n]\n"
         "         [--trace file] [--metrics] [--quiet]\n"
         "         [--fault-oracle-timeout p] [--fault-oracle-slowdown p]\n"
-        "         [--fault-z3-failure p] [--fault-z3-slowdown p]\n"
+        "         [--fault-z3-failure p] [--fault-z3-slowdown p]  (z3 only)\n"
         "         [--fault-torn-write p] [--fault-seed n]\n"
         "         [--retry-attempts n] [--retry-backoff s]\n"
         "       compsynth_session inspect <snapshot-file-or-dir>\n";
@@ -197,6 +200,14 @@ std::optional<Options> parse_args(int argc, char** argv) {
     return std::nullopt;
   }
   if (opt.command != "inspect") {
+    // Only the Z3 back-end checks through the fault injector; elsewhere
+    // these flags would silently do nothing.
+    if ((opt.faults.z3_failure_p > 0 || opt.faults.z3_slowdown_p > 0) &&
+        opt.backend != "z3") {
+      std::cerr << "--fault-z3-failure and --fault-z3-slowdown need "
+                   "--backend z3\n";
+      return std::nullopt;
+    }
     if (opt.dir.empty()) {
       std::cerr << "--dir is required for " << opt.command << "\n";
       return std::nullopt;
@@ -377,9 +388,6 @@ int main(int argc, char** argv) {
                                     : synth::make_z3_synthesizer(sk, config);
     if (auto* z3 = dynamic_cast<solver::Z3Finder*>(&synthesizer.finder())) {
       z3->set_fault_injector(z3_injector);
-    } else if (auto* pf =
-                   dynamic_cast<solver::PortfolioFinder*>(&synthesizer.finder())) {
-      pf->z3().set_fault_injector(z3_injector);
     }
 
     synth::SynthesisResult result;
