@@ -78,7 +78,10 @@ inline constexpr int kTraceSchemaVersion = 1;
 ///      fires on every Z3 query.
 /// 1.10: the portfolio proves the grid's verdict on its survivors —
 ///      z3_query's kind=proof, which carries no "index".
-inline constexpr int kTraceSchemaMinorVersion = 10;
+/// 1.11: one finder query per served answer — "session_rehydrate" carries
+///      "secs"; "session_advance" and "answer_append" spans (traced only);
+///      checkpoint's "pending" key.
+inline constexpr int kTraceSchemaMinorVersion = 11;
 
 /// One field value: integer, double, string or bool.
 struct FieldValue {

@@ -12,6 +12,7 @@
 #include "session/snapshot.h"
 #include "sketch/printer.h"
 #include "synth/synthesizer.h"
+#include "util/timer.h"
 
 namespace compsynth::serve {
 
@@ -32,6 +33,9 @@ struct PendingQuerySignal {
 class ReplayOracle final : public oracle::Oracle {
  public:
   explicit ReplayOracle(const std::vector<AnswerRecord>& log) : log_(&log) {}
+
+  /// Logged answers fed to the loop since construction or restore.
+  long replayed() const { return static_cast<long>(consumed_ - restored_); }
 
  protected:
   oracle::Preference do_compare(const pref::Scenario& a,
@@ -66,11 +70,13 @@ class ReplayOracle final : public oracle::Oracle {
       throw std::invalid_argument("ReplayOracle: malformed state blob");
     }
     consumed_ = n;
+    restored_ = n;
   }
 
  private:
   const std::vector<AnswerRecord>* log_;
   std::size_t consumed_ = 0;
+  std::size_t restored_ = 0;
 };
 
 const char* status_name(synth::SynthesisStatus status) {
@@ -428,6 +434,7 @@ std::shared_ptr<SessionHost::SessionEntry> SessionHost::acquire(
   bool rehydrated = false;
   int snapshot_iteration = -1;
   long replayed = 0;
+  double rehydrate_secs = 0;
   {
     const util::MutexLock lk(mu_);
     const auto it = residents_.find(id);
@@ -435,8 +442,13 @@ std::shared_ptr<SessionHost::SessionEntry> SessionHost::acquire(
       e = it->second;
       e->lru = ++lru_clock_;
     } else {
+      // Timed only when tracing, like an obs::Span, but emitted below, after
+      // mu_ is released.
+      std::optional<util::Stopwatch> watch;
+      if (config_.obs.tracing()) watch.emplace();
       e = rehydrate_locked(id, error);
       if (e == nullptr) return nullptr;
+      if (watch) rehydrate_secs = watch->elapsed_seconds();
       rehydrated = true;
       const util::MutexLock elk(e->mu);
       snapshot_iteration = e->snap ? e->snap->iterations : 0;
@@ -451,7 +463,8 @@ std::shared_ptr<SessionHost::SessionEntry> SessionHost::acquire(
       obs::TraceEvent ev("session_rehydrate");
       ev.str("session", id)
           .integer("snapshot_iteration", snapshot_iteration)
-          .integer("replayed", replayed);
+          .integer("replayed", replayed)
+          .num("secs", rehydrate_secs);
       config_.obs.emit(ev);
     }
     schedule_advance(e);  // no-op when the session is already done/failed
@@ -541,6 +554,9 @@ void SessionHost::schedule_advance(const std::shared_ptr<SessionEntry>& e) {
 }
 
 void SessionHost::run_advance(const std::shared_ptr<SessionEntry>& e) {
+  // Traced only: with tracing off the span reads no clock.
+  obs::Span span(config_.obs.tracing() ? &config_.obs : nullptr,
+                 "session_advance");
   std::vector<AnswerRecord> log;
   std::optional<synth::SessionState> snap;
   {
@@ -558,6 +574,7 @@ void SessionHost::run_advance(const std::shared_ptr<SessionEntry>& e) {
             "' is no longer registered with this daemon";
   } else {
     ReplayOracle oracle(log);
+    std::optional<synth::Synthesizer> s;
     try {
       // A fresh synthesizer per advance: run()/resume() determinism assumes
       // a finder in construction state, and a previous advance that escaped
@@ -583,17 +600,21 @@ void SessionHost::run_advance(const std::shared_ptr<SessionEntry>& e) {
         e->snap = st;
         e->iterations = st.iterations;
       };
-      synth::Synthesizer s =
-          e->params.backend == "z3"
-              ? synth::make_z3_synthesizer(*sk, cfg)
-              : e->params.backend == "bisection"
-                    ? synth::make_bisection_synthesizer(*sk, cfg)
-                    : synth::make_grid_synthesizer(*sk, cfg);
-      result = snap ? s.resume(oracle, *snap) : s.run(oracle);
+      s.emplace(e->params.backend == "z3"
+                    ? synth::make_z3_synthesizer(*sk, cfg)
+                    : e->params.backend == "bisection"
+                          ? synth::make_bisection_synthesizer(*sk, cfg)
+                          : synth::make_grid_synthesizer(*sk, cfg));
+      result = snap ? s->resume(oracle, *snap) : s->run(oracle);
     } catch (const PendingQuerySignal& sig) {
       pending = sig.query;
     } catch (const std::exception& ex) {
       error = ex.what();
+    }
+    if (obs::TraceEvent* ev = span.event()) {
+      ev->str("session", e->params.id)
+          .integer("replayed", oracle.replayed())
+          .integer("finder_queries", s ? s->finder_queries() : 0);
     }
   }
 
@@ -618,6 +639,9 @@ void SessionHost::run_advance(const std::shared_ptr<SessionEntry>& e) {
     }
   }
 
+  // Emitted before the session is published and in_flight_ drops: once it
+  // does, the host (and config_.obs) may be destroyed.
+  span.finish();
   {
     const util::MutexLock lk(e->mu);
     if (pending) {
@@ -715,10 +739,17 @@ HostResult SessionHost::answer(const std::string& id, long index,
     rec.answer = answer;
     rec.key_a = scenario_key(e->pending->a);
     rec.key_b = scenario_key(e->pending->b);
-    // The ack is durable before it is given: log line flushed first.
-    e->log_out << e->log.size() << '|' << preference_name(answer) << '|'
-               << rec.key_a << '|' << rec.key_b << '\n';
-    e->log_out.flush();
+    {
+      obs::Span append(config_.obs.tracing() ? &config_.obs : nullptr,
+                       "answer_append");
+      if (obs::TraceEvent* ev = append.event()) {
+        ev->str("session", id).integer("index", index);
+      }
+      // The ack is durable before it is given: log line flushed first.
+      e->log_out << e->log.size() << '|' << preference_name(answer) << '|'
+                 << rec.key_a << '|' << rec.key_b << '\n';
+      e->log_out.flush();
+    }
     if (!e->log_out) {
       return HostResult::failure(kErrInternal, "cannot append to answers.log");
     }

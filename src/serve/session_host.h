@@ -27,11 +27,14 @@
 // active-set bounded by HostConfig::max_active applies that eviction
 // automatically, so memory stays bounded while session count grows.
 //
-// The price of passivity: each advance re-runs the finder query that
-// discovered the pending pair (the discovery result is deliberately not
-// trusted across the user's think-time — only checkpoints and the log are).
-// Per answered query the finder work is therefore roughly doubled;
-// docs/SERVICE.md §Costs quantifies it.
+// The price of passivity is small: the synthesizer checkpoints right after
+// each finder query, with the pairs it found in the snapshot, so an advance
+// resumed from that checkpoint asks the pending pair without querying
+// again. A rehydrating advance re-publishes the pair straight from the
+// snapshot; the advance after an answer runs exactly one finder query, as a
+// blocking in-process run does. What remains per answer is a finder restore
+// per advance and the checkpoint write; docs/SERVICE.md §Costs quantifies
+// it.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,15 @@
 #include "session/snapshot.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "obs/trace.h"
 #include "pref/serialize.h"
@@ -33,6 +38,24 @@ void append_section(std::string& payload, const char* name,
   payload += '\n';
 }
 
+// The optional trailing `pending` line: "pending <solver_seconds> <pairs>
+// <arity>" then, per pair, the preferred-by-A scenario's metrics and the
+// preferred-by-B one's.
+void encode_pending_line(std::ostream& os, const synth::PendingPairs& p) {
+  const std::size_t arity = p.pairs.front().preferred_by_a.metrics.size();
+  os << "pending " << render_double(p.solver_seconds) << ' ' << p.pairs.size()
+     << ' ' << arity;
+  for (const solver::DistinguishingPair& pair : p.pairs) {
+    for (const pref::Scenario* s : {&pair.preferred_by_a, &pair.preferred_by_b}) {
+      if (s->metrics.size() != arity) {
+        bad("pending pairs have scenarios of differing arity");
+      }
+      for (const double m : s->metrics) os << ' ' << render_double(m);
+    }
+  }
+  os << '\n';
+}
+
 // The @synth section: loop counters + transcript, line oriented. The graph
 // tolerance flag rides here so decode knows which mode to deserialize the
 // @graph section in (it precedes @graph in the payload).
@@ -51,6 +74,7 @@ std::string encode_synth_section(const synth::SessionState& st) {
        << r.pairs_presented << ' ' << r.edges_added << ' ' << r.ties_added
        << '\n';
   }
+  if (!st.pending.pairs.empty()) encode_pending_line(os, st.pending);
   return os.str();
 }
 
@@ -61,6 +85,69 @@ long read_counter(std::istream& in, const char* tag) {
     bad(std::string("@synth section: expected '") + tag + "' counter");
   }
   return value;
+}
+
+template <typename T>
+T parse_pending_number(const std::string& token) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    bad("@synth section: malformed number '" + token + "' in the pending line");
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      bad("@synth section: non-finite number in the pending line");
+    }
+  }
+  return value;
+}
+
+// Parses the text after the transcript's last line: the pending line and
+// nothing else. The declared counts must match the values present exactly,
+// so a truncated line or an absurd count fails before any scenario is
+// built, and the line must re-render to the same bytes, so a decoded state
+// always encodes back to the file it came from.
+synth::PendingPairs decode_pending_line(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<std::string> tokens;
+  for (std::string t; in >> t;) tokens.push_back(std::move(t));
+  if (tokens.empty() || tokens[0] != "pending") {
+    bad("@synth section: unexpected content after the transcript");
+  }
+  if (tokens.size() < 4) bad("@synth section: truncated pending line");
+  synth::PendingPairs p;
+  p.solver_seconds = parse_pending_number<double>(tokens[1]);
+  if (p.solver_seconds < 0) bad("@synth section: negative pending solver time");
+  const auto pairs = parse_pending_number<long long>(tokens[2]);
+  const auto arity = parse_pending_number<long long>(tokens[3]);
+  const auto values = static_cast<long long>(tokens.size() - 4);
+  if (pairs < 1 || arity < 1 || pairs > values || arity > values ||
+      pairs * 2 * arity != values) {
+    bad("@synth section: pending line declares " + tokens[2] + " pair(s) of " +
+        tokens[3] + " metric(s) but carries " + std::to_string(values) +
+        " value(s)");
+  }
+  std::size_t next = 4;
+  const auto scenario = [&] {
+    pref::Scenario s;
+    s.metrics.reserve(static_cast<std::size_t>(arity));
+    for (long long m = 0; m < arity; ++m) {
+      s.metrics.push_back(parse_pending_number<double>(tokens[next++]));
+    }
+    return s;
+  };
+  p.pairs.reserve(static_cast<std::size_t>(pairs));
+  for (long long i = 0; i < pairs; ++i) {
+    solver::DistinguishingPair pair;
+    pair.preferred_by_a = scenario();
+    pair.preferred_by_b = scenario();
+    p.pairs.push_back(std::move(pair));
+  }
+  std::ostringstream canonical;
+  encode_pending_line(canonical, p);
+  if (canonical.str() != text) bad("@synth section: non-canonical pending line");
+  return p;
 }
 
 // Fills everything but the graph (which needs the tolerance flag first);
@@ -90,6 +177,13 @@ bool decode_synth_section(const std::string& body, synth::SessionState& st) {
     }
     st.transcript.push_back(r);
   }
+  // After the newline that ends the last record comes at most the optional
+  // pending line. Any other content is refused, not skipped: a line this
+  // reader does not know could change how the run continues.
+  std::string rest{std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>()};
+  if (!rest.empty() && rest.front() == '\n') rest.erase(0, 1);
+  st.pending = rest.empty() ? synth::PendingPairs{} : decode_pending_line(rest);
   return tolerant;
 }
 

@@ -134,8 +134,23 @@ SynthesisResult Synthesizer::run(oracle::Oracle& user,
 }
 
 SynthesisResult Synthesizer::resume(oracle::Oracle& user, SessionState state) {
-  // Restore the back-end and user-model internals first: both throw on
-  // mismatched blobs, and a failed resume must not start a half-restored run.
+  // Validate and restore everything before the loop starts: each step throws
+  // on a mismatched state, and a failed resume must not start a half-restored
+  // run.
+  const std::vector<solver::DistinguishingPair>& pending = state.pending.pairs;
+  if (pending.size() > static_cast<std::size_t>(config_.pairs_per_iteration)) {
+    throw std::invalid_argument(
+        "Synthesizer::resume: more pending pairs than pairs_per_iteration");
+  }
+  const std::size_t arity = sketch_.metrics().size();
+  for (const solver::DistinguishingPair& pair : pending) {
+    if (pair.preferred_by_a.metrics.size() != arity ||
+        pair.preferred_by_b.metrics.size() != arity) {
+      throw std::invalid_argument(
+          "Synthesizer::resume: a pending scenario's arity differs from the "
+          "sketch's metrics");
+    }
+  }
   finder_->restore_state(state.finder_state);
   user.restore_state(state.oracle_state);
   return run_impl(user, std::move(state), /*resumed=*/true);
@@ -195,22 +210,30 @@ SynthesisResult Synthesizer::run_impl(oracle::Oracle& user, SessionState st,
   if (graph.vertex_count() == 0) seed_graph(graph, user, rng);
 
   // Captures the complete loop state into `st` and hands it to the
-  // checkpoint hook. Runs only at iteration boundaries, so a resumed run
-  // re-enters the loop exactly where this one left off.
-  const auto checkpoint = [&](bool final_state) {
+  // checkpoint hook. A mid-run checkpoint (`found` set) runs after a query
+  // found pairs and before the first is asked, with the counters of the last
+  // completed iteration and the pairs in `st.pending`, so a resumed run asks
+  // them without querying again; the final one (`found` null) has none.
+  const auto checkpoint = [&](const solver::FinderResult* found,
+                              double found_seconds) {
     if (!config_.checkpoint) return;
+    const bool final_state = found == nullptr;
     const int every = config_.checkpoint_every < 1 ? 1 : config_.checkpoint_every;
     if (!final_state && st.iterations % every != 0) return;
+    if (found != nullptr) st.pending = {found->pairs, found_seconds};
     st.finder_state = finder_->save_state();
     st.oracle_state = user.save_state();
     st.oracle_comparisons = user.comparisons() - comparisons_before;
     config_.checkpoint(st);
+    const auto pending_pairs = static_cast<long long>(st.pending.pairs.size());
+    st.pending = {};
     if (obs::active(obs)) {
       obs->count("session.checkpoints");
       if (obs->tracing()) {
         obs::TraceEvent e("checkpoint");
         e.integer("iteration", st.iterations)
             .boolean("final", final_state)
+            .integer("pending", pending_pairs)
             .integer("vertices", static_cast<long long>(graph.vertex_count()))
             .integer("edges", static_cast<long long>(graph.edges().size()))
             .integer("ties", static_cast<long long>(graph.ties().size()));
@@ -219,15 +242,28 @@ SynthesisResult Synthesizer::run_impl(oracle::Oracle& user, SessionState st,
     }
   };
 
+  finder_queries_ = 0;
   bool done = false;
   while (!done && st.iterations < config_.max_iterations) {
     IterationRecord record;
     record.index = st.iterations + 1;
 
-    util::Stopwatch watch;
-    const solver::FinderResult fr =
-        finder_->find_distinguishing(graph, config_.pairs_per_iteration);
-    record.solver_seconds = watch.elapsed_seconds();
+    solver::FinderResult fr;
+    if (!st.pending.pairs.empty()) {
+      // Resumed from a checkpoint taken after this iteration's query.
+      fr.status = solver::FinderStatus::kFound;
+      fr.pairs = std::move(st.pending.pairs);
+      record.solver_seconds = st.pending.solver_seconds;
+      st.pending = {};
+    } else {
+      util::Stopwatch watch;
+      fr = finder_->find_distinguishing(graph, config_.pairs_per_iteration);
+      record.solver_seconds = watch.elapsed_seconds();
+      ++finder_queries_;
+      if (fr.status == solver::FinderStatus::kFound) {
+        checkpoint(&fr, record.solver_seconds);
+      }
+    }
     ++st.iterations;
 
     switch (fr.status) {
@@ -296,15 +332,12 @@ SynthesisResult Synthesizer::run_impl(oracle::Oracle& user, SessionState st,
       }
     }
     if (config_.keep_transcript) st.transcript.push_back(record);
-    checkpoint(done);
   }
-  if (done) {
-    // The in-loop call above already captured the final state.
-  } else {
+  if (!done) {
     result.status = SynthesisStatus::kIterationLimit;
     result.objective = finder_->find_consistent(graph);
-    checkpoint(/*final_state=*/true);
   }
+  checkpoint(/*found=*/nullptr, 0);
   result.iterations = st.iterations;
   result.interactions = st.interactions;
   result.total_solver_seconds = st.total_solver_seconds;

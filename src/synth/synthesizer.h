@@ -85,11 +85,15 @@ struct SynthesisConfig {
   obs::RunContext obs;
 
   /// Durable sessions (docs/PERSISTENCE.md): when set, invoked with the
-  /// complete SessionState after every `checkpoint_every`-th completed
-  /// iteration and once more when the loop ends. The hook typically hands
-  /// the state to a session::CheckpointManager, which writes an atomic
-  /// snapshot file; Synthesizer::resume continues the identical run from
-  /// any such state. Null (the default) disables checkpointing entirely.
+  /// complete SessionState right after a finder query finds pairs and
+  /// before the first of them is asked, whenever the completed-iteration
+  /// count is a multiple of `checkpoint_every`, and once more when the loop
+  /// ends. Such a state carries the found pairs in SessionState::pending,
+  /// so a resumed run asks them without repeating the query. The hook
+  /// typically hands the state to a session::CheckpointManager, which
+  /// writes an atomic snapshot file; Synthesizer::resume continues the
+  /// identical run from any such state. Null (the default) disables
+  /// checkpointing entirely, and the loop then copies no pairs.
   std::function<void(const SessionState&)> checkpoint;
   int checkpoint_every = 1;
 };
@@ -111,13 +115,27 @@ struct IterationRecord {
   int ties_added = 0;
 };
 
-/// Complete mid-run synthesis state, captured at an iteration boundary.
-/// Everything a later process needs to continue the identical run: the
-/// preference graph, the loop counters and transcript, and the opaque state
-/// blobs of the finder (RNG stream, version space / query counters) and the
-/// oracle (interaction counters, per-variant RNG streams). Produced by the
-/// SynthesisConfig::checkpoint hook and consumed by Synthesizer::resume;
-/// session/snapshot.h serializes it to disk.
+/// Distinguishing pairs a finder query found that the user has not been
+/// asked yet, with that query's finder time.
+struct PendingPairs {
+  std::vector<solver::DistinguishingPair> pairs;  ///< empty = none pending
+  double solver_seconds = 0;
+};
+
+/// Complete mid-run synthesis state. Everything a later process needs to
+/// continue the identical run: the preference graph, the loop counters and
+/// transcript, and the opaque state blobs of the finder (RNG stream,
+/// version space / query counters) and the oracle (interaction counters,
+/// per-variant RNG streams). Produced by the SynthesisConfig::checkpoint
+/// hook and consumed by Synthesizer::resume; session/snapshot.h serializes
+/// it to disk.
+///
+/// A mid-run state is captured after iteration `iterations + 1`'s finder
+/// query found pairs and before the first is asked: the counters, transcript
+/// and graph are those of the last completed iteration, `pending` holds the
+/// found pairs, and the finder and oracle blobs are captured after the
+/// query. The end-of-run state has an empty `pending`; so do states written
+/// before pending pairs were persisted, which resume by querying the finder.
 struct SessionState {
   int iterations = 0;
   int interactions = 0;
@@ -130,6 +148,7 @@ struct SessionState {
   pref::PreferenceGraph graph{true};
   std::string finder_state;  ///< CandidateFinder::save_state blob
   std::string oracle_state;  ///< oracle::Oracle::save_state blob
+  PendingPairs pending;
 };
 
 struct SynthesisResult {
@@ -169,13 +188,19 @@ class Synthesizer {
 
   /// Resumes from a checkpointed SessionState: restores the finder's and the
   /// oracle's internal state from the opaque blobs, then continues the loop
-  /// at the recorded iteration. A resumed run is provably identical to one
-  /// that was never interrupted — same objective, same oracle query sequence
-  /// (tests/session_test.cpp kills and resumes at every iteration boundary).
+  /// at the recorded iteration, asking the state's pending pairs before any
+  /// new finder query. A resumed run is provably identical to one that was
+  /// never interrupted — same objective, same oracle query sequence
+  /// (tests/session_test.cpp kills and resumes at every checkpoint).
   /// Requires a synthesizer and oracle constructed with the same
   /// configuration/topology that produced the state; throws
-  /// std::invalid_argument when the blobs do not match.
+  /// std::invalid_argument when the blobs do not match, or when the pending
+  /// pairs do not fit the sketch's metrics or `pairs_per_iteration`.
   SynthesisResult resume(oracle::Oracle& user, SessionState state);
+
+  /// Distinguishing queries the finder ran during the latest run()/resume(),
+  /// counting a run that unwound through an exception from the oracle.
+  int finder_queries() const { return finder_queries_; }
 
   const SynthesisConfig& config() const { return config_; }
 
@@ -194,6 +219,7 @@ class Synthesizer {
   sketch::Sketch sketch_;
   std::unique_ptr<solver::CandidateFinder> finder_;
   SynthesisConfig config_;
+  int finder_queries_ = 0;
 };
 
 /// Convenience factories wiring the standard back-ends.

@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "oracle/oracle.h"
 #include "serve/line_client.h"
 #include "serve/line_server.h"
@@ -652,6 +654,71 @@ TEST(ServeHost, LruBoundsResidencyWithoutChangingResults) {
   EXPECT_LE(host.stats().sessions_resident, 2);
   EXPECT_GT(host.stats().swaps, 0);
   EXPECT_GT(host.stats().rehydrations, 0);
+}
+
+// The in-process run a served session with `params` must reproduce, with
+// `user` as the blocking oracle.
+synth::SynthesisResult direct_run(const sketch::Sketch& sk,
+                                  const CreateParams& params,
+                                  ScriptedArchitect& user,
+                                  obs::MetricsRegistry* metrics = nullptr) {
+  synth::SynthesisConfig cfg;
+  cfg.seed = params.seed;
+  cfg.initial_scenarios = params.initial;
+  cfg.pairs_per_iteration = params.pairs;
+  cfg.max_iterations = params.max_iters;
+  cfg.grid_threads = 1;
+  cfg.obs.metrics = metrics;
+  synth::Synthesizer direct = synth::make_grid_synthesizer(sk, cfg);
+  return direct.run(user);
+}
+
+// An answer costs the host one finder query, as in the direct run: each
+// checkpoint is taken after a query and carries the pairs it found, so
+// neither a rehydrating advance nor the answering one repeats that query.
+// With two pairs per iteration, evicting after every answer also swaps the
+// session out between the two pairs of one checkpoint, and the rehydrated
+// advance must ask the second pair from the snapshot.
+TEST(ServeHost, OneFinderQueryPerAnswer) {
+  const sketch::Sketch sk = test_sketch();
+  const sketch::HoleAssignment target = target_for(3);
+  for (const int pairs : {1, 2}) {
+    CreateParams params = params_for("s", 31);
+    params.pairs = pairs;
+    obs::MetricsRegistry direct_metrics;
+    ScriptedArchitect reference(sk, target);
+    const synth::SynthesisResult expected =
+        direct_run(sk, params, reference, &direct_metrics);
+    ASSERT_EQ(expected.status, synth::SynthesisStatus::kConverged);
+    ASSERT_TRUE(std::any_of(expected.transcript.begin(),
+                            expected.transcript.end(),
+                            [&](const synth::IterationRecord& r) {
+                              return r.pairs_presented == pairs;
+                            }));
+    const long direct_searches =
+        direct_metrics.counter("grid.pair_searches").value();
+    ASSERT_GE(direct_searches, 3);
+
+    for (const int evict_every : {0, 1}) {
+      obs::MetricsRegistry metrics;
+      TempRoot root;
+      HostConfig hc;
+      hc.root = root.path.string();
+      hc.obs.metrics = &metrics;
+      SessionHost host(hc);
+      host.register_sketch(test_sketch());
+      ScriptedArchitect architect(sk, target);
+      ASSERT_TRUE(host.create(params).ok);
+      const DriveOutcome out = drive(host, "s", architect, evict_every);
+      ASSERT_TRUE(out.completed);
+      EXPECT_EQ(out.objective,
+                sketch::print_instantiated(sk, *expected.objective));
+      EXPECT_EQ(logged_sequence(root.path, "s"), reference.log);
+      EXPECT_EQ(metrics.counter("grid.pair_searches").value(), direct_searches)
+          << "pairs " << pairs << ", evict_every " << evict_every;
+      EXPECT_EQ(host.stats().rehydrations, evict_every > 0 ? out.answers : 0);
+    }
+  }
 }
 
 TEST(ServeHost, KillResumeAcrossHosts) {

@@ -2,10 +2,12 @@
 // validate the JSONL trace end to end against the v1 schema
 // (docs/OBSERVABILITY.md) — event sequence, required keys per event type,
 // monotone timestamps, and cross-checks against the metrics registry and
-// the SynthesisResult.
+// the SynthesisResult — plus a served session's answer spans (rehydrate,
+// advance, answers.log append).
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
@@ -15,6 +17,7 @@
 #include "obs/run_context.h"
 #include "obs/trace.h"
 #include "oracle/ground_truth.h"
+#include "serve/session_host.h"
 #include "sketch/library.h"
 #include "synth/synthesizer.h"
 
@@ -215,6 +218,92 @@ TEST_F(TraceGoldenTest, MetricsAgreeWithTrace) {
   EXPECT_EQ(metrics_.histogram("grid_sync.seconds").count(), syncs);
   EXPECT_EQ(metrics_.histogram("iteration.solver_seconds").count(), iterations);
   EXPECT_GT(metrics_.counter("pref.edges.added").value(), 0);
+}
+
+// A served session, swapped out after every answer, traced through the
+// host's sink. The spans that split an answer (schema 1.11) carry their
+// keys, and the advances run one finder query per iteration in total: a
+// rehydrating advance asks the pending pair from the snapshot.
+TEST(TraceGoldenServe, AnswerSpansSplitAServedAnswer) {
+  const std::string path = ::testing::TempDir() + "/golden_trace_serve.jsonl";
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "golden_trace_serve_root";
+  std::filesystem::remove_all(root);
+  const auto& sk = sketch::swan_sketch();
+  long answers = 0;
+  serve::SessionView done;
+  {
+    obs::FileTraceSink sink(path);
+    serve::HostConfig hc;
+    hc.root = root.string();
+    hc.obs.tracer = &sink;
+    hc.obs.run_id = "serve";
+    serve::SessionHost host(hc);
+    host.register_sketch(sk);
+    serve::CreateParams params;
+    params.id = "g";
+    params.seed = 11;
+    ASSERT_TRUE(host.create(params).ok);
+    oracle::GroundTruthOracle judge(sk, sketch::swan_target(),
+                                    solver::FinderConfig{}.tie_tolerance);
+    for (int step = 0; step < 2000; ++step) {
+      serve::SessionView view;
+      ASSERT_TRUE(host.next("g", 30000, &view).ok);
+      if (view.phase == serve::SessionPhase::kDone) {
+        done = view;
+        break;
+      }
+      ASSERT_EQ(view.phase, serve::SessionPhase::kWaiting) << view.error;
+      ASSERT_TRUE(host.answer("g", view.pending->index,
+                              judge.compare(view.pending->a, view.pending->b))
+                      .ok);
+      ++answers;
+      ASSERT_TRUE(host.evict("g").ok);
+    }
+  }
+  std::filesystem::remove_all(root);
+  ASSERT_EQ(done.status, "converged");
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  long rehydrates = 0, appends = 0, finder_queries = 0, iterations = 0;
+  for (std::string line; std::getline(in, line);) {
+    const auto obj = obs::parse_flat_json(line);
+    ASSERT_TRUE(obj.has_value()) << "unparseable trace line: " << line;
+    const JsonObject& r = *obj;
+    const std::string& ev = r.at("ev").str;
+    if (ev == "session_rehydrate") {
+      ++rehydrates;
+      require_key(r, "session", JsonValue::Kind::kString, ev);
+      require_key(r, "snapshot_iteration", JsonValue::Kind::kNumber, ev);
+      require_key(r, "replayed", JsonValue::Kind::kNumber, ev);
+      require_key(r, "secs", JsonValue::Kind::kNumber, ev);
+      EXPECT_GE(num(r, "secs"), 0);
+    } else if (ev == "session_advance") {
+      require_key(r, "session", JsonValue::Kind::kString, ev);
+      require_key(r, "replayed", JsonValue::Kind::kNumber, ev);
+      require_key(r, "finder_queries", JsonValue::Kind::kNumber, ev);
+      require_key(r, "secs", JsonValue::Kind::kNumber, ev);
+      EXPECT_EQ(r.at("run").str, "serve");
+      finder_queries += static_cast<long>(num(r, "finder_queries"));
+    } else if (ev == "answer_append") {
+      ++appends;
+      require_key(r, "session", JsonValue::Kind::kString, ev);
+      require_key(r, "index", JsonValue::Kind::kNumber, ev);
+      require_key(r, "secs", JsonValue::Kind::kNumber, ev);
+    } else if (ev == "checkpoint") {
+      require_key(r, "pending", JsonValue::Kind::kNumber, ev);
+      EXPECT_EQ(num(r, "pending") > 0, !r.at("final").b);
+    } else if (ev == "iteration") {
+      EXPECT_EQ(r.at("run").str, "g");
+      ++iterations;
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(appends, answers);
+  EXPECT_EQ(rehydrates, answers);
+  EXPECT_EQ(iterations, done.iterations);
+  EXPECT_EQ(finder_queries, iterations);
 }
 
 }  // namespace

@@ -102,6 +102,12 @@ struct RunReport {
   long long swaps = 0;
   long long rehydrations = 0;
   long long replayed_answers = 0;
+  // Where a served answer's time goes (schema rev 1.11): layer ->
+  // (count, total seconds) for session_rehydrate, session_advance and
+  // answer_append, plus the advances' finder queries and replayed answers.
+  std::map<std::string, std::pair<long long, double>> answer_layers;
+  long long advance_queries = 0;
+  long long advance_replayed = 0;
   // Event kinds this report does not understand (a newer producer's schema
   // revision, or one an older revision had and a later one removed, such as
   // "solver_cache" and "analysis" kind=prune (1.7), "portfolio" (1.8) or
@@ -178,6 +184,19 @@ void absorb(RunReport& run, const JsonObject& obj, const std::string& ev) {
   } else if (ev == "session_rehydrate") {
     ++run.rehydrations;
     run.replayed_answers += static_cast<long long>(num_or(obj, "replayed", 0));
+    auto& [count, secs] = run.answer_layers["rehydrate"];
+    ++count;
+    secs += num_or(obj, "secs", 0);
+  } else if (ev == "session_advance" || ev == "answer_append") {
+    auto& [count, secs] =
+        run.answer_layers[ev == "session_advance" ? "advance" : "log append"];
+    ++count;
+    secs += num_or(obj, "secs", 0);
+    if (ev == "session_advance") {
+      run.advance_queries +=
+          static_cast<long long>(num_or(obj, "finder_queries", 0));
+      run.advance_replayed += static_cast<long long>(num_or(obj, "replayed", 0));
+    }
   } else if (ev == "fault" || ev == "retry" || ev == "checkpoint" ||
              ev == "checkpoint_write") {
     // Known but not tabulated here; sessions' reports cover them.
@@ -253,7 +272,8 @@ void render_run(std::ostream& os, const RunReport& run) {
        << " / " << run.incremental_builds << " |\n\n";
   }
 
-  if (!run.serve.empty() || run.swaps > 0 || run.rehydrations > 0) {
+  if (!run.serve.empty() || run.swaps > 0 || run.rehydrations > 0 ||
+      !run.answer_layers.empty()) {
     os << "### Service requests\n\n"
        << "| verb | count | errors | total s |\n|---|---|---|---|\n";
     for (const auto& [verb, row] : run.serve) {
@@ -264,6 +284,18 @@ void render_run(std::ostream& os, const RunReport& run) {
     os << "\nSessions swapped out " << run.swaps << " time(s), rehydrated "
        << run.rehydrations << " time(s) (" << run.replayed_answers
        << " answer(s) replayed).\n\n";
+    if (!run.answer_layers.empty()) {
+      os << "| answer layer | count | total s |\n|---|---|---|\n";
+      for (const char* layer : {"rehydrate", "advance", "log append"}) {
+        const auto it = run.answer_layers.find(layer);
+        if (it == run.answer_layers.end()) continue;
+        os << "| " << layer << " | " << it->second.first << " | "
+           << fmt(it->second.second, 4) << " |\n";
+      }
+      os << "\nAdvances ran " << run.advance_queries
+         << " finder quer(ies) and replayed " << run.advance_replayed
+         << " logged answer(s).\n\n";
+    }
   }
 
   if (!run.unknown.empty()) {
