@@ -1,49 +1,17 @@
 #include "dist/wire.h"
 
-#include <cmath>
-
-#include "obs/trace.h"
+#include "obs/json.h"
 #include "util/checksum.h"
 
 namespace compsynth::dist {
 
 namespace {
 
+using obs::JsonFields;
 using obs::JsonObject;
-using obs::JsonValue;
 
-const JsonValue* find(const JsonObject& obj, const std::string& key) {
-  const auto it = obj.find(key);
-  return it == obj.end() ? nullptr : &it->second;
-}
-
-/// Reads a required non-negative integer-valued number field. Numbers ride
-/// JSON doubles, exact up to 2^53 — far beyond any candidate-space size.
-bool read_int(const JsonObject& obj, const std::string& key, long long* out,
-              std::string* why) {
-  const JsonValue* v = find(obj, key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) {
-    *why = "missing or non-numeric '" + key + "'";
-    return false;
-  }
-  if (v->num != std::floor(v->num) || std::abs(v->num) > 9.0e15) {
-    *why = "non-integral '" + key + "'";
-    return false;
-  }
-  *out = static_cast<long long>(v->num);
-  return true;
-}
-
-bool read_str(const JsonObject& obj, const std::string& key, std::string* out,
-              std::string* why) {
-  const JsonValue* v = find(obj, key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kString) {
-    *why = "missing or non-string '" + key + "'";
-    return false;
-  }
-  *out = v->str;
-  return true;
-}
+// Every integer on the wire is a non-negative count or candidate index.
+constexpr long long kMaxWireInt = obs::kJsonMaxExactInt;
 
 }  // namespace
 
@@ -75,46 +43,34 @@ std::variant<WireRequest, serve::ParseError> parse_wire_request(
   if (!parsed) {
     return serve::ParseError{serve::kErrParse, "not a flat JSON object"};
   }
-  std::string verb_text;
-  std::string why;
-  if (!read_str(*parsed, "verb", &verb_text, &why)) {
-    return serve::ParseError{serve::kErrVerb, "missing verb"};
-  }
-  const std::optional<WireVerb> verb = parse_wire_verb(verb_text);
+  JsonFields f(*parsed, JsonFields::Absent::kError);
+  const std::optional<std::string> verb_text = f.string("verb");
+  if (!verb_text) return serve::ParseError{serve::kErrVerb, "missing verb"};
+  const std::optional<WireVerb> verb = parse_wire_verb(*verb_text);
   if (!verb) {
-    return serve::ParseError{serve::kErrVerb, "unknown verb: " + verb_text};
+    return serve::ParseError{serve::kErrVerb, "unknown verb: " + *verb_text};
   }
   WireRequest req;
   req.verb = *verb;
   if (req.verb != WireVerb::kShard) return req;
 
   ShardRequest& s = req.shard;
-  long long shard = 0;
-  long long lo = 0;
-  long long hi = 0;
-  if (!read_str(*parsed, "job", &s.job, &why) ||
-      !read_int(*parsed, "shard", &shard, &why) ||
-      !read_int(*parsed, "lo", &lo, &why) ||
-      !read_int(*parsed, "hi", &hi, &why) ||
-      !read_str(*parsed, "sketch", &s.sketch, &why) ||
-      !read_str(*parsed, "graph", &s.graph, &why)) {
-    return serve::ParseError{serve::kErrField, why};
-  }
-  if (shard < 0 || lo < 0 || hi <= lo) {
-    return serve::ParseError{serve::kErrField, "bad shard range"};
-  }
-  s.shard = static_cast<std::size_t>(shard);
-  s.lo = lo;
-  s.hi = hi;
-  if (const JsonValue* tie = find(*parsed, "tie");
-      tie != nullptr && tie->kind == JsonValue::Kind::kNumber) {
-    s.tie = tie->num;
+  s.job = f.string("job").value_or("");
+  s.shard = f.integer("shard", 0, kMaxWireInt).value_or(0);
+  s.lo = f.integer("lo", 0, kMaxWireInt).value_or(0);
+  s.hi = f.integer("hi", 0, kMaxWireInt).value_or(0);
+  s.sketch = f.string("sketch").value_or("");
+  s.graph = f.string("graph").value_or("");
+  if (f.has("tie")) s.tie = f.number("tie").value_or(s.tie);
+  if (!f.ok()) return serve::ParseError{serve::kErrField, f.error()};
+  if (s.hi <= s.lo) {
+    return serve::ParseError{serve::kErrField, "field 'hi' must exceed 'lo'"};
   }
   return req;
 }
 
 std::string render_shard_request(const ShardRequest& req) {
-  serve::JsonWriter w;
+  obs::JsonWriter w;
   w.integer("v", kWireVersion)
       .str("verb", "shard")
       .str("job", req.job)
@@ -128,7 +84,7 @@ std::string render_shard_request(const ShardRequest& req) {
 }
 
 std::string render_simple_request(WireVerb verb) {
-  serve::JsonWriter w;
+  obs::JsonWriter w;
   w.integer("v", kWireVersion).str("verb", wire_verb_name(verb));
   return w.done();
 }
@@ -140,45 +96,32 @@ std::optional<ShardResponse> parse_shard_response(std::string_view line,
     *why = "response is not a flat JSON object";
     return std::nullopt;
   }
+  JsonFields f(*parsed, JsonFields::Absent::kError);
   ShardResponse resp;
-  const JsonValue* ok = find(*parsed, "ok");
-  if (ok == nullptr || ok->kind != JsonValue::Kind::kBool) {
-    *why = "missing or non-boolean 'ok'";
+  const std::optional<bool> ok = f.boolean("ok");
+  if (!ok) {
+    *why = f.error();
     return std::nullopt;
   }
-  resp.ok = ok->b;
+  resp.ok = *ok;
   if (!resp.ok) {
     // Error responses only need code + message; pass them through so the
     // coordinator's worker_fail event can say what the worker said.
-    read_str(*parsed, "code", &resp.code, why);
-    read_str(*parsed, "error", &resp.error, why);
+    resp.code = f.string("code").value_or("");
+    resp.error = f.string("error").value_or("");
     return resp;
   }
-  long long shard = 0;
-  long long lo = 0;
-  long long hi = 0;
-  long long count = 0;
-  std::string crc;
-  if (!read_str(*parsed, "job", &resp.job, why) ||
-      !read_int(*parsed, "shard", &shard, why) ||
-      !read_int(*parsed, "lo", &lo, why) ||
-      !read_int(*parsed, "hi", &hi, why) ||
-      !read_int(*parsed, "count", &count, why) ||
-      !read_str(*parsed, "crc", &crc, why) ||
-      !read_str(*parsed, "blob", &resp.blob, why)) {
+  resp.job = f.string("job").value_or("");
+  resp.shard = f.integer("shard", 0, kMaxWireInt).value_or(0);
+  resp.lo = f.integer("lo", 0, kMaxWireInt).value_or(0);
+  resp.hi = f.integer("hi", 0, kMaxWireInt).value_or(0);
+  resp.count = f.integer("count", 0, kMaxWireInt).value_or(0);
+  const std::string crc = f.string("crc").value_or("");
+  resp.blob = f.string("blob").value_or("");
+  if (f.has("secs")) resp.secs = f.number("secs").value_or(0);
+  if (!f.ok()) {
+    *why = f.error();
     return std::nullopt;
-  }
-  if (shard < 0 || count < 0) {
-    *why = "negative 'shard' or 'count'";
-    return std::nullopt;
-  }
-  resp.shard = static_cast<std::size_t>(shard);
-  resp.lo = lo;
-  resp.hi = hi;
-  resp.count = count;
-  if (const JsonValue* secs = find(*parsed, "secs");
-      secs != nullptr && secs->kind == JsonValue::Kind::kNumber) {
-    resp.secs = secs->num;
   }
   const std::string actual = util::crc32_hex(util::crc32(resp.blob));
   if (actual != crc) {

@@ -62,7 +62,9 @@ struct WireRequest {
 };
 
 /// Parses one request line; returns the request or the error response to
-/// send back (codes from serve/protocol.h). Unknown keys are ignored.
+/// send back (codes from serve/protocol.h). Unknown keys are ignored; `tie`
+/// is optional, and shard, lo and hi are integers in [0, 2^53] with
+/// lo < hi.
 std::variant<WireRequest, serve::ParseError> parse_wire_request(
     std::string_view line);
 
@@ -88,9 +90,10 @@ struct ShardResponse {
 };
 
 /// Parses and transport-validates one shard response line: flat JSON, all
-/// required fields present and well-typed, and crc32(blob) matching the
-/// `crc` field. Returns nullopt with `*why` set on any violation — the
-/// coordinator treats that as a worker failure.
+/// required fields present and well-typed (shard, lo, hi and count are
+/// integers in [0, 2^53]), and crc32(blob) matching the `crc` field.
+/// Returns nullopt with `*why` set on any violation — the coordinator
+/// treats that as a worker failure.
 std::optional<ShardResponse> parse_shard_response(std::string_view line,
                                                   std::string* why);
 

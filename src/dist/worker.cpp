@@ -68,7 +68,7 @@ std::string Worker::handle_line(const std::string& line,
   config_.obs.count("dist.worker.requests");
   switch (req.verb) {
     case WireVerb::kHello: {
-      serve::JsonWriter w;
+      obs::JsonWriter w;
       return w.integer("v", kWireVersion)
           .boolean("ok", true)
           .str("verb", "hello")
@@ -76,7 +76,7 @@ std::string Worker::handle_line(const std::string& line,
           .done();
     }
     case WireVerb::kPing: {
-      serve::JsonWriter w;
+      obs::JsonWriter w;
       return w.integer("v", kWireVersion)
           .boolean("ok", true)
           .str("verb", "ping")
@@ -84,7 +84,7 @@ std::string Worker::handle_line(const std::string& line,
     }
     case WireVerb::kShutdown: {
       ctl->stop_after = true;  // ack is on the wire before the stop begins
-      serve::JsonWriter w;
+      obs::JsonWriter w;
       return w.integer("v", kWireVersion)
           .boolean("ok", true)
           .str("verb", "shutdown")
@@ -128,7 +128,7 @@ std::string Worker::handle_shard(const ShardRequest& req,
         blob.erase(space + 1 + (blob.size() - space - 1) / 2);
       }
     }
-    serve::JsonWriter w;
+    obs::JsonWriter w;
     w.integer("v", kWireVersion)
         .boolean("ok", true)
         .str("verb", "shard")

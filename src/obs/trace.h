@@ -16,20 +16,18 @@
 // reference; tools/trace_report.cpp turns a trace file back into a
 // human-readable Markdown report.
 //
-// parse_flat_json is the matching reader: it understands exactly the flat
-// one-object-per-line JSON the file sink emits (strings, numbers, bools,
-// null) and is shared by trace_report and the golden-trace test.
+// obs::parse_flat_json (obs/json.h) is the matching reader, shared by
+// trace_report and the golden-trace test.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
-#include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "obs/json.h"
 #include "util/line_writer.h"
 #include "util/timer.h"
 
@@ -81,7 +79,9 @@ inline constexpr int kTraceSchemaVersion = 1;
 /// 1.11: one finder query per served answer — "session_rehydrate" carries
 ///      "secs"; "session_advance" and "answer_append" spans (traced only);
 ///      checkpoint's "pending" key.
-inline constexpr int kTraceSchemaMinorVersion = 11;
+/// 1.12: "session_rehydrate" drops its "replayed" key; the
+///      "session_advance" spans count the replayed answers.
+inline constexpr int kTraceSchemaMinorVersion = 12;
 
 /// One field value: integer, double, string or bool.
 struct FieldValue {
@@ -166,29 +166,9 @@ class FileTraceSink final : public TraceSink {
   util::Stopwatch epoch_;
 };
 
-/// Escapes `raw` for inclusion inside a JSON string literal (quotes,
-/// backslashes, control characters).
-std::string json_escape(std::string_view raw);
-
 /// Renders one complete trace line (envelope + fields), exactly what
 /// FileTraceSink writes. Exposed for tests and alternative sinks.
 std::string render_trace_line(std::string_view run_id, double ts_seconds,
                               const TraceEvent& event);
-
-/// A parsed flat-JSON value. Numbers are always doubles (JSON has one
-/// number type); null parses as kNull.
-struct JsonValue {
-  enum class Kind { kString, kNumber, kBool, kNull };
-  Kind kind = Kind::kNull;
-  std::string str;
-  double num = 0;
-  bool b = false;
-};
-
-using JsonObject = std::map<std::string, JsonValue>;
-
-/// Parses one flat JSON object (no nesting — exactly the trace-line shape).
-/// Returns nullopt on any syntax error or on nested arrays/objects.
-std::optional<JsonObject> parse_flat_json(std::string_view line);
 
 }  // namespace compsynth::obs

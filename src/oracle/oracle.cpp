@@ -8,8 +8,6 @@
 
 namespace compsynth::oracle {
 
-namespace {
-
 const char* preference_name(Preference p) {
   switch (p) {
     case Preference::kFirst: return "first";
@@ -18,6 +16,8 @@ const char* preference_name(Preference p) {
   }
   return "?";
 }
+
+namespace {
 
 // Runs `attempt_fn` under the retry policy: OracleTimeout is surfaced as a
 // "fault" event + oracle.timeouts, then retried with backoff ("retry" event

@@ -37,6 +37,10 @@ enum class Preference {
   kTie,     // indistinguishable / incomparable (partial ranking, §4.2)
 };
 
+/// "first" / "second" / "tie": the spelling in traces, answers.log and the
+/// service protocol (serve::parse_preference reads it back).
+const char* preference_name(Preference p);
+
 /// A (partial) ranking over a scenario set, expressed as index pairs.
 struct RankingResponse {
   struct RankedPair {

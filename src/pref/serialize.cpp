@@ -1,19 +1,16 @@
 #include "pref/serialize.h"
 
-#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <sstream>
+
+#include "util/number.h"
 
 namespace compsynth::pref {
 
 namespace {
 
-std::string render_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using util::format_double;
 
 [[noreturn]] void fail(std::size_t line_no, const std::string& what) {
   throw SerializeError("line " + std::to_string(line_no) + ": " + what);
@@ -25,7 +22,7 @@ void serialize(const PreferenceGraph& graph, std::ostream& out) {
   out << "# compsynth preference graph v1\n";
   for (VertexId v = 0; v < graph.vertex_count(); ++v) {
     out << "scenario " << v;
-    for (const double m : graph.scenario(v).metrics) out << ' ' << render_double(m);
+    for (const double m : graph.scenario(v).metrics) out << ' ' << format_double(m);
     out << '\n';
     // Labels ride in a separate directive so v1 readers that predate them
     // would fail loudly (unknown directive) rather than mis-parse metrics.
@@ -34,7 +31,7 @@ void serialize(const PreferenceGraph& graph, std::ostream& out) {
     }
   }
   for (const Edge& e : graph.edges()) {
-    out << "prefer " << e.better << ' ' << e.worse << ' ' << render_double(e.weight)
+    out << "prefer " << e.better << ' ' << e.worse << ' ' << format_double(e.weight)
         << '\n';
   }
   for (const auto& [a, b] : graph.ties()) {

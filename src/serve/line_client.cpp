@@ -1,11 +1,9 @@
 #include "serve/line_client.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -13,6 +11,8 @@
 #include <cstring>
 #include <stdexcept>
 #include <utility>
+
+#include "serve/line_server.h"
 
 namespace compsynth::serve {
 
@@ -34,71 +34,28 @@ void set_io_timeout(int fd, double seconds) {
 /// One connect attempt. Returns the fd, or -1 with errno set on a
 /// retryable refusal; throws std::runtime_error on a malformed endpoint.
 int try_connect(const std::string& endpoint) {
-  if (endpoint.rfind("unix:", 0) == 0) {
-    const std::string path = endpoint.substr(5);
-    if (path.empty()) {
-      throw std::runtime_error("endpoint unix: requires a socket path");
-    }
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof addr.sun_path) {
-      throw std::runtime_error("unix socket path too long: " + path);
-    }
-    std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-      throw std::runtime_error(std::string("socket: ") + std::strerror(errno));
-    }
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
-      const int saved = errno;
-      ::close(fd);
-      errno = saved;
-      return -1;
-    }
-    return fd;
+  const Endpoint ep = parse_endpoint(endpoint);
+  if (!ep.unix_socket && ep.port == 0) {
+    throw std::runtime_error("endpoint '" + endpoint +
+                             "': port 0 names no server");
   }
-  if (endpoint.rfind("tcp:", 0) == 0) {
-    std::string host = "127.0.0.1";
-    std::string port_part = endpoint.substr(4);
-    const std::size_t colon = port_part.rfind(':');
-    if (colon != std::string::npos) {
-      host = port_part.substr(0, colon);
-      port_part = port_part.substr(colon + 1);
-    }
-    int port = -1;
-    try {
-      port = std::stoi(port_part);
-    } catch (const std::exception&) {
-      port = -1;
-    }
-    if (port <= 0 || port > 65535) {
-      throw std::runtime_error("bad tcp port in endpoint: " + endpoint);
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      throw std::runtime_error("bad tcp host in endpoint (numeric IPv4): " +
-                               host);
-    }
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      throw std::runtime_error(std::string("socket: ") + std::strerror(errno));
-    }
+  const int fd = ::socket(ep.addr.ss_family, SOCK_STREAM, 0);
+  if (fd < 0) {
+    throw std::runtime_error(std::string("socket: ") + std::strerror(errno));
+  }
+  if (!ep.unix_socket) {
     // Requests are single sends awaiting a reply; Nagle would only delay them.
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
-      const int saved = errno;
-      ::close(fd);
-      errno = saved;
-      return -1;
-    }
-    return fd;
   }
-  throw std::runtime_error(
-      "endpoint must be unix:<path> or tcp:[host:]<port>, got '" + endpoint +
-      "'");
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&ep.addr),
+                ep.addr_len) < 0) {
+    const int saved = errno;
+    ::close(fd);
+    errno = saved;
+    return -1;
+  }
+  return fd;
 }
 
 }  // namespace

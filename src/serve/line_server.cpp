@@ -9,8 +9,12 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
+
+#include "util/number.h"
 
 namespace compsynth::serve {
 
@@ -39,70 +43,77 @@ bool send_all(int fd, std::string_view data) {
 
 }  // namespace
 
-LineServer::LineServer(LineServerConfig config, Handler handler)
-    : config_(std::move(config)), handler_(std::move(handler)) {
-  const std::string& listen = config_.listen;
-  if (listen.rfind("unix:", 0) == 0) {
-    unix_socket_ = true;
-    unix_path_ = listen.substr(5);
-    if (unix_path_.empty()) {
-      throw std::runtime_error("--listen unix: requires a socket path");
-    }
+Endpoint parse_endpoint(const std::string& text) {
+  Endpoint ep;
+  if (text.rfind("unix:", 0) == 0) {
+    ep.unix_socket = true;
+    ep.path = text.substr(5);
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
-    if (unix_path_.size() >= sizeof addr.sun_path) {
-      throw std::runtime_error("unix socket path too long: " + unix_path_);
+    if (ep.path.empty()) {
+      throw std::runtime_error("endpoint '" + text +
+                               "': unix: requires a socket path");
     }
-    std::strncpy(addr.sun_path, unix_path_.c_str(), sizeof addr.sun_path - 1);
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) throw_errno("socket");
-    ::unlink(unix_path_.c_str());
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
-        0) {
-      throw_errno("bind " + unix_path_);
+    if (ep.path.size() >= sizeof addr.sun_path) {
+      throw std::runtime_error("unix socket path too long: " + ep.path);
     }
-    endpoint_ = "unix:" + unix_path_;
-  } else if (listen.rfind("tcp:", 0) == 0) {
-    std::string host_part = "127.0.0.1";
-    std::string port_part = listen.substr(4);
-    const std::size_t colon = port_part.rfind(':');
-    if (colon != std::string::npos) {
-      host_part = port_part.substr(0, colon);
-      port_part = port_part.substr(colon + 1);
+    std::memcpy(addr.sun_path, ep.path.data(), ep.path.size());
+    std::memcpy(&ep.addr, &addr, sizeof addr);
+    ep.addr_len = sizeof addr;
+    return ep;
+  }
+  if (text.rfind("tcp:", 0) == 0) {
+    const std::string_view rest = std::string_view(text).substr(4);
+    const std::size_t colon = rest.rfind(':');
+    ep.host = colon == std::string_view::npos ? "127.0.0.1"
+                                              : std::string(rest.substr(0, colon));
+    const std::optional<int> port = util::parse_number<int>(
+        colon == std::string_view::npos ? rest : rest.substr(colon + 1), 0,
+        65535);
+    if (!port) {
+      throw std::runtime_error("bad tcp port in endpoint '" + text +
+                               "' (expected 0..65535)");
     }
-    int port = -1;
-    try {
-      port = std::stoi(port_part);
-    } catch (const std::exception&) {
-      port = -1;
-    }
-    if (port < 0 || port > 65535) {
-      throw std::runtime_error("bad tcp port in --listen: " + listen);
-    }
+    ep.port = *port;
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::inet_pton(AF_INET, host_part.c_str(), &addr.sin_addr) != 1) {
-      throw std::runtime_error("bad tcp host in --listen (numeric IPv4): " +
-                               host_part);
+    addr.sin_port = htons(static_cast<std::uint16_t>(ep.port));
+    if (::inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) {
+      throw std::runtime_error("bad tcp host in endpoint '" + text +
+                               "' (numeric IPv4 expected)");
     }
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) throw_errno("socket");
+    std::memcpy(&ep.addr, &addr, sizeof addr);
+    ep.addr_len = sizeof addr;
+    return ep;
+  }
+  throw std::runtime_error(
+      "endpoint must be unix:<path> or tcp:[host:]<port>, got '" + text + "'");
+}
+
+LineServer::LineServer(LineServerConfig config, Handler handler)
+    : config_(std::move(config)), handler_(std::move(handler)) {
+  const Endpoint ep = parse_endpoint(config_.listen);
+  listen_fd_ = ::socket(ep.addr.ss_family, SOCK_STREAM, 0);
+  if (listen_fd_ < 0) throw_errno("socket");
+  if (ep.unix_socket) {
+    unix_socket_ = true;
+    unix_path_ = ep.path;
+    ::unlink(unix_path_.c_str());
+  } else {
     const int one = 1;
     ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
-        0) {
-      throw_errno("bind " + listen);
-    }
+  }
+  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&ep.addr),
+             ep.addr_len) < 0) {
+    throw_errno("bind " + config_.listen);
+  }
+  if (ep.unix_socket) {
+    endpoint_ = "unix:" + unix_path_;
+  } else {
     sockaddr_in bound{};
     socklen_t len = sizeof bound;
     ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-    endpoint_ =
-        "tcp:" + host_part + ":" + std::to_string(ntohs(bound.sin_port));
-  } else {
-    throw std::runtime_error(
-        "--listen must be unix:<path> or tcp:[host:]<port>, got '" + listen +
-        "'");
+    endpoint_ = "tcp:" + ep.host + ":" + std::to_string(ntohs(bound.sin_port));
   }
   if (::listen(listen_fd_, config_.backlog) < 0) throw_errno("listen");
 }

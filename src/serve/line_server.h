@@ -18,6 +18,8 @@
 // rehearse torn responses and post-ack crashes in-process.
 #pragma once
 
+#include <sys/socket.h>
+
 #include <functional>
 #include <set>
 #include <string>
@@ -28,6 +30,22 @@
 #include "util/thread_annotations.h"
 
 namespace compsynth::serve {
+
+/// A parsed endpoint, the one syntax LineServer listens on and LineClient
+/// connects to: unix:<path>, or tcp:[host:]<port> with a numeric IPv4 host
+/// (default 127.0.0.1) and a port in [0, 65535] (0 = ephemeral, bind only).
+struct Endpoint {
+  bool unix_socket = false;
+  std::string path;  ///< unix: the socket path
+  std::string host;  ///< tcp: the IPv4 address
+  int port = 0;      ///< tcp: the port
+  sockaddr_storage addr{};  ///< ready for bind() / connect()
+  socklen_t addr_len = 0;
+};
+
+/// Parses `text`; throws std::runtime_error quoting it when any part is
+/// malformed (the port must be the whole rest: "tcp:0abc" is refused).
+Endpoint parse_endpoint(const std::string& text);
 
 struct LineServerConfig {
   /// "unix:<path>" or "tcp:<port>" / "tcp:<host>:<port>" (numeric IPv4

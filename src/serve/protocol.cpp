@@ -1,47 +1,8 @@
 #include "serve/protocol.h"
 
-#include <cmath>
-#include <cstdio>
-#include <sstream>
-
-#include "obs/trace.h"
+#include "util/number.h"
 
 namespace compsynth::serve {
-
-namespace {
-
-// Pulls an integer-valued field out of a parsed request object. Returns
-// false (with an error message) on a non-numeric or non-integral value.
-bool take_int(const obs::JsonObject& obj, const char* name, long long lo,
-              long long hi, long long* out, std::string* err) {
-  const auto it = obj.find(name);
-  if (it == obj.end()) return true;  // optional; keep the default
-  if (it->second.kind != obs::JsonValue::Kind::kNumber) {
-    *err = std::string(name) + " must be a number";
-    return false;
-  }
-  const double v = it->second.num;
-  if (!std::isfinite(v) || v != std::floor(v)) {
-    *err = std::string(name) + " must be an integer";
-    return false;
-  }
-  if (v < static_cast<double>(lo) || v > static_cast<double>(hi)) {
-    *err = std::string(name) + " out of range";
-    return false;
-  }
-  *out = static_cast<long long>(v);
-  return true;
-}
-
-bool take_str(const obs::JsonObject& obj, const char* name, std::string* out) {
-  const auto it = obj.find(name);
-  if (it == obj.end()) return true;
-  if (it->second.kind != obs::JsonValue::Kind::kString) return false;
-  *out = it->second.str;
-  return true;
-}
-
-}  // namespace
 
 const char* verb_name(Verb verb) {
   switch (verb) {
@@ -65,15 +26,6 @@ std::optional<Verb> parse_verb(std::string_view name) {
   return std::nullopt;
 }
 
-const char* preference_name(oracle::Preference p) {
-  switch (p) {
-    case oracle::Preference::kFirst: return "first";
-    case oracle::Preference::kSecond: return "second";
-    case oracle::Preference::kTie: return "tie";
-  }
-  return "?";
-}
-
 std::optional<oracle::Preference> parse_preference(std::string_view name) {
   if (name == "first") return oracle::Preference::kFirst;
   if (name == "second") return oracle::Preference::kSecond;
@@ -93,11 +45,9 @@ bool valid_session_id(std::string_view id) {
 
 std::string encode_metrics(const std::vector<double>& metrics) {
   std::string out;
-  char buf[64];
   for (std::size_t i = 0; i < metrics.size(); ++i) {
-    std::snprintf(buf, sizeof buf, "%.17g", metrics[i]);
     if (i > 0) out += ' ';
-    out += buf;
+    out += util::format_double(metrics[i]);
   }
   return out;
 }
@@ -108,20 +58,11 @@ std::string scenario_key(const pref::Scenario& s) {
 
 std::optional<std::vector<double>> decode_metrics(std::string_view text) {
   std::vector<double> out;
-  std::istringstream is{std::string(text)};
-  std::string token;
-  while (is >> token) {
-    std::size_t used = 0;
-    double v = 0;
-    try {
-      v = std::stod(token, &used);
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-    if (used != token.size()) return std::nullopt;
-    out.push_back(v);
+  for (const std::string_view token : util::split(text, ' ')) {
+    const std::optional<double> v = util::parse_number<double>(token);
+    if (!v) return std::nullopt;
+    out.push_back(*v);
   }
-  if (out.empty()) return std::nullopt;
   return out;
 }
 
@@ -130,24 +71,16 @@ std::variant<Request, ParseError> parse_request(std::string_view line) {
   if (!parsed) {
     return ParseError{kErrParse, "request is not one flat JSON object"};
   }
-  const obs::JsonObject& obj = *parsed;
-
-  const auto verb_it = obj.find("verb");
-  if (verb_it == obj.end() ||
-      verb_it->second.kind != obs::JsonValue::Kind::kString) {
-    return ParseError{kErrVerb, "missing string field 'verb'"};
-  }
-  const std::optional<Verb> verb = parse_verb(verb_it->second.str);
-  if (!verb) {
-    return ParseError{kErrVerb, "unknown verb '" + verb_it->second.str + "'"};
-  }
+  obs::JsonFields f(*parsed);
+  const std::optional<std::string> verb_text = f.string("verb");
+  if (!verb_text) return ParseError{kErrVerb, "missing string field 'verb'"};
+  const std::optional<Verb> verb = parse_verb(*verb_text);
+  if (!verb) return ParseError{kErrVerb, "unknown verb '" + *verb_text + "'"};
 
   Request req;
   req.verb = *verb;
-  std::string err;
-  if (!take_str(obj, "session", &req.session)) {
-    return ParseError{kErrField, "session must be a string"};
-  }
+  req.session = f.string("session").value_or("");
+  if (!f.ok()) return ParseError{kErrField, f.error()};
   const bool needs_session = req.verb != Verb::kShutdown &&
                              !(req.verb == Verb::kInspect && req.session.empty());
   if (needs_session && !valid_session_id(req.session)) {
@@ -156,63 +89,40 @@ std::variant<Request, ParseError> parse_request(std::string_view line) {
                       "start with '.'"};
   }
 
+  // Absent optional fields keep the Request defaults.
   if (req.verb == Verb::kCreate) {
-    if (!take_str(obj, "sketch", &req.sketch)) {
-      return ParseError{kErrField, "sketch must be a string"};
-    }
-    if (!take_str(obj, "backend", &req.backend)) {
-      return ParseError{kErrField, "backend must be a string"};
-    }
-    long long v = 0;
-    if (!take_int(obj, "seed", 0, (1LL << 53), &v, &err)) {
-      return ParseError{kErrField, err};
-    }
-    if (obj.count("seed") != 0) req.seed = static_cast<std::uint64_t>(v);
-    v = req.initial;
-    if (!take_int(obj, "initial", 0, 1000, &v, &err)) {
-      return ParseError{kErrField, err};
-    }
-    req.initial = static_cast<int>(v);
-    v = req.pairs;
-    if (!take_int(obj, "pairs", 1, 100, &v, &err)) {
-      return ParseError{kErrField, err};
-    }
-    req.pairs = static_cast<int>(v);
-    v = req.max_iters;
-    if (!take_int(obj, "max_iters", 1, 1000000, &v, &err)) {
-      return ParseError{kErrField, err};
-    }
-    req.max_iters = static_cast<int>(v);
+    if (auto v = f.string("sketch")) req.sketch = *v;
+    if (auto v = f.string("backend")) req.backend = *v;
+    if (auto v = f.integer("seed", 0, obs::kJsonMaxExactInt)) req.seed = *v;
+    if (auto v = f.integer("initial", 0, kMaxInitial)) req.initial = *v;
+    if (auto v = f.integer("pairs", 1, kMaxPairs)) req.pairs = *v;
+    if (auto v = f.integer("max_iters", 1, kMaxIters)) req.max_iters = *v;
   } else if (req.verb == Verb::kNext) {
-    long long v = 0;
-    if (!take_int(obj, "wait_ms", 0, 600000, &v, &err)) {
-      return ParseError{kErrField, err};
-    }
-    req.wait_ms = static_cast<int>(v);
+    if (auto v = f.integer("wait_ms", 0, kMaxWaitMs)) req.wait_ms = *v;
   } else if (req.verb == Verb::kAnswer) {
-    long long v = -1;
-    if (!take_int(obj, "index", 0, (1LL << 40), &v, &err) ||
-        obj.count("index") == 0) {
+    const std::optional<long long> index = f.integer("index", 0, kMaxIndex);
+    if (!index) {
       return ParseError{kErrIndex,
-                        err.empty() ? "missing integer field 'index'" : err};
+                        f.ok() ? "missing integer field 'index'" : f.error()};
     }
-    req.index = static_cast<long>(v);
-    std::string answer;
-    if (!take_str(obj, "answer", &answer) || answer.empty()) {
+    req.index = static_cast<long>(*index);
+    const std::optional<std::string> answer = f.string("answer");
+    if (!answer || answer->empty()) {
       return ParseError{kErrAnswer, "missing string field 'answer'"};
     }
-    const std::optional<oracle::Preference> p = parse_preference(answer);
+    const std::optional<oracle::Preference> p = parse_preference(*answer);
     if (!p) {
       return ParseError{kErrAnswer,
                         "answer must be 'first', 'second' or 'tie'"};
     }
     req.answer = *p;
   }
+  if (!f.ok()) return ParseError{kErrField, f.error()};
   return req;
 }
 
 std::string render_request(const Request& req) {
-  JsonWriter w;
+  obs::JsonWriter w;
   w.str("verb", verb_name(req.verb));
   if (!req.session.empty()) w.str("session", req.session);
   switch (req.verb) {
@@ -229,7 +139,7 @@ std::string render_request(const Request& req) {
       break;
     case Verb::kAnswer:
       w.integer("index", req.index);
-      w.str("answer", preference_name(req.answer));
+      w.str("answer", oracle::preference_name(req.answer));
       break;
     case Verb::kInspect:
     case Verb::kEvict:
@@ -239,49 +149,8 @@ std::string render_request(const Request& req) {
   return w.done();
 }
 
-void JsonWriter::key(std::string_view k) {
-  if (!first_) out_ += ',';
-  first_ = false;
-  out_ += '"';
-  out_ += obs::json_escape(k);
-  out_ += "\":";
-}
-
-JsonWriter& JsonWriter::str(std::string_view k, std::string_view value) {
-  key(k);
-  out_ += '"';
-  out_ += obs::json_escape(value);
-  out_ += '"';
-  return *this;
-}
-
-JsonWriter& JsonWriter::integer(std::string_view k, long long value) {
-  key(k);
-  out_ += std::to_string(value);
-  return *this;
-}
-
-JsonWriter& JsonWriter::num(std::string_view k, double value) {
-  key(k);
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  out_ += buf;
-  return *this;
-}
-
-JsonWriter& JsonWriter::boolean(std::string_view k, bool value) {
-  key(k);
-  out_ += value ? "true" : "false";
-  return *this;
-}
-
-std::string JsonWriter::done() {
-  out_ += '}';
-  return std::move(out_);
-}
-
 std::string error_response(std::string_view code, std::string_view message) {
-  JsonWriter w;
+  obs::JsonWriter w;
   w.integer("v", kProtocolVersion);
   w.boolean("ok", false);
   w.str("code", code);
@@ -289,8 +158,8 @@ std::string error_response(std::string_view code, std::string_view message) {
   return w.done();
 }
 
-JsonWriter ok_response(Verb verb) {
-  JsonWriter w;
+obs::JsonWriter ok_response(Verb verb) {
+  obs::JsonWriter w;
   w.integer("v", kProtocolVersion);
   w.boolean("ok", true);
   w.str("verb", verb_name(verb));

@@ -26,6 +26,7 @@
 #include <variant>
 #include <vector>
 
+#include "obs/json.h"
 #include "oracle/oracle.h"
 #include "pref/scenario.h"
 
@@ -78,6 +79,15 @@ struct Request {
   oracle::Preference answer = oracle::Preference::kTie;
 };
 
+// Ranges of the integer request fields. create's are also the bounds the
+// host applies to CreateParams and the session.json reader to its fields;
+// seeds lie in [0, obs::kJsonMaxExactInt].
+inline constexpr int kMaxInitial = 1000;
+inline constexpr int kMaxPairs = 100;
+inline constexpr int kMaxIters = 1000000;
+inline constexpr int kMaxWaitMs = 600000;
+inline constexpr long long kMaxIndex = 1LL << 40;
+
 struct ParseError {
   std::string code;
   std::string message;
@@ -96,38 +106,23 @@ std::string render_request(const Request& req);
 /// they double as directory names under the daemon's --root.
 bool valid_session_id(std::string_view id);
 
-/// "first" / "second" / "tie" — the wire spelling of a comparison answer.
-const char* preference_name(oracle::Preference p);
+/// Reads oracle::preference_name's spelling ("first" / "second" / "tie")
+/// back: the wire form of a comparison answer.
 std::optional<oracle::Preference> parse_preference(std::string_view name);
 
-/// Canonical scenario rendering: space-separated %.17g metric values.
-/// Round-trips exactly through decode_metrics (%.17g preserves doubles) and
-/// is the identity used by the answers.log replay check.
+/// Canonical scenario rendering: util::format_double values separated by
+/// one space. Round-trips exactly through decode_metrics, which accepts
+/// only that shape (finite values, single spaces), and is the identity used
+/// by the answers.log replay check.
 std::string scenario_key(const pref::Scenario& s);
 std::string encode_metrics(const std::vector<double>& metrics);
 std::optional<std::vector<double>> decode_metrics(std::string_view text);
-
-/// Incremental flat-JSON response builder ({"k":v,...}); values are escaped
-/// per obs::json_escape. `done()` closes and returns the object.
-class JsonWriter {
- public:
-  JsonWriter& str(std::string_view key, std::string_view value);
-  JsonWriter& integer(std::string_view key, long long value);
-  JsonWriter& num(std::string_view key, double value);
-  JsonWriter& boolean(std::string_view key, bool value);
-  std::string done();
-
- private:
-  void key(std::string_view k);
-  std::string out_ = "{";
-  bool first_ = true;
-};
 
 /// {"v":1,"ok":false,"code":...,"error":...} — the uniform failure shape.
 std::string error_response(std::string_view code, std::string_view message);
 
 /// Starts a success response ({"v":1,"ok":true,"verb":...}); the caller
 /// appends verb-specific fields and calls done().
-JsonWriter ok_response(Verb verb);
+obs::JsonWriter ok_response(Verb verb);
 
 }  // namespace compsynth::serve

@@ -77,7 +77,7 @@ std::string Server::handle_line(const std::string& line, bool* stop_after) {
             break;
           }
           ok = true;
-          JsonWriter w = ok_response(Verb::kNext);
+          obs::JsonWriter w = ok_response(Verb::kNext);
           w.str("session", view.id)
               .str("phase", phase_name(view.phase))
               .integer("answers", view.answers)
@@ -131,7 +131,7 @@ std::string Server::handle_line(const std::string& line, bool* stop_after) {
             break;
           }
           ok = true;
-          JsonWriter w = ok_response(Verb::kInspect);
+          obs::JsonWriter w = ok_response(Verb::kInspect);
           w.str("session", view.id)
               .str("phase", phase_name(view.phase))
               .boolean("resident", view.resident)

@@ -12,6 +12,7 @@
 #include "session/snapshot.h"
 #include "sketch/printer.h"
 #include "synth/synthesizer.h"
+#include "util/number.h"
 #include "util/timer.h"
 
 namespace compsynth::serve {
@@ -79,16 +80,6 @@ class ReplayOracle final : public oracle::Oracle {
   std::size_t restored_ = 0;
 };
 
-const char* status_name(synth::SynthesisStatus status) {
-  switch (status) {
-    case synth::SynthesisStatus::kConverged: return "converged";
-    case synth::SynthesisStatus::kIterationLimit: return "iteration_limit";
-    case synth::SynthesisStatus::kNoCandidate: return "no_candidate";
-    case synth::SynthesisStatus::kSolverGaveUp: return "solver_gave_up";
-  }
-  return "?";
-}
-
 // Stable across processes (std::hash is not guaranteed to be), so a
 // restarted daemon re-derives the same per-session fault stream.
 std::uint64_t fnv1a64(std::string_view s) {
@@ -114,31 +105,96 @@ void atomic_write_file(const std::filesystem::path& path,
   std::filesystem::rename(tmp, path);
 }
 
-std::optional<obs::JsonObject> read_flat_json_file(
+// The first line of `path` as one flat JSON object; nullopt when the file
+// does not exist. Throws when it exists but holds no such object.
+std::optional<obs::JsonObject> read_json_line(
     const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
   std::string line;
   std::getline(in, line);
-  return obs::parse_flat_json(line);
+  std::optional<obs::JsonObject> obj = obs::parse_flat_json(line);
+  if (!obj) throw std::runtime_error("cannot parse " + path.string());
+  return obj;
 }
 
-std::string json_string_field(const obs::JsonObject& obj, const char* name) {
-  const auto it = obj.find(name);
-  if (it == obj.end() || it->second.kind != obs::JsonValue::Kind::kString) {
-    throw std::runtime_error(std::string("missing string field '") + name +
-                             "'");
+// Throws, naming the file and the field, when a read of `f` failed.
+void check_fields(const obs::JsonFields& f, const std::filesystem::path& path) {
+  if (!f.ok()) {
+    throw std::runtime_error(path.filename().string() + ": " + f.error());
   }
-  return it->second.str;
 }
 
-long long json_int_field(const obs::JsonObject& obj, const char* name) {
-  const auto it = obj.find(name);
-  if (it == obj.end() || it->second.kind != obs::JsonValue::Kind::kNumber) {
-    throw std::runtime_error(std::string("missing numeric field '") + name +
-                             "'");
+// The newline-terminated records of answers.log, in order, and the bytes
+// they span. A trailing fragment without its newline is a torn append (the
+// answer was never acked) and is not a record.
+struct AnswerLog {
+  std::vector<AnswerRecord> records;
+  std::size_t record_bytes = 0;
+  std::size_t file_bytes = 0;
+};
+
+AnswerLog read_answer_log(const std::filesystem::path& path) {
+  AnswerLog log;
+  std::string content;
+  {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return log;  // no answers yet
+    content.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
   }
-  return static_cast<long long>(it->second.num);
+  log.file_bytes = content.size();
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t nl = content.find('\n', pos);
+    if (nl == std::string::npos) break;
+    const std::string_view line(content.data() + pos, nl - pos);
+    pos = nl + 1;
+    if (line.empty()) continue;
+    // <index>|<answer>|<key_a>|<key_b>
+    const std::vector<std::string_view> fields = util::split(line, '|');
+    if (fields.size() != 4) {
+      throw std::runtime_error("answers.log corrupt: malformed line");
+    }
+    const std::optional<long long> index =
+        util::parse_number<long long>(fields[0], 0, kMaxIndex);
+    if (!index) throw std::runtime_error("answers.log corrupt: bad index");
+    if (*index != static_cast<long long>(log.records.size())) {
+      throw std::runtime_error("answers.log corrupt: index out of sequence");
+    }
+    const std::optional<oracle::Preference> answer =
+        parse_preference(fields[1]);
+    if (!answer) {
+      throw std::runtime_error("answers.log corrupt: bad answer");
+    }
+    log.records.push_back(
+        {*answer, std::string(fields[2]), std::string(fields[3])});
+  }
+  log.record_bytes = pos;
+  return log;
+}
+
+// done.json: how a finished session ended. Its "answers" (the log length
+// at completion) is checked but not kept.
+struct DoneRecord {
+  std::string status;
+  std::string objective;
+  int iterations = 0;
+};
+
+std::optional<DoneRecord> read_done_json(const std::filesystem::path& path) {
+  const std::optional<obs::JsonObject> obj = read_json_line(path);
+  if (!obj) return std::nullopt;
+  obs::JsonFields f(*obj, obs::JsonFields::Absent::kError);
+  DoneRecord done;
+  f.integer("v", 1, 1);
+  done.status = f.string("status").value_or("");
+  done.objective = f.string("objective").value_or("");
+  done.iterations =
+      static_cast<int>(f.integer("iterations", 0, kMaxIters).value_or(0));
+  f.integer("answers", 0, kMaxIndex);
+  check_fields(f, path);
+  return done;
 }
 
 }  // namespace
@@ -156,7 +212,7 @@ const char* phase_name(SessionPhase phase) {
 
 struct SessionHost::SessionEntry {
   util::Mutex mu;
-  /// Signaled on every phase change and on detach; next/answer/drop wait.
+  /// Signaled on every phase change and on detach; next/answer/evict wait.
   util::CondVar cv;
 
   // Immutable after construction (mirrors session.json).
@@ -212,7 +268,7 @@ const sketch::Sketch* SessionHost::find_sketch(const std::string& name) const {
 // --- per-entry plumbing ----------------------------------------------------
 
 void SessionHost::write_session_json(const SessionEntry& e) {
-  JsonWriter w;
+  obs::JsonWriter w;
   w.integer("v", 1);
   w.str("id", e.params.id);
   w.str("sketch", e.params.sketch);
@@ -227,78 +283,24 @@ void SessionHost::write_session_json(const SessionEntry& e) {
 namespace {
 
 CreateParams read_session_json(const std::filesystem::path& path) {
-  const std::optional<obs::JsonObject> obj = read_flat_json_file(path);
-  if (!obj) {
-    throw std::runtime_error("cannot parse " + path.string());
-  }
+  const std::optional<obs::JsonObject> obj = read_json_line(path);
+  if (!obj) throw std::runtime_error("cannot read " + path.string());
+  obs::JsonFields f(*obj, obs::JsonFields::Absent::kError);
   CreateParams p;
-  p.id = json_string_field(*obj, "id");
-  p.sketch = json_string_field(*obj, "sketch");
-  p.backend = json_string_field(*obj, "backend");
-  p.seed = static_cast<std::uint64_t>(json_int_field(*obj, "seed"));
-  p.initial = static_cast<int>(json_int_field(*obj, "initial"));
-  p.pairs = static_cast<int>(json_int_field(*obj, "pairs"));
-  p.max_iters = static_cast<int>(json_int_field(*obj, "max_iters"));
+  f.integer("v", 1, 1);
+  p.id = f.string("id").value_or("");
+  p.sketch = f.string("sketch").value_or("");
+  p.backend = f.string("backend").value_or("");
+  p.seed = f.integer("seed", 0, obs::kJsonMaxExactInt).value_or(0);
+  p.initial = static_cast<int>(f.integer("initial", 0, kMaxInitial).value_or(0));
+  p.pairs = static_cast<int>(f.integer("pairs", 1, kMaxPairs).value_or(0));
+  p.max_iters =
+      static_cast<int>(f.integer("max_iters", 1, kMaxIters).value_or(0));
+  check_fields(f, path);
   return p;
 }
 
 }  // namespace
-
-void SessionHost::load_answer_log(SessionEntry& e) REQUIRES(e.mu) {
-  const std::filesystem::path path = e.dir / "answers.log";
-  std::string content;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return;  // no answers yet
-    content.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
-  }
-  std::size_t pos = 0;
-  for (;;) {
-    const std::size_t nl = content.find('\n', pos);
-    // A trailing fragment without its newline is a torn append (the answer
-    // was never acked); drop it and re-present the query.
-    if (nl == std::string::npos) break;
-    const std::string_view line(content.data() + pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    const std::size_t p1 = line.find('|');
-    const std::size_t p2 = p1 == std::string_view::npos
-                               ? std::string_view::npos
-                               : line.find('|', p1 + 1);
-    const std::size_t p3 = p2 == std::string_view::npos
-                               ? std::string_view::npos
-                               : line.find('|', p2 + 1);
-    if (p3 == std::string_view::npos) {
-      throw std::runtime_error("answers.log corrupt: malformed line");
-    }
-    long index = -1;
-    try {
-      index = std::stol(std::string(line.substr(0, p1)));
-    } catch (const std::exception&) {
-      throw std::runtime_error("answers.log corrupt: bad index");
-    }
-    if (index != static_cast<long>(e.log.size())) {
-      throw std::runtime_error("answers.log corrupt: index out of sequence");
-    }
-    const std::optional<oracle::Preference> answer =
-        parse_preference(line.substr(p1 + 1, p2 - p1 - 1));
-    if (!answer) {
-      throw std::runtime_error("answers.log corrupt: bad answer");
-    }
-    AnswerRecord rec;
-    rec.answer = *answer;
-    rec.key_a = std::string(line.substr(p2 + 1, p3 - p2 - 1));
-    rec.key_b = std::string(line.substr(p3 + 1));
-    e.log.push_back(std::move(rec));
-  }
-  // Dropping the torn tail in memory is not enough: the bytes must also go
-  // from the file, or the next acked answer would append onto the fragment
-  // and fuse into one corrupt line. Must run before open_answer_log.
-  if (pos < content.size()) {
-    std::filesystem::resize_file(path, pos);
-  }
-}
 
 void SessionHost::drain() {
   const util::MutexLock lk(mu_);
@@ -370,8 +372,12 @@ HostResult SessionHost::create(const CreateParams& params) {
     return HostResult::failure(kErrBackend,
                                "backend must be grid, bisection or z3");
   }
-  if (params.initial < 0 || params.pairs < 1 || params.max_iters < 1) {
-    return HostResult::failure(kErrField, "initial/pairs/max_iters out of range");
+  if (params.seed > static_cast<std::uint64_t>(obs::kJsonMaxExactInt) ||
+      params.initial < 0 || params.initial > kMaxInitial ||
+      params.pairs < 1 || params.pairs > kMaxPairs || params.max_iters < 1 ||
+      params.max_iters > kMaxIters) {
+    return HostResult::failure(kErrField,
+                               "seed/initial/pairs/max_iters out of range");
   }
 
   std::shared_ptr<SessionEntry> e;
@@ -433,7 +439,6 @@ std::shared_ptr<SessionHost::SessionEntry> SessionHost::acquire(
   std::shared_ptr<SessionEntry> e;
   bool rehydrated = false;
   int snapshot_iteration = -1;
-  long replayed = 0;
   double rehydrate_secs = 0;
   {
     const util::MutexLock lk(mu_);
@@ -452,7 +457,6 @@ std::shared_ptr<SessionHost::SessionEntry> SessionHost::acquire(
       rehydrated = true;
       const util::MutexLock elk(e->mu);
       snapshot_iteration = e->snap ? e->snap->iterations : 0;
-      replayed = static_cast<long>(e->log.size());
     }
   }
   if (rehydrated) {
@@ -463,7 +467,6 @@ std::shared_ptr<SessionHost::SessionEntry> SessionHost::acquire(
       obs::TraceEvent ev("session_rehydrate");
       ev.str("session", id)
           .integer("snapshot_iteration", snapshot_iteration)
-          .integer("replayed", replayed)
           .num("secs", rehydrate_secs);
       config_.obs.emit(ev);
     }
@@ -484,7 +487,7 @@ std::shared_ptr<SessionHost::SessionEntry> SessionHost::rehydrate_locked(
   }
   auto e = std::make_shared<SessionEntry>();
   // Unpublished entry: uncontended, taken for the guarded-field contract
-  // (load_answer_log fills e->log). mu_ is already held (mu_ -> entry mu).
+  // (the answer log fills e->log). mu_ is already held (mu_ -> entry mu).
   const util::MutexLock elk(e->mu);
   try {
     e->params = read_session_json(dir / "session.json");
@@ -493,7 +496,14 @@ std::shared_ptr<SessionHost::SessionEntry> SessionHost::rehydrate_locked(
     }
     e->dir = dir;
     init_entry(*e);
-    load_answer_log(*e);  // truncates any torn tail before the stream opens
+    AnswerLog log = read_answer_log(dir / "answers.log");
+    e->log = std::move(log.records);
+    // Dropping the torn tail in memory is not enough: the bytes must also
+    // go from the file before the stream opens, or the next acked answer
+    // would append onto the fragment and fuse into one corrupt line.
+    if (log.record_bytes < log.file_bytes) {
+      std::filesystem::resize_file(dir / "answers.log", log.record_bytes);
+    }
     open_answer_log(*e);
     std::string snap_path;
     std::optional<session::Snapshot> snap =
@@ -507,13 +517,11 @@ std::shared_ptr<SessionHost::SessionEntry> SessionHost::rehydrate_locked(
       e->iterations = snap->state.iterations;
       e->snap = std::move(snap->state);
     }
-    const std::optional<obs::JsonObject> done =
-        read_flat_json_file(dir / "done.json");
-    if (done) {
+    if (std::optional<DoneRecord> done = read_done_json(dir / "done.json")) {
       e->phase = SessionPhase::kDone;
-      e->done_status = json_string_field(*done, "status");
-      e->objective = json_string_field(*done, "objective");
-      e->iterations = static_cast<int>(json_int_field(*done, "iterations"));
+      e->done_status = std::move(done->status);
+      e->objective = std::move(done->objective);
+      e->iterations = done->iterations;
     }
   } catch (const std::exception& ex) {
     *error = HostResult::failure(
@@ -587,7 +595,6 @@ void SessionHost::run_advance(const std::shared_ptr<SessionEntry>& e) {
       cfg.grid_threads = config_.grid_threads;
       cfg.keep_transcript = false;
       cfg.obs = e->run_obs;
-      cfg.checkpoint_every = config_.checkpoint_every;
       session::SnapshotMeta meta;
       meta.sketch = sk->name();
       meta.backend = e->params.backend;
@@ -625,9 +632,9 @@ void SessionHost::run_advance(const std::shared_ptr<SessionEntry>& e) {
     }
     // Completion is durable before it is visible: a restarted daemon reads
     // done.json instead of re-running the (already converged) loop.
-    JsonWriter w;
+    obs::JsonWriter w;
     w.integer("v", 1);
-    w.str("status", status_name(result->status));
+    w.str("status", synth::status_name(result->status));
     w.str("objective", objective);
     w.integer("iterations", result->iterations);
     w.integer("answers", static_cast<long long>(log.size()));
@@ -649,7 +656,7 @@ void SessionHost::run_advance(const std::shared_ptr<SessionEntry>& e) {
       e->phase = SessionPhase::kWaiting;
     } else if (result) {
       e->phase = SessionPhase::kDone;
-      e->done_status = status_name(result->status);
+      e->done_status = synth::status_name(result->status);
       e->objective = objective;
       e->iterations = result->iterations;
     } else {
@@ -703,7 +710,7 @@ HostResult SessionHost::answer(const std::string& id, long index,
         return HostResult::failure(
             kErrAnswer, "index " + std::to_string(index) +
                             " was already acked as '" +
-                            preference_name(acked) +
+                            oracle::preference_name(acked) +
                             "'; contradictory re-delivery refused");
       }
       return HostResult::success();
@@ -746,8 +753,8 @@ HostResult SessionHost::answer(const std::string& id, long index,
         ev->str("session", id).integer("index", index);
       }
       // The ack is durable before it is given: log line flushed first.
-      e->log_out << e->log.size() << '|' << preference_name(answer) << '|'
-                 << rec.key_a << '|' << rec.key_b << '\n';
+      e->log_out << e->log.size() << '|' << oracle::preference_name(answer)
+                 << '|' << rec.key_a << '|' << rec.key_b << '\n';
       e->log_out.flush();
     }
     if (!e->log_out) {
@@ -776,34 +783,39 @@ HostResult SessionHost::evict(const std::string& id) {
     }
     e = it->second;
   }
-  drop(e, "evict");
-  return HostResult::success();
-}
-
-// Swaps one resident entry to disk: waits out any in-flight advance (its
-// checkpoint must land before the memory goes away — though even that is
-// belt-and-braces, since the answers.log alone can rebuild the state), then
-// detaches the entry under both locks so no new advance can start on it.
-void SessionHost::drop(const std::shared_ptr<SessionEntry>& e,
-                       const char* reason) {
+  // Waits out any in-flight advance: its checkpoint must land before the
+  // memory goes away (belt-and-braces, since the answers.log alone can
+  // rebuild the state).
   for (;;) {
     {
       const util::MutexLock lk(e->mu);
       e->cv.wait(e->mu, [&]() REQUIRES(e->mu) {
         return !e->advancing || e->detached;
       });
-      if (e->detached) return;  // someone else swapped it
     }
+    if (swap_out(e, "evict", std::nullopt)) return HostResult::success();
+    // An answer slipped in and started an advance; wait again.
+  }
+}
+
+bool SessionHost::swap_out(const std::shared_ptr<SessionEntry>& e,
+                           const char* reason,
+                           std::optional<std::uint64_t> picked_lru) {
+  {
     // mu_ before e->mu: the documented lock order (docs/CONCURRENCY.md).
     const util::MutexLock host(mu_);
     const util::MutexLock lk(e->mu);
-    if (e->detached) return;
-    if (e->advancing) continue;  // an answer slipped in; wait again
+    if (e->detached) return true;  // someone else swapped it
+    if (e->advancing) return false;
+    if (picked_lru &&
+        (e->lru != *picked_lru ||
+         static_cast<int>(residents_.size()) <= config_.max_active)) {
+      return false;  // the LRU pick went stale
+    }
     e->detached = true;
     residents_.erase(e->params.id);
     ++stats_.swaps;
     stats_.sessions_resident = static_cast<long>(residents_.size());
-    break;
   }
   e->cv.notify_all();
   config_.obs.count("serve.swaps");
@@ -814,17 +826,20 @@ void SessionHost::drop(const std::shared_ptr<SessionEntry>& e,
     ev.str("session", e->params.id).str("reason", reason);
     config_.obs.emit(ev);
   }
+  return true;
 }
 
 // LRU bound: while too many sessions are resident, swap out the
 // least-recently-touched one that is neither mid-advance nor the newest
 // touch (evicting the entry the current request just pulled in would
-// livelock a tiny --max-active against itself).
+// livelock a tiny --max-active against itself). A pick that goes stale
+// before it is swapped out (it starts advancing, is touched again, or the
+// cap is met meanwhile) is picked anew.
 void SessionHost::enforce_cap() {
   if (config_.max_active <= 0) return;
   for (;;) {
     std::shared_ptr<SessionEntry> victim;
-    bool retry = false;
+    std::uint64_t victim_lru = 0;
     {
       const util::MutexLock host(mu_);
       if (static_cast<int>(residents_.size()) <= config_.max_active) return;
@@ -843,28 +858,9 @@ void SessionHost::enforce_cap() {
         }
       }
       if (victim == nullptr) return;  // everything is computing; retry later
-      {
-        const util::MutexLock lk(victim->mu);
-        if (victim->advancing) {
-          retry = true;  // started advancing since selection
-        } else {
-          victim->detached = true;
-          residents_.erase(victim->params.id);
-          ++stats_.swaps;
-          stats_.sessions_resident = static_cast<long>(residents_.size());
-        }
-      }
+      victim_lru = victim->lru;
     }
-    if (retry) continue;
-    victim->cv.notify_all();
-    config_.obs.count("serve.swaps");
-    config_.obs.gauge("serve.sessions_active",
-                      static_cast<double>(stats().sessions_resident));
-    if (config_.obs.tracing()) {
-      obs::TraceEvent ev("session_swap");
-      ev.str("session", victim->params.id).str("reason", "lru");
-      config_.obs.emit(ev);
-    }
+    swap_out(victim, "lru", victim_lru);
   }
 }
 
@@ -888,31 +884,15 @@ HostResult SessionHost::inspect(const std::string& id, SessionView* view) {
   view->id = id;
   view->resident = false;
   view->phase = SessionPhase::kSwapped;
-  view->answers = 0;
-  {
-    // Count only newline-terminated records, matching load_answer_log: a
-    // torn trailing fragment was never acked and will not be replayed.
-    std::ifstream in(dir / "answers.log", std::ios::binary);
-    if (in) {
-      const std::string content((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-      std::size_t pos = 0;
-      for (;;) {
-        const std::size_t nl = content.find('\n', pos);
-        if (nl == std::string::npos) break;
-        if (nl > pos) ++view->answers;
-        pos = nl + 1;
-      }
-    }
-  }
   try {
-    const std::optional<obs::JsonObject> done =
-        read_flat_json_file(dir / "done.json");
-    if (done) {
+    // The readers rehydration uses; nothing on disk is changed.
+    view->answers =
+        static_cast<long>(read_answer_log(dir / "answers.log").records.size());
+    if (std::optional<DoneRecord> done = read_done_json(dir / "done.json")) {
       view->phase = SessionPhase::kDone;
-      view->status = json_string_field(*done, "status");
-      view->objective = json_string_field(*done, "objective");
-      view->iterations = static_cast<int>(json_int_field(*done, "iterations"));
+      view->status = std::move(done->status);
+      view->objective = std::move(done->objective);
+      view->iterations = done->iterations;
     }
   } catch (const std::exception& ex) {
     return HostResult::failure(kErrInternal, ex.what());

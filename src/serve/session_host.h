@@ -132,7 +132,6 @@ struct HostConfig {
   int max_active = 64;
 
   int keep_snapshots = 4;
-  int checkpoint_every = 1;
 
   /// GridFinder parallelism per session (SynthesisConfig::grid_threads).
   /// Defaults to fully sequential: daemon parallelism comes from many
@@ -211,14 +210,20 @@ class SessionHost {
       REQUIRES(mu_);
   void init_entry(SessionEntry& entry);
   static void write_session_json(const SessionEntry& entry);
-  static void load_answer_log(SessionEntry& entry);
   static void open_answer_log(SessionEntry& entry);
   void schedule_advance(const std::shared_ptr<SessionEntry>& entry)
       EXCLUDES(mu_);
   void run_advance(const std::shared_ptr<SessionEntry>& entry) EXCLUDES(mu_);
   void enforce_cap() EXCLUDES(mu_);
-  void drop(const std::shared_ptr<SessionEntry>& entry, const char* reason)
-      EXCLUDES(mu_);
+  /// Swaps `entry` to disk: detaches it under mu_ and its own mutex (so no
+  /// new advance can start on it), wakes its waiters and publishes the swap
+  /// (serve.swaps, the sessions_active gauge, a session_swap event). True
+  /// once it is swapped out, by this call or an earlier one; false, with
+  /// nothing changed, while it is advancing or when `picked_lru` is set and
+  /// the pick went stale: the entry was touched since, or the resident set
+  /// is no longer over the cap.
+  bool swap_out(const std::shared_ptr<SessionEntry>& entry, const char* reason,
+                std::optional<std::uint64_t> picked_lru) EXCLUDES(mu_);
   // view_of additionally requires the entry's own mutex; the REQUIRES
   // attribute lives on the definition (SessionEntry is incomplete here, so
   // `entry.mu` cannot be named in this header).
@@ -230,7 +235,7 @@ class SessionHost {
   std::vector<sketch::Sketch> sketches_;
 
   /// Host-level lock. When an entry's own mutex is also needed, mu_ is
-  /// acquired FIRST (drop, enforce_cap, inspect); never the reverse — see
+  /// acquired FIRST (swap_out, enforce_cap, inspect); never the reverse — see
   /// docs/CONCURRENCY.md §Lock ordering.
   mutable util::Mutex mu_;
   /// Signaled whenever in_flight_ drops; drain() waits on it.

@@ -1,29 +1,25 @@
 #include "session/snapshot.h"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
+#include <limits>
+#include <optional>
 #include <sstream>
-#include <type_traits>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "obs/trace.h"
+#include "obs/json.h"
 #include "pref/serialize.h"
 #include "util/checksum.h"
+#include "util/number.h"
 
 namespace compsynth::session {
 
 namespace {
 
-std::string render_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using util::format_double;
+using util::split;
 
 [[noreturn]] void bad(const std::string& what) { throw SnapshotError(what); }
 
@@ -38,19 +34,32 @@ void append_section(std::string& payload, const char* name,
   payload += '\n';
 }
 
+// One number of an @synth line, in [lo, hi].
+template <typename T>
+T synth_number(std::string_view token, const char* what,
+               T lo = std::numeric_limits<T>::lowest(),
+               T hi = std::numeric_limits<T>::max()) {
+  const std::optional<T> v = util::parse_number<T>(token, lo, hi);
+  if (!v) {
+    bad("@synth section: " + std::string(what) + " '" + std::string(token) +
+        "' is not a number in range");
+  }
+  return *v;
+}
+
 // The optional trailing `pending` line: "pending <solver_seconds> <pairs>
 // <arity>" then, per pair, the preferred-by-A scenario's metrics and the
 // preferred-by-B one's.
 void encode_pending_line(std::ostream& os, const synth::PendingPairs& p) {
   const std::size_t arity = p.pairs.front().preferred_by_a.metrics.size();
-  os << "pending " << render_double(p.solver_seconds) << ' ' << p.pairs.size()
+  os << "pending " << format_double(p.solver_seconds) << ' ' << p.pairs.size()
      << ' ' << arity;
   for (const solver::DistinguishingPair& pair : p.pairs) {
     for (const pref::Scenario* s : {&pair.preferred_by_a, &pair.preferred_by_b}) {
       if (s->metrics.size() != arity) {
         bad("pending pairs have scenarios of differing arity");
       }
-      for (const double m : s->metrics) os << ' ' << render_double(m);
+      for (const double m : s->metrics) os << ' ' << format_double(m);
     }
   }
   os << '\n';
@@ -59,18 +68,19 @@ void encode_pending_line(std::ostream& os, const synth::PendingPairs& p) {
 // The @synth section: loop counters + transcript, line oriented. The graph
 // tolerance flag rides here so decode knows which mode to deserialize the
 // @graph section in (it precedes @graph in the payload).
-std::string encode_synth_section(const synth::SessionState& st) {
+std::string encode_synth_section(const synth::SessionState& st,
+                                 bool tolerant) {
   std::ostringstream os;
-  os << "tolerant " << (st.graph.allows_inconsistent() ? 1 : 0) << '\n'
+  os << "tolerant " << (tolerant ? 1 : 0) << '\n'
      << "iterations " << st.iterations << '\n'
      << "interactions " << st.interactions << '\n'
      << "repair_rounds " << st.repair_rounds << '\n'
-     << "total_solver_seconds " << render_double(st.total_solver_seconds)
+     << "total_solver_seconds " << format_double(st.total_solver_seconds)
      << '\n'
      << "oracle_comparisons " << st.oracle_comparisons << '\n'
      << "transcript " << st.transcript.size() << '\n';
   for (const synth::IterationRecord& r : st.transcript) {
-    os << "it " << r.index << ' ' << render_double(r.solver_seconds) << ' '
+    os << "it " << r.index << ' ' << format_double(r.solver_seconds) << ' '
        << r.pairs_presented << ' ' << r.edges_added << ' ' << r.ties_added
        << '\n';
   }
@@ -78,62 +88,32 @@ std::string encode_synth_section(const synth::SessionState& st) {
   return os.str();
 }
 
-long read_counter(std::istream& in, const char* tag) {
-  std::string seen;
-  long value = 0;
-  if (!(in >> seen >> value) || seen != tag) {
-    bad(std::string("@synth section: expected '") + tag + "' counter");
-  }
-  return value;
-}
-
-template <typename T>
-T parse_pending_number(const std::string& token) {
-  T value{};
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
-    bad("@synth section: malformed number '" + token + "' in the pending line");
-  }
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) {
-      bad("@synth section: non-finite number in the pending line");
-    }
-  }
-  return value;
-}
-
-// Parses the text after the transcript's last line: the pending line and
-// nothing else. The declared counts must match the values present exactly,
-// so a truncated line or an absurd count fails before any scenario is
-// built, and the line must re-render to the same bytes, so a decoded state
-// always encodes back to the file it came from.
-synth::PendingPairs decode_pending_line(const std::string& text) {
-  std::istringstream in(text);
-  std::vector<std::string> tokens;
-  for (std::string t; in >> t;) tokens.push_back(std::move(t));
-  if (tokens.empty() || tokens[0] != "pending") {
+// Parses the pending line (without its newline). The declared counts must
+// match the values present exactly, so a truncated line or an absurd count
+// fails before any scenario is built.
+synth::PendingPairs decode_pending_line(std::string_view line) {
+  const std::vector<std::string_view> tokens = split(line, ' ');
+  if (tokens[0] != "pending") {
     bad("@synth section: unexpected content after the transcript");
   }
   if (tokens.size() < 4) bad("@synth section: truncated pending line");
-  synth::PendingPairs p;
-  p.solver_seconds = parse_pending_number<double>(tokens[1]);
-  if (p.solver_seconds < 0) bad("@synth section: negative pending solver time");
-  const auto pairs = parse_pending_number<long long>(tokens[2]);
-  const auto arity = parse_pending_number<long long>(tokens[3]);
   const auto values = static_cast<long long>(tokens.size() - 4);
-  if (pairs < 1 || arity < 1 || pairs > values || arity > values ||
-      pairs * 2 * arity != values) {
-    bad("@synth section: pending line declares " + tokens[2] + " pair(s) of " +
-        tokens[3] + " metric(s) but carries " + std::to_string(values) +
-        " value(s)");
+  synth::PendingPairs p;
+  p.solver_seconds =
+      synth_number<double>(tokens[1], "pending solver time", 0);
+  const auto pairs = synth_number<long long>(tokens[2], "pending pairs", 1);
+  const auto arity = synth_number<long long>(tokens[3], "pending arity", 1);
+  if (pairs > values || arity > values || pairs * 2 * arity != values) {
+    bad("@synth section: pending line declares " + std::string(tokens[2]) +
+        " pair(s) of " + std::string(tokens[3]) + " metric(s) but carries " +
+        std::to_string(values) + " value(s)");
   }
   std::size_t next = 4;
   const auto scenario = [&] {
     pref::Scenario s;
     s.metrics.reserve(static_cast<std::size_t>(arity));
     for (long long m = 0; m < arity; ++m) {
-      s.metrics.push_back(parse_pending_number<double>(tokens[next++]));
+      s.metrics.push_back(synth_number<double>(tokens[next++], "pending metric"));
     }
     return s;
   };
@@ -144,46 +124,66 @@ synth::PendingPairs decode_pending_line(const std::string& text) {
     pair.preferred_by_b = scenario();
     p.pairs.push_back(std::move(pair));
   }
-  std::ostringstream canonical;
-  encode_pending_line(canonical, p);
-  if (canonical.str() != text) bad("@synth section: non-canonical pending line");
   return p;
 }
 
 // Fills everything but the graph (which needs the tolerance flag first);
-// returns that flag.
+// returns that flag. Every line is "<tag> <value>", then `transcript` many
+// "it" records, then at most the pending line. Anything else is refused,
+// not skipped: a line this reader does not know could change how the run
+// continues. The section must re-encode to exactly its bytes, so a decoded
+// state always encodes back to the file it came from.
 bool decode_synth_section(const std::string& body, synth::SessionState& st) {
-  std::istringstream in(body);
-  const bool tolerant = read_counter(in, "tolerant") != 0;
-  st.iterations = static_cast<int>(read_counter(in, "iterations"));
-  st.interactions = static_cast<int>(read_counter(in, "interactions"));
-  st.repair_rounds = static_cast<int>(read_counter(in, "repair_rounds"));
-  std::string seen;
-  if (!(in >> seen >> st.total_solver_seconds) ||
-      seen != "total_solver_seconds") {
-    bad("@synth section: expected 'total_solver_seconds'");
+  if (body.empty() || body.back() != '\n') {
+    bad("@synth section: not newline-terminated");
   }
-  st.oracle_comparisons = read_counter(in, "oracle_comparisons");
-  const long records = read_counter(in, "transcript");
-  if (records < 0) bad("@synth section: negative transcript count");
+  std::vector<std::string_view> lines =
+      split(std::string_view(body).substr(0, body.size() - 1), '\n');
+  std::size_t next = 0;
+  const auto field = [&](const char* tag) {
+    const std::string prefix = std::string(tag) + ' ';
+    if (next == lines.size() || lines[next].substr(0, prefix.size()) != prefix) {
+      bad(std::string("@synth section: expected '") + tag + "'");
+    }
+    return lines[next++].substr(prefix.size());
+  };
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  const bool tolerant = synth_number(field("tolerant"), "tolerant", 0, 1) != 0;
+  st.iterations = synth_number(field("iterations"), "iterations", 0, kMaxInt);
+  st.interactions =
+      synth_number(field("interactions"), "interactions", 0, kMaxInt);
+  st.repair_rounds =
+      synth_number(field("repair_rounds"), "repair_rounds", 0, kMaxInt);
+  st.total_solver_seconds = synth_number<double>(
+      field("total_solver_seconds"), "total_solver_seconds", 0);
+  st.oracle_comparisons = synth_number<long>(
+      field("oracle_comparisons"), "oracle_comparisons", 0);
+  // Bounded by the lines present before anything is reserved.
+  const auto records = synth_number<std::size_t>(
+      field("transcript"), "transcript count", 0, lines.size() - next);
   st.transcript.clear();
-  st.transcript.reserve(static_cast<std::size_t>(records));
-  for (long i = 0; i < records; ++i) {
-    synth::IterationRecord r;
-    if (!(in >> seen >> r.index >> r.solver_seconds >> r.pairs_presented >>
-          r.edges_added >> r.ties_added) ||
-        seen != "it") {
+  st.transcript.reserve(records);
+  for (std::size_t i = 0; i < records; ++i) {
+    const std::vector<std::string_view> t = split(lines[next++], ' ');
+    if (t.size() != 6 || t[0] != "it") {
       bad("@synth section: malformed transcript record");
     }
+    synth::IterationRecord r;
+    r.index = synth_number(t[1], "record index", 0, kMaxInt);
+    r.solver_seconds = synth_number<double>(t[2], "record solver time", 0);
+    r.pairs_presented = synth_number(t[3], "record pairs", 0, kMaxInt);
+    r.edges_added = synth_number(t[4], "record edges", 0, kMaxInt);
+    r.ties_added = synth_number(t[5], "record ties", 0, kMaxInt);
     st.transcript.push_back(r);
   }
-  // After the newline that ends the last record comes at most the optional
-  // pending line. Any other content is refused, not skipped: a line this
-  // reader does not know could change how the run continues.
-  std::string rest{std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>()};
-  if (!rest.empty() && rest.front() == '\n') rest.erase(0, 1);
-  st.pending = rest.empty() ? synth::PendingPairs{} : decode_pending_line(rest);
+  st.pending = next < lines.size() ? decode_pending_line(lines[next++])
+                                   : synth::PendingPairs{};
+  if (next != lines.size()) {
+    bad("@synth section: unexpected content after the transcript");
+  }
+  if (encode_synth_section(st, tolerant) != body) {
+    bad("@synth section: non-canonical");
+  }
   return tolerant;
 }
 
@@ -193,48 +193,36 @@ std::string take_section(const std::string& payload, std::size_t& pos,
                          const char* name) {
   const std::size_t eol = payload.find('\n', pos);
   if (eol == std::string::npos) bad("truncated payload (no section header)");
-  const std::string header = payload.substr(pos, eol - pos);
-  std::istringstream hs(header);
-  std::string seen;
-  long long bytes = -1;
-  if (!(hs >> seen >> bytes) || seen != std::string("@") + name || bytes < 0) {
-    bad("expected section '@" + std::string(name) + "', found '" + header +
-        "'");
+  const std::string_view header(payload.data() + pos, eol - pos);
+  const std::string tag = "@" + std::string(name) + " ";
+  const std::optional<std::size_t> bytes =
+      header.substr(0, tag.size()) == tag
+          ? util::parse_number<std::size_t>(header.substr(tag.size()))
+          : std::nullopt;
+  if (!bytes) {
+    bad("expected section '@" + std::string(name) + "', found '" +
+        std::string(header) + "'");
   }
   pos = eol + 1;
-  if (pos + static_cast<std::size_t>(bytes) > payload.size()) {
+  if (*bytes >= payload.size() - pos) {
     bad("section '@" + std::string(name) + "' overruns the payload");
   }
-  std::string body = payload.substr(pos, static_cast<std::size_t>(bytes));
-  pos += static_cast<std::size_t>(bytes);
-  if (pos >= payload.size() || payload[pos] != '\n') {
+  std::string body = payload.substr(pos, *bytes);
+  pos += *bytes;
+  if (payload[pos] != '\n') {
     bad("section '@" + std::string(name) + "' is not newline-terminated");
   }
   ++pos;
   return body;
 }
 
-std::string manifest_string(const obs::JsonObject& manifest, const char* key) {
-  const auto it = manifest.find(key);
-  if (it == manifest.end() || it->second.kind != obs::JsonValue::Kind::kString) {
-    bad(std::string("manifest: missing string field '") + key + "'");
-  }
-  return it->second.str;
-}
-
-double manifest_number(const obs::JsonObject& manifest, const char* key) {
-  const auto it = manifest.find(key);
-  if (it == manifest.end() || it->second.kind != obs::JsonValue::Kind::kNumber) {
-    bad(std::string("manifest: missing numeric field '") + key + "'");
-  }
-  return it->second.num;
-}
-
 }  // namespace
 
 std::string encode(const Snapshot& snap) {
   std::string payload;
-  append_section(payload, "synth", encode_synth_section(snap.state));
+  append_section(payload, "synth",
+                 encode_synth_section(snap.state,
+                                      snap.state.graph.allows_inconsistent()));
   append_section(payload, "graph", pref::serialize(snap.state.graph));
   append_section(payload, "finder", snap.state.finder_state);
   append_section(payload, "oracle", snap.state.oracle_state);
@@ -242,66 +230,78 @@ std::string encode(const Snapshot& snap) {
   // the section is always empty.
   append_section(payload, "cache", "");
 
-  std::ostringstream os;
-  os << kSnapshotMagic << ' ' << kSnapshotFormatVersion << '\n'
-     << "{\"v\":" << kSnapshotFormatVersion << ",\"sketch\":\""
-     << obs::json_escape(snap.meta.sketch) << "\",\"backend\":\""
-     << obs::json_escape(snap.meta.backend) << "\",\"seed\":" << snap.meta.seed
-     << ",\"iteration\":" << snap.meta.iteration << ",\"run\":\""
-     << obs::json_escape(snap.meta.run_id)
-     << "\",\"payload_bytes\":" << payload.size() << ",\"payload_crc32\":\""
-     << util::crc32_hex(util::crc32(payload)) << "\"}\n"
-     << payload;
-  return os.str();
+  if (snap.meta.seed > static_cast<std::uint64_t>(obs::kJsonMaxExactInt)) {
+    bad("seed " + std::to_string(snap.meta.seed) +
+        " exceeds 2^53, the largest a manifest holds exactly");
+  }
+  obs::JsonWriter manifest;
+  manifest.integer("v", kSnapshotFormatVersion)
+      .str("sketch", snap.meta.sketch)
+      .str("backend", snap.meta.backend)
+      .integer("seed", static_cast<long long>(snap.meta.seed))
+      .integer("iteration", snap.meta.iteration)
+      .str("run", snap.meta.run_id)
+      .integer("payload_bytes", static_cast<long long>(payload.size()))
+      .str("payload_crc32", util::crc32_hex(util::crc32(payload)));
+  return std::string(kSnapshotMagic) + ' ' +
+         std::to_string(kSnapshotFormatVersion) + '\n' + manifest.done() +
+         '\n' + payload;
 }
 
 Snapshot decode(const std::string& bytes) {
   // Line 1: magic + version.
   const std::size_t magic_eol = bytes.find('\n');
   if (magic_eol == std::string::npos) bad("missing magic line");
-  {
-    std::istringstream ms(bytes.substr(0, magic_eol));
-    std::string magic;
-    int version = 0;
-    if (!(ms >> magic >> version) || magic != kSnapshotMagic) {
-      bad("not a compsynth snapshot (bad magic)");
-    }
-    if (version != 1 && version != kSnapshotFormatVersion) {
-      bad("snapshot format version " + std::to_string(version) +
-          " is not supported by this build (supported: 1.." +
-          std::to_string(kSnapshotFormatVersion) +
-          "); it was written by a newer compsynth");
-    }
+  const std::string magic = std::string(kSnapshotMagic) + ' ';
+  const std::optional<int> version =
+      bytes.compare(0, magic.size(), magic) == 0
+          ? util::parse_number<int>(std::string_view(bytes).substr(
+                magic.size(), magic_eol - magic.size()))
+          : std::nullopt;
+  if (!version) bad("not a compsynth snapshot (bad magic)");
+  if (*version != 1 && *version != kSnapshotFormatVersion) {
+    bad("snapshot format version " + std::to_string(*version) +
+        " is not supported by this build (supported: 1.." +
+        std::to_string(kSnapshotFormatVersion) +
+        "); it was written by a newer compsynth");
   }
 
   // Line 2: flat-JSON manifest.
   const std::size_t manifest_eol = bytes.find('\n', magic_eol + 1);
   if (manifest_eol == std::string::npos) bad("missing manifest line");
   const auto manifest = obs::parse_flat_json(
-      bytes.substr(magic_eol + 1, manifest_eol - magic_eol - 1));
+      std::string_view(bytes).substr(magic_eol + 1,
+                                     manifest_eol - magic_eol - 1));
   if (!manifest) bad("manifest line is not valid flat JSON");
-
+  // Every field is required; a failed read leaves its default and f.error().
+  obs::JsonFields f(*manifest, obs::JsonFields::Absent::kError);
   Snapshot snap;
-  snap.meta.version = static_cast<int>(manifest_number(*manifest, "v"));
-  snap.meta.sketch = manifest_string(*manifest, "sketch");
-  snap.meta.backend = manifest_string(*manifest, "backend");
-  snap.meta.seed =
-      static_cast<std::uint64_t>(manifest_number(*manifest, "seed"));
-  snap.meta.iteration = static_cast<int>(manifest_number(*manifest, "iteration"));
-  snap.meta.run_id = manifest_string(*manifest, "run");
+  snap.meta.version = *version;
+  const long long v = f.integer("v", 1, kSnapshotFormatVersion).value_or(0);
+  snap.meta.sketch = f.string("sketch").value_or("");
+  snap.meta.backend = f.string("backend").value_or("");
+  snap.meta.seed = f.integer("seed", 0, obs::kJsonMaxExactInt).value_or(0);
+  snap.meta.iteration = static_cast<int>(
+      f.integer("iteration", 0, std::numeric_limits<int>::max()).value_or(0));
+  snap.meta.run_id = f.string("run").value_or("");
+  const long long declared =
+      f.integer("payload_bytes", 0, obs::kJsonMaxExactInt).value_or(0);
+  const std::string crc = f.string("payload_crc32").value_or("");
+  if (!f.ok()) bad("manifest: " + f.error());
+  if (v != *version) {
+    bad("manifest: field 'v' is " + std::to_string(v) +
+        " but the magic line says " + std::to_string(*version));
+  }
 
   // Integrity: declared length first (catches truncation cheaply), then the
   // CRC over the payload (catches torn/garbled middles).
-  const auto declared =
-      static_cast<std::size_t>(manifest_number(*manifest, "payload_bytes"));
   const std::string payload = bytes.substr(manifest_eol + 1);
-  if (payload.size() != declared) {
+  if (static_cast<long long>(payload.size()) != declared) {
     bad("payload is " + std::to_string(payload.size()) +
         " bytes, manifest declares " + std::to_string(declared) +
         " (torn write?)");
   }
-  if (util::crc32_hex(util::crc32(payload)) !=
-      manifest_string(*manifest, "payload_crc32")) {
+  if (util::crc32_hex(util::crc32(payload)) != crc) {
     bad("payload CRC mismatch (torn or corrupted write)");
   }
 

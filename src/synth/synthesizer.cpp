@@ -15,16 +15,6 @@ namespace {
 
 constexpr int kMaxRepairRounds = 64;
 
-const char* status_name(SynthesisStatus s) {
-  switch (s) {
-    case SynthesisStatus::kConverged: return "converged";
-    case SynthesisStatus::kIterationLimit: return "iteration_limit";
-    case SynthesisStatus::kNoCandidate: return "no_candidate";
-    case SynthesisStatus::kSolverGaveUp: return "solver_gave_up";
-  }
-  return "?";
-}
-
 const char* finder_status_name(solver::FinderStatus s) {
   switch (s) {
     case solver::FinderStatus::kFound: return "found";
@@ -36,6 +26,16 @@ const char* finder_status_name(solver::FinderStatus s) {
 }
 
 }  // namespace
+
+const char* status_name(SynthesisStatus status) {
+  switch (status) {
+    case SynthesisStatus::kConverged: return "converged";
+    case SynthesisStatus::kIterationLimit: return "iteration_limit";
+    case SynthesisStatus::kNoCandidate: return "no_candidate";
+    case SynthesisStatus::kSolverGaveUp: return "solver_gave_up";
+  }
+  return "?";
+}
 
 Synthesizer::Synthesizer(sketch::Sketch sketch,
                          std::unique_ptr<solver::CandidateFinder> finder,
@@ -218,8 +218,6 @@ SynthesisResult Synthesizer::run_impl(oracle::Oracle& user, SessionState st,
                               double found_seconds) {
     if (!config_.checkpoint) return;
     const bool final_state = found == nullptr;
-    const int every = config_.checkpoint_every < 1 ? 1 : config_.checkpoint_every;
-    if (!final_state && st.iterations % every != 0) return;
     if (found != nullptr) st.pending = {found->pairs, found_seconds};
     st.finder_state = finder_->save_state();
     st.oracle_state = user.save_state();

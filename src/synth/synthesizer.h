@@ -85,17 +85,15 @@ struct SynthesisConfig {
   obs::RunContext obs;
 
   /// Durable sessions (docs/PERSISTENCE.md): when set, invoked with the
-  /// complete SessionState right after a finder query finds pairs and
-  /// before the first of them is asked, whenever the completed-iteration
-  /// count is a multiple of `checkpoint_every`, and once more when the loop
-  /// ends. Such a state carries the found pairs in SessionState::pending,
-  /// so a resumed run asks them without repeating the query. The hook
+  /// complete SessionState right after each finder query that finds pairs,
+  /// before the first of them is asked, and once more when the loop ends.
+  /// Such a state carries the found pairs in SessionState::pending, so a
+  /// resumed run asks them without repeating the query. The hook
   /// typically hands the state to a session::CheckpointManager, which
   /// writes an atomic snapshot file; Synthesizer::resume continues the
   /// identical run from any such state. Null (the default) disables
   /// checkpointing entirely, and the loop then copies no pairs.
   std::function<void(const SessionState&)> checkpoint;
-  int checkpoint_every = 1;
 };
 
 enum class SynthesisStatus {
@@ -104,6 +102,10 @@ enum class SynthesisStatus {
   kNoCandidate,      // no sketch instance is consistent with the user
   kSolverGaveUp,     // the finder returned unknown
 };
+
+/// "converged", "iteration_limit", "no_candidate", "solver_gave_up": the
+/// spelling in run_end events and a served session's done.json.
+const char* status_name(SynthesisStatus status);
 
 /// One interaction-loop step, for transcripts and the per-iteration timing
 /// columns of Table 1 / Figs. 3-5.

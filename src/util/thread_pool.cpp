@@ -4,17 +4,19 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <optional>
+
+#include "util/number.h"
 
 namespace compsynth::util {
 
 namespace {
 
 std::size_t env_thread_cap() {
-  if (const char* env = std::getenv("COMPSYNTH_THREADS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return 0;
+  const char* env = std::getenv("COMPSYNTH_THREADS");
+  const std::optional<int> v =
+      env == nullptr ? std::nullopt : parse_number<int>(env, 1);
+  return v ? static_cast<std::size_t>(*v) : 0;
 }
 
 std::size_t resolve_thread_count(std::size_t requested) {

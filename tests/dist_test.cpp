@@ -452,7 +452,7 @@ TEST(Wire, GarbageRequestYieldsErrorResponse) {
 
 std::string shard_response_line(const std::string& blob,
                                 const std::string& crc) {
-  serve::JsonWriter w;
+  obs::JsonWriter w;
   w.integer("v", kWireVersion)
       .boolean("ok", true)
       .str("verb", "shard")

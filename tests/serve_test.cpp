@@ -778,6 +778,39 @@ TEST(ServeHost, KillResumeAcrossHosts) {
   }
 }
 
+// LineServer and LineClient read endpoints with one parser: a port must be
+// the whole rest of the text and in [0, 65535], and both refuse a bad one
+// with the same message. tcp:0 still binds an ephemeral port.
+TEST(LineEndpoints, ServerAndClientRefuseMalformedPortsAlike) {
+  const auto echo = [](const std::string& line, LineControl*) { return line; };
+  for (const std::string endpoint :
+       {"tcp:0abc", "tcp:", "tcp:127.0.0.1:", "tcp:70000"}) {
+    std::string server_error;
+    std::string client_error;
+    try {
+      LineServer server(LineServerConfig{endpoint}, echo);
+      ADD_FAILURE() << "server bound " << endpoint;
+    } catch (const std::runtime_error& e) {
+      server_error = e.what();
+    }
+    try {
+      LineClientConfig cc;
+      cc.endpoint = endpoint;
+      LineClient client(cc);
+      ADD_FAILURE() << "client connected to " << endpoint;
+    } catch (const std::runtime_error& e) {
+      client_error = e.what();
+    }
+    EXPECT_EQ(server_error, client_error) << endpoint;
+    EXPECT_NE(server_error.find("'" + endpoint + "'"), std::string::npos)
+        << server_error;
+  }
+  LineServer ephemeral(LineServerConfig{"tcp:0"}, echo);
+  const std::string bound = ephemeral.endpoint();
+  ASSERT_EQ(bound.rfind("tcp:127.0.0.1:", 0), 0u) << bound;
+  EXPECT_NE(bound, "tcp:127.0.0.1:0");
+}
+
 TEST(LineServerTcp, RoundTripsDoNotStall) {
   // Request/response over loopback TCP, one at a time, as the dist
   // coordinator and compsynth_serve clients use it. A response that leaves

@@ -3,13 +3,15 @@
 // (docs/OBSERVABILITY.md) — event sequence, required keys per event type,
 // monotone timestamps, and cross-checks against the metrics registry and
 // the SynthesisResult — plus a served session's answer spans (rehydrate,
-// advance, answers.log append).
+// advance, answers.log append) and trace_report's rendering of them.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -223,7 +225,9 @@ TEST_F(TraceGoldenTest, MetricsAgreeWithTrace) {
 // A served session, swapped out after every answer, traced through the
 // host's sink. The spans that split an answer (schema 1.11) carry their
 // keys, and the advances run one finder query per iteration in total: a
-// rehydrating advance asks the pending pair from the snapshot.
+// rehydrating advance asks the pending pair from the snapshot. Since 1.12
+// the rehydrate event counts no replays; trace_report's rehydration line
+// reports the ones the advance spans count.
 TEST(TraceGoldenServe, AnswerSpansSplitAServedAnswer) {
   const std::string path = ::testing::TempDir() + "/golden_trace_serve.jsonl";
   const std::filesystem::path root =
@@ -267,6 +271,7 @@ TEST(TraceGoldenServe, AnswerSpansSplitAServedAnswer) {
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   long rehydrates = 0, appends = 0, finder_queries = 0, iterations = 0;
+  long advance_replayed = 0;
   for (std::string line; std::getline(in, line);) {
     const auto obj = obs::parse_flat_json(line);
     ASSERT_TRUE(obj.has_value()) << "unparseable trace line: " << line;
@@ -276,7 +281,7 @@ TEST(TraceGoldenServe, AnswerSpansSplitAServedAnswer) {
       ++rehydrates;
       require_key(r, "session", JsonValue::Kind::kString, ev);
       require_key(r, "snapshot_iteration", JsonValue::Kind::kNumber, ev);
-      require_key(r, "replayed", JsonValue::Kind::kNumber, ev);
+      EXPECT_EQ(r.count("replayed"), 0u) << "rehydrate counts no replays";
       require_key(r, "secs", JsonValue::Kind::kNumber, ev);
       EXPECT_GE(num(r, "secs"), 0);
     } else if (ev == "session_advance") {
@@ -286,6 +291,7 @@ TEST(TraceGoldenServe, AnswerSpansSplitAServedAnswer) {
       require_key(r, "secs", JsonValue::Kind::kNumber, ev);
       EXPECT_EQ(r.at("run").str, "serve");
       finder_queries += static_cast<long>(num(r, "finder_queries"));
+      advance_replayed += static_cast<long>(num(r, "replayed"));
     } else if (ev == "answer_append") {
       ++appends;
       require_key(r, "session", JsonValue::Kind::kString, ev);
@@ -299,7 +305,21 @@ TEST(TraceGoldenServe, AnswerSpansSplitAServedAnswer) {
       ++iterations;
     }
   }
+  const std::string report_path = path + ".md";
+  ASSERT_EQ(std::system((std::string(COMPSYNTH_TRACE_REPORT) + " " + path +
+                         " -o " + report_path + " > /dev/null")
+                            .c_str()),
+            0);
+  std::ifstream report_in(report_path);
+  std::stringstream report;
+  report << report_in.rdbuf();
+  std::remove(report_path.c_str());
   std::remove(path.c_str());
+  const std::string rehydration_line =
+      "rehydrated " + std::to_string(rehydrates) + " time(s) (" +
+      std::to_string(advance_replayed) + " answer(s) replayed)";
+  EXPECT_NE(report.str().find(rehydration_line), std::string::npos)
+      << "expected '" << rehydration_line << "' in\n" << report.str();
   EXPECT_EQ(appends, answers);
   EXPECT_EQ(rehydrates, answers);
   EXPECT_EQ(iterations, done.iterations);

@@ -329,27 +329,13 @@ class LoadRun {
     return response;
   }
 
-  static bool response_ok(const obs::JsonObject& obj) {
-    const auto it = obj.find("ok");
-    return it != obj.end() && it->second.kind == obs::JsonValue::Kind::kBool &&
-           it->second.b;
-  }
-
-  static std::string field_str(const obs::JsonObject& obj, const char* key) {
-    const auto it = obj.find(key);
-    if (it == obj.end() || it->second.kind != obs::JsonValue::Kind::kString) {
-      return {};
+  /// The response parsed, when it is flat JSON with "ok":true.
+  static std::optional<obs::JsonObject> ok_response(const std::string& line) {
+    std::optional<obs::JsonObject> parsed = obs::parse_flat_json(line);
+    if (!parsed || !obs::JsonFields(*parsed).boolean("ok").value_or(false)) {
+      return std::nullopt;
     }
-    return it->second.str;
-  }
-
-  static double field_num(const obs::JsonObject& obj, const char* key,
-                          double fallback = 0) {
-    const auto it = obj.find(key);
-    if (it == obj.end() || it->second.kind != obs::JsonValue::Kind::kNumber) {
-      return fallback;
-    }
-    return it->second.num;
+    return parsed;
   }
 
   void fail(Driver& d, const std::string& what) {
@@ -373,8 +359,7 @@ class LoadRun {
       req.max_iters = opt_.max_iters;
       const std::string response =
           timed(client, "create", serve::render_request(req));
-      const auto parsed = obs::parse_flat_json(response);
-      if (!parsed || !response_ok(*parsed)) {
+      if (!ok_response(response)) {
         fail(d, "create failed: " + response);
         return;
       }
@@ -389,25 +374,28 @@ class LoadRun {
     req.wait_ms = opt_.wait_ms;
     const std::string response =
         timed(client, "next", serve::render_request(req));
-    const auto parsed = obs::parse_flat_json(response);
-    if (!parsed || !response_ok(*parsed)) {
+    const std::optional<obs::JsonObject> parsed = ok_response(response);
+    if (!parsed) {
       fail(d, "next failed: " + response);
       return;
     }
-    const std::string phase = field_str(*parsed, "phase");
+    obs::JsonFields f(*parsed);
+    const std::string phase = f.string("phase").value_or("");
     if (phase == "done") {
       d.done = true;
       return;
     }
     if (phase == "failed") {
-      fail(d, "session failed: " + field_str(*parsed, "error"));
+      fail(d, "session failed: " + f.string("error").value_or(""));
       return;
     }
     if (phase != "waiting") return;  // advancing; try again next pass
 
-    const auto a = serve::decode_metrics(field_str(*parsed, "a"));
-    const auto b = serve::decode_metrics(field_str(*parsed, "b"));
-    if (!a || !b) {
+    const auto a = serve::decode_metrics(f.string("a").value_or(""));
+    const auto b = serve::decode_metrics(f.string("b").value_or(""));
+    const std::optional<long long> index =
+        f.integer("index", 0, serve::kMaxIndex);
+    if (!a || !b || !index) {
       fail(d, "unparseable pending pair: " + response);
       return;
     }
@@ -424,12 +412,11 @@ class LoadRun {
     serve::Request ans;
     ans.verb = serve::Verb::kAnswer;
     ans.session = d.id;
-    ans.index = static_cast<long>(field_num(*parsed, "index", -1));
+    ans.index = static_cast<long>(*index);
     ans.answer = pref;
     const std::string ans_response =
         timed(client, "answer", serve::render_request(ans));
-    const auto ans_parsed = obs::parse_flat_json(ans_response);
-    if (!ans_parsed || !response_ok(*ans_parsed)) {
+    if (!ok_response(ans_response)) {
       fail(d, "answer failed: " + ans_response);
       return;
     }
@@ -442,8 +429,7 @@ class LoadRun {
       evict.session = d.id;
       const std::string ev_response =
           timed(client, "evict", serve::render_request(evict));
-      const auto ev_parsed = obs::parse_flat_json(ev_response);
-      if (!ev_parsed || !response_ok(*ev_parsed)) {
+      if (!ok_response(ev_response)) {
         fail(d, "evict failed: " + ev_response);
         return;
       }
@@ -488,14 +474,12 @@ class LoadRun {
     const char* keys[] = {"sessions_created", "resident", "swaps",
                           "rehydrations", "advances"};
     bool first = true;
+    obs::JsonFields stats(daemon_stats);
     for (const char* key : keys) {
-      const auto it = daemon_stats.find(key);
-      if (it == daemon_stats.end() ||
-          it->second.kind != obs::JsonValue::Kind::kNumber) {
-        continue;
-      }
+      const std::optional<double> value = stats.number(key);
+      if (!value) continue;
       out << (first ? "" : ", ") << "\"" << key
-          << "\": " << static_cast<long>(it->second.num);
+          << "\": " << static_cast<long>(*value);
       first = false;
     }
     out << "}\n";

@@ -20,7 +20,6 @@
 //                       touched idle session swaps to disk (default 64,
 //                       0 = unbounded)
 //   --keep N            snapshots kept per session (default 4)
-//   --every N           checkpoint every N iterations (default 1)
 //   --workers N         advance worker threads (default 4; 1 = inline)
 //   --grid-threads N    GridFinder threads per advance (default 1; see the
 //                       nested-pool note in serve/session_host.h)
@@ -64,7 +63,6 @@ struct Options {
   std::vector<std::string> sketch_paths;
   int max_active = 64;
   int keep = 4;
-  int every = 1;
   int workers = 4;
   int grid_threads = 1;
   double fault_torn_write = 0.0;
@@ -77,7 +75,7 @@ int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " --listen <unix:PATH|tcp:[HOST:]PORT> --root <dir>"
                " --sketch <file> [--sketch <file>...]\n"
-               "  [--max-active N] [--keep N] [--every N] [--workers N]\n"
+               "  [--max-active N] [--keep N] [--workers N]\n"
                "  [--grid-threads N] [--fault-torn-write P] [--fault-seed N]\n"
                "  [--trace FILE] [--metrics]\n";
   return 1;
@@ -111,8 +109,6 @@ std::optional<Options> parse_args(int argc, char** argv) {
       if (!next_number(opt.max_active)) return std::nullopt;
     } else if (arg == "--keep") {
       if (!next_number(opt.keep)) return std::nullopt;
-    } else if (arg == "--every") {
-      if (!next_number(opt.every)) return std::nullopt;
     } else if (arg == "--workers") {
       if (!next_number(opt.workers)) return std::nullopt;
     } else if (arg == "--grid-threads") {
@@ -169,7 +165,6 @@ int main(int argc, char** argv) {
     host_config.root = opt->root;
     host_config.max_active = opt->max_active;
     host_config.keep_snapshots = opt->keep;
-    host_config.checkpoint_every = opt->every;
     host_config.grid_threads = opt->grid_threads;
     host_config.checkpoint_faults.torn_write_p = opt->fault_torn_write;
     host_config.checkpoint_faults.seed = opt->fault_seed;

@@ -7,7 +7,8 @@
 //   compsynth_session inspect <snapshot-file-or-dir>
 //
 // `run` executes the interaction loop with an oracle simulated from
-// --target, writing an atomic snapshot to --dir every --every iterations.
+// --target, writing an atomic snapshot to --dir after every finder query
+// that finds a pair.
 // `resume` recovers the newest valid snapshot from --dir (skipping torn or
 // corrupt files) and continues the identical run — same objective, same
 // oracle query sequence as an uninterrupted run. `inspect` prints a
@@ -21,9 +22,10 @@
 //                              in the snapshot's backend tag, so resume
 //                              must pass the same one
 //   --dir <dir>                snapshot directory (required)
-//   --every <k>                checkpoint every k iterations (default 1)
 //   --keep <n>                 snapshots retained on disk (default 4)
-//   --pairs/--initial/--max-iters/--seed   as in compsynth_cli
+//   --pairs/--initial/--max-iters/--seed   as in compsynth_cli; the seed
+//                              must lie in [0, 2^53], the range a snapshot
+//                              manifest holds exactly
 //   --stop-after <n>           exit(42) right after the checkpoint at
 //                              iteration n — a simulated crash for tests
 //   --trace <file>             JSONL trace (docs/OBSERVABILITY.md)
@@ -79,7 +81,6 @@ struct Options {
   std::optional<std::string> target_expr;
   std::string backend = "grid";
   std::string dir;
-  int every = 1;
   int keep = 4;
   int stop_after = 0;
   std::optional<std::string> trace_path;
@@ -95,7 +96,7 @@ void usage(std::ostream& os) {
   os << "usage: compsynth_session run|resume <sketch-file> --target <expr> "
         "--dir <dir>\n"
         "         [--backend z3|grid|portfolio]\n"
-        "         [--every k] [--keep n] [--pairs k]\n"
+        "         [--keep n] [--pairs k]\n"
         "         [--initial n] [--max-iters n] [--seed n] [--stop-after n]\n"
         "         [--trace file] [--metrics] [--quiet]\n"
         "         [--fault-oracle-timeout p] [--fault-oracle-slowdown p]\n"
@@ -130,9 +131,9 @@ std::optional<Options> parse_args(int argc, char** argv) {
       }
       return false;
     };
-    auto number = [&](auto& slot) {
+    auto number = [&](auto& slot, auto... bounds) {
       const auto v = need_value(i);
-      return v && tools::parse_flag_value(arg, *v, slot);
+      return v && tools::parse_flag_value(arg, *v, slot, bounds...);
     };
     if (arg == "--help" || arg == "-h") return std::nullopt;
     if (arg == "--quiet") {
@@ -150,8 +151,6 @@ std::optional<Options> parse_args(int argc, char** argv) {
       }
     } else if (arg == "--dir") {
       if (!value_for([&](const std::string& v) { opt.dir = v; })) return std::nullopt;
-    } else if (arg == "--every") {
-      if (!number(opt.every)) return std::nullopt;
     } else if (arg == "--keep") {
       if (!number(opt.keep)) return std::nullopt;
     } else if (arg == "--stop-after") {
@@ -163,7 +162,8 @@ std::optional<Options> parse_args(int argc, char** argv) {
     } else if (arg == "--max-iters") {
       if (!number(opt.config.max_iterations)) return std::nullopt;
     } else if (arg == "--seed") {
-      if (!number(opt.config.seed)) return std::nullopt;
+      const std::uint64_t max_seed = obs::kJsonMaxExactInt;
+      if (!number(opt.config.seed, std::uint64_t{0}, max_seed)) return std::nullopt;
     } else if (arg == "--trace") {
       if (!value_for([&](const std::string& v) { opt.trace_path = v; })) return std::nullopt;
     } else if (arg == "--fault-oracle-timeout") {
@@ -380,7 +380,6 @@ int main(int argc, char** argv) {
         std::_Exit(42);  // no unwinding — as close to kill -9 as portable code gets
       }
     };
-    config.checkpoint_every = opt->every;
 
     synth::Synthesizer synthesizer =
         opt->backend == "portfolio" ? synth::make_portfolio_synthesizer(sk, config)

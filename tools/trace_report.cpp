@@ -27,24 +27,7 @@
 namespace {
 
 using compsynth::obs::JsonObject;
-using compsynth::obs::JsonValue;
-
-double num_or(const JsonObject& obj, const std::string& key, double fallback) {
-  const auto it = obj.find(key);
-  if (it == obj.end() || it->second.kind != JsonValue::Kind::kNumber) {
-    return fallback;
-  }
-  return it->second.num;
-}
-
-std::string str_or(const JsonObject& obj, const std::string& key,
-                   const std::string& fallback) {
-  const auto it = obj.find(key);
-  if (it == obj.end() || it->second.kind != JsonValue::Kind::kString) {
-    return fallback;
-  }
-  return it->second.str;
-}
+using compsynth::obs::JsonFields;
 
 std::string fmt(double v, int digits = 3) {
   std::ostringstream os;
@@ -101,10 +84,11 @@ struct RunReport {
   std::map<std::string, std::tuple<long long, long long, double>> serve;
   long long swaps = 0;
   long long rehydrations = 0;
-  long long replayed_answers = 0;
   // Where a served answer's time goes (schema rev 1.11): layer ->
   // (count, total seconds) for session_rehydrate, session_advance and
-  // answer_append, plus the advances' finder queries and replayed answers.
+  // answer_append, plus the advances' finder queries and the logged answers
+  // they replayed (a rehydrated session replays only in its advances; since
+  // 1.12 session_rehydrate carries no count of its own).
   std::map<std::string, std::pair<long long, double>> answer_layers;
   long long advance_queries = 0;
   long long advance_replayed = 0;
@@ -119,83 +103,83 @@ struct RunReport {
 
 void absorb(RunReport& run, const JsonObject& obj, const std::string& ev) {
   ++run.events;
+  JsonFields f(obj);
   if (ev == "run_start") {
     run.start = obj;
   } else if (ev == "run_end") {
     run.end = obj;
   } else if (ev == "iteration") {
     IterationRow row;
-    row.index = static_cast<long long>(num_or(obj, "index", 0));
-    row.secs = num_or(obj, "secs", 0);
-    row.status = str_or(obj, "status", "?");
-    row.pairs = static_cast<long long>(num_or(obj, "pairs_presented", 0));
-    row.edges_added = static_cast<long long>(num_or(obj, "edges_added", 0));
-    row.ties_added = static_cast<long long>(num_or(obj, "ties_added", 0));
+    row.index = static_cast<long long>(f.number("index").value_or(0));
+    row.secs = f.number("secs").value_or(0);
+    row.status = f.string("status").value_or("?");
+    row.pairs =
+        static_cast<long long>(f.number("pairs_presented").value_or(0));
+    row.edges_added =
+        static_cast<long long>(f.number("edges_added").value_or(0));
+    row.ties_added = static_cast<long long>(f.number("ties_added").value_or(0));
     row.survivors = run.pending_survivors;
     run.pending_survivors.reset();
     run.iterations.push_back(row);
   } else if (ev == "grid_sync" || ev == "pair_search" || ev == "z3_query") {
     auto& [count, secs] = run.components[ev];
     ++count;
-    secs += num_or(obj, "secs", 0);
+    secs += f.number("secs").value_or(0);
     if (ev == "grid_sync") {
       run.pending_survivors =
-          static_cast<long long>(num_or(obj, "survivors", 0));
-      const std::string isa = str_or(obj, "lane_isa", "");
+          static_cast<long long>(f.number("survivors").value_or(0));
+      const std::string isa = f.string("lane_isa").value_or("");
       if (!isa.empty()) {
         ++run.lane_isas[isa];
-        run.lane_width = std::max(
-            run.lane_width, static_cast<long long>(num_or(obj, "lane_width", 0)));
+        run.lane_width =
+            std::max(run.lane_width,
+                     static_cast<long long>(f.number("lane_width").value_or(0)));
       }
     }
   } else if (ev == "analysis") {
-    const std::string kind = str_or(obj, "kind", "?");
+    const std::string kind = f.string("kind").value_or("?");
     if (kind == "lint") {
       run.lint = obj;
     } else {
       ++run.unknown[ev + "/" + kind];
     }
   } else if (ev == "z3_incremental") {
-    if (str_or(obj, "op", "?") == "reuse") {
+    if (f.string("op").value_or("?") == "reuse") {
       ++run.incremental_reuses;
     } else {
       ++run.incremental_builds;
     }
   } else if (ev == "oracle_query") {
-    const std::string kind = str_or(obj, "kind", "?");
+    const std::string kind = f.string("kind").value_or("?");
     std::string key = kind;
-    if (kind == "compare") key += "/" + str_or(obj, "answer", "?");
+    if (kind == "compare") key += "/" + f.string("answer").value_or("?");
     ++run.oracle[key];
   } else if (ev == "pref_edge") {
-    const std::string result = str_or(obj, "result", "?");
+    const std::string result = f.string("result").value_or("?");
     if (result == "added") ++run.pref_edges;
     if (result == "cycle") ++run.pref_cycles;
   } else if (ev == "serve_request") {
-    auto& [count, errors, secs] = run.serve[str_or(obj, "verb", "?")];
+    auto& [count, errors, secs] = run.serve[f.string("verb").value_or("?")];
     ++count;
-    const auto ok = obj.find("ok");
-    if (ok == obj.end() || ok->second.kind != JsonValue::Kind::kBool ||
-        !ok->second.b) {
-      ++errors;
-    }
-    secs += num_or(obj, "secs", 0);
+    if (!f.boolean("ok").value_or(false)) ++errors;
+    secs += f.number("secs").value_or(0);
   } else if (ev == "session_swap") {
     ++run.swaps;
   } else if (ev == "session_rehydrate") {
     ++run.rehydrations;
-    run.replayed_answers += static_cast<long long>(num_or(obj, "replayed", 0));
     auto& [count, secs] = run.answer_layers["rehydrate"];
     ++count;
-    secs += num_or(obj, "secs", 0);
+    secs += f.number("secs").value_or(0);
   } else if (ev == "session_advance" || ev == "answer_append") {
     auto& [count, secs] =
         run.answer_layers[ev == "session_advance" ? "advance" : "log append"];
     ++count;
-    secs += num_or(obj, "secs", 0);
+    secs += f.number("secs").value_or(0);
     if (ev == "session_advance") {
       run.advance_queries +=
-          static_cast<long long>(num_or(obj, "finder_queries", 0));
-      run.advance_replayed += static_cast<long long>(num_or(obj, "replayed", 0));
+          static_cast<long long>(f.number("finder_queries").value_or(0));
+      run.advance_replayed +=
+          static_cast<long long>(f.number("replayed").value_or(0));
     }
   } else if (ev == "fault" || ev == "retry" || ev == "checkpoint" ||
              ev == "checkpoint_write") {
@@ -210,25 +194,27 @@ void render_run(std::ostream& os, const RunReport& run) {
   os << "## Run `" << (run.id.empty() ? "(unnamed)" : run.id) << "`\n\n";
 
   if (run.start) {
-    os << "Sketch `" << str_or(*run.start, "sketch", "?") << "`, seed "
-       << fmt_int(num_or(*run.start, "seed", 0)) << ", "
-       << fmt_int(num_or(*run.start, "initial_scenarios", 0))
+    JsonFields start(*run.start);
+    os << "Sketch `" << start.string("sketch").value_or("?") << "`, seed "
+       << fmt_int(start.number("seed").value_or(0)) << ", "
+       << fmt_int(start.number("initial_scenarios").value_or(0))
        << " initial scenarios, "
-       << fmt_int(num_or(*run.start, "pairs_per_iteration", 0))
+       << fmt_int(start.number("pairs_per_iteration").value_or(0))
        << " pair(s)/iteration.\n\n";
   }
 
   os << "| metric | value |\n|---|---|\n";
   if (run.end) {
-    os << "| status | " << str_or(*run.end, "status", "?") << " |\n"
-       << "| iterations | " << fmt_int(num_or(*run.end, "iterations", 0))
+    JsonFields end(*run.end);
+    os << "| status | " << end.string("status").value_or("?") << " |\n"
+       << "| iterations | " << fmt_int(end.number("iterations").value_or(0))
        << " |\n"
        << "| user interactions | "
-       << fmt_int(num_or(*run.end, "interactions", 0)) << " |\n"
+       << fmt_int(end.number("interactions").value_or(0)) << " |\n"
        << "| oracle comparisons | "
-       << fmt_int(num_or(*run.end, "oracle_comparisons", 0)) << " |\n"
+       << fmt_int(end.number("oracle_comparisons").value_or(0)) << " |\n"
        << "| total solver time (s) | "
-       << fmt(num_or(*run.end, "total_solver_seconds", 0), 4) << " |\n";
+       << fmt(end.number("total_solver_seconds").value_or(0), 4) << " |\n";
   } else {
     os << "| status | (no run_end event — truncated trace?) |\n";
   }
@@ -239,14 +225,15 @@ void render_run(std::ostream& os, const RunReport& run) {
   os << "| trace events | " << run.events << " |\n\n";
 
   if (run.lint) {
+    JsonFields lint(*run.lint);
     os << "Static analysis: ";
     const long long diags =
-        static_cast<long long>(num_or(*run.lint, "diagnostics", 0));
+        static_cast<long long>(lint.number("diagnostics").value_or(0));
     os << diags << " diagnostic(s) ("
-       << fmt_int(num_or(*run.lint, "errors", 0)) << " error(s), "
-       << fmt_int(num_or(*run.lint, "warnings", 0)) << " warning(s))";
-    const double lo = num_or(*run.lint, "out_lo", std::nan(""));
-    const double hi = num_or(*run.lint, "out_hi", std::nan(""));
+       << fmt_int(lint.number("errors").value_or(0)) << " error(s), "
+       << fmt_int(lint.number("warnings").value_or(0)) << " warning(s))";
+    const double lo = lint.number("out_lo").value_or(std::nan(""));
+    const double hi = lint.number("out_hi").value_or(std::nan(""));
     if (std::isfinite(lo) && std::isfinite(hi)) {
       os << ", output in [" << fmt(lo, 3) << ", " << fmt(hi, 3) << "]";
     }
@@ -282,7 +269,7 @@ void render_run(std::ostream& os, const RunReport& run) {
          << fmt(secs, 4) << " |\n";
     }
     os << "\nSessions swapped out " << run.swaps << " time(s), rehydrated "
-       << run.rehydrations << " time(s) (" << run.replayed_answers
+       << run.rehydrations << " time(s) (" << run.advance_replayed
        << " answer(s) replayed).\n\n";
     if (!run.answer_layers.empty()) {
       os << "| answer layer | count | total s |\n|---|---|---|\n";
@@ -293,8 +280,7 @@ void render_run(std::ostream& os, const RunReport& run) {
            << fmt(it->second.second, 4) << " |\n";
       }
       os << "\nAdvances ran " << run.advance_queries
-         << " finder quer(ies) and replayed " << run.advance_replayed
-         << " logged answer(s).\n\n";
+         << " finder quer(ies).\n\n";
     }
   }
 
@@ -392,8 +378,9 @@ int main(int argc, char** argv) {
       ++bad_lines;
       continue;
     }
-    const std::string run_id = str_or(*obj, "run", "");
-    const std::string ev = str_or(*obj, "ev", "");
+    JsonFields f(*obj);
+    const std::string run_id = f.string("run").value_or("");
+    const std::string ev = f.string("ev").value_or("");
     auto [it, inserted] = run_index.try_emplace(run_id, runs.size());
     if (inserted) {
       runs.emplace_back();
